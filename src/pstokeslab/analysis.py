@@ -114,11 +114,11 @@ class AggregateRow:
     n_paths: int
 
 
-def norms_command(run_dir: str, alphas, specs) -> list:
-    """Per-path seminorm reports plus across-path aggregation.
+def _path_fits(run_dir: str, alphas, specs):
+    """Per path and quantity: (spec, alpha, report, fit) for every pair.
 
-    Writes norms_<quantity>_path<idx>.csv per path and aggregate_norms.csv;
-    returns the aggregate rows.
+    Yields (index, quantity, results) in path order; the loop shared by
+    norms_command and fit_command.
     """
     manifest = RunManifest.read(run_dir)
     dt = float(manifest.config["dt"])
@@ -126,31 +126,39 @@ def norms_command(run_dir: str, alphas, specs) -> list:
     indices = path_indices(run_dir)
     if not indices:
         raise FileNotFoundError(f"no trajectory files in {run_dir}")
-    sups: dict = {}
-    slopes: dict = {}
     for index in indices:
         diffs = load_diffs(run_dir, index)
         for quantity in QUANTITIES:
             if not diffs[quantity]:
                 continue
-            rows = []
+            results = []
             for spec in specs:
                 for alpha in alphas:
-                    rep = report_for_quantity(
-                        diffs[quantity], dt, n_steps, alpha, spec
-                    )
-                    fit = fit_exponent(rep)
-                    key = (quantity, alpha, spec.label)
-                    sups.setdefault(key, []).append(rep.sup_approx)
-                    slopes.setdefault(key, []).append(fit.slope)
-                    for h, nv, st in zip(rep.h_values, rep.norms, rep.sup_terms):
-                        rows.append(
-                            f"{h:.10e},{nv:.10e},{alpha:g},{spec.label},{st:.10e}"
-                        )
-            out = os.path.join(run_dir, f"norms_{quantity}_path{index:04d}.csv")
-            with open(out, "w") as fh:
-                fh.write("h,norm,alpha,kind,sup_term\n")
-                fh.write("\n".join(rows) + "\n")
+                    rep = report_for_quantity(diffs[quantity], dt, n_steps, alpha, spec)
+                    results.append((spec, alpha, rep, fit_exponent(rep)))
+            yield index, quantity, results
+
+
+def norms_command(run_dir: str, alphas, specs) -> list:
+    """Per-path seminorm reports plus across-path aggregation.
+
+    Writes norms_<quantity>_path<idx>.csv per path and aggregate_norms.csv;
+    returns the aggregate rows.
+    """
+    sups: dict = {}
+    slopes: dict = {}
+    for index, quantity, results in _path_fits(run_dir, alphas, specs):
+        rows = []
+        for spec, alpha, rep, fit in results:
+            key = (quantity, alpha, spec.label)
+            sups.setdefault(key, []).append(rep.sup_approx)
+            slopes.setdefault(key, []).append(fit.slope)
+            for h, nv, st in zip(rep.h_values, rep.norms, rep.sup_terms):
+                rows.append(f"{h:.10e},{nv:.10e},{alpha:g},{spec.label},{st:.10e}")
+        out = os.path.join(run_dir, f"norms_{quantity}_path{index:04d}.csv")
+        with open(out, "w") as fh:
+            fh.write("h,norm,alpha,kind,sup_term\n")
+            fh.write("\n".join(rows) + "\n")
 
     agg_rows = []
     for (quantity, alpha, kind), sup_list in sorted(sups.items()):
@@ -192,25 +200,12 @@ def fit_command(run_dir: str, alphas=(0.5,), specs=(OrliczSpec.power(2),)) -> di
     the across-path median per alpha; per-path details go to
     fits_detail.csv.
     """
-    manifest = RunManifest.read(run_dir)
-    dt = float(manifest.config["dt"])
-    n_steps = int(round(float(manifest.config["T"]) / dt))
-    indices = path_indices(run_dir)
-    if not indices:
-        raise FileNotFoundError(f"no trajectory files in {run_dir}")
     detail_rows = []
     per_key: dict = {}
-    for index in indices:
-        diffs = load_diffs(run_dir, index)
-        for quantity in QUANTITIES:
-            if not diffs[quantity]:
-                continue
-            for spec in specs:
-                for alpha in alphas:
-                    rep = report_for_quantity(diffs[quantity], dt, n_steps, alpha, spec)
-                    fit = fit_exponent(rep)
-                    detail_rows.append((quantity, spec.label, index, alpha, fit))
-                    per_key.setdefault((quantity, spec.label, alpha), []).append(fit)
+    for index, quantity, results in _path_fits(run_dir, alphas, specs):
+        for spec, alpha, _rep, fit in results:
+            detail_rows.append((quantity, spec.label, index, alpha, fit))
+            per_key.setdefault((quantity, spec.label, alpha), []).append(fit)
     summaries = {}
     for (quantity, kind, alpha), fits in sorted(per_key.items()):
         good = [f for f in fits if not f.degenerate]

@@ -4,6 +4,10 @@ Configs are flat key=value text files ('#' starts a comment), chosen so
 manifests stay diff-friendly and need no parser dependency.  The
 manifest is written before any path executes and atomically replaced at
 completion; it lists every output file with a content digest.
+
+The PDE kinds velocity_regularity, vgrad_regularity and
+pressure_regularity run identical code: kind labels the run and names
+its default directory.
 """
 
 from __future__ import annotations

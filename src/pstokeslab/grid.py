@@ -37,8 +37,6 @@ __all__ = [
     "lp_norm",
     "l2_inner",
     "w12_norm",
-    "apply_mask",
-    "is_masked",
     "save_field",
     "load_field",
 ]
@@ -259,16 +257,19 @@ def w12_norm(f: _Field) -> float:
     return float(np.sqrt(lp_norm(f, 2) ** 2 + lp_norm(gv, 2) ** 2))
 
 
-def apply_mask(v: VectorField) -> VectorField:
-    """Zero the field on the boundary ring."""
-    out = v.values.copy()
-    out[:, v.grid.boundary_mask] = 0.0
-    return VectorField(v.grid, out)
+def sine_stream_curl(grid: Grid, m1: int, m2: int) -> np.ndarray:
+    """Curl of the stream function sin(pi m1 x') sin(pi m2 y').
 
-
-def is_masked(v: VectorField, tol: float = 0.0) -> bool:
-    ring = np.abs(v.values[..., v.grid.boundary_mask]).max(initial=0.0)
-    return ring <= tol
+    x', y' rescale the nodes inside the two outer rings to (0, 1) and the
+    stream function is zero on both rings, so the curl is exactly
+    divergence-free and vanishes on the boundary mask.
+    """
+    n = grid.n
+    stream = np.zeros((n, n))
+    xi = (np.arange(2, n - 2) - 1.5) / (n - 4)
+    XX, YY = np.meshgrid(xi, xi, indexing="ij")
+    stream[2:-2, 2:-2] = np.sin(np.pi * m1 * XX) * np.sin(np.pi * m2 * YY)
+    return curl_values(grid.diff_1d, stream)
 
 
 # ---------------------------------------------------------------------

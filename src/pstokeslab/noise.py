@@ -26,15 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    VectorField,
-    curl_values,
-    grad_scalar_values,
-    lp_norm,
-    magnitude,
-    sym_grad,
-)
+from .grid import Grid, VectorField, grad_scalar_values, magnitude, sine_stream_curl
 
 __all__ = [
     "NoiseSpec",
@@ -42,10 +34,7 @@ __all__ = [
     "PathRng",
     "sample_increment",
     "apply_G",
-    "hs_norm_G",
-    "check_assumptions",
     "ito_isometry_check",
-    "AssumptionReport",
     "ItoIsometryReport",
 ]
 
@@ -71,10 +60,6 @@ class PathRng:
 
     def standard_normal(self, shape):
         return self._gen.standard_normal(shape)
-
-    def fresh(self) -> "PathRng":
-        """Restart the stream from its initial state."""
-        return PathRng(self.master_seed, self.path_index)
 
 
 @dataclass(frozen=True)
@@ -136,26 +121,19 @@ class NoiseSpec:
         n = self.grid.n
         D = self.grid.diff_1d
         X, Y = self.grid.x, self.grid.y
-        interior = ~self.grid.boundary_mask
         lambdas = np.array(
             [j ** (-self.decay) for j in range(1, self.mode_count + 1)]
         )
         modes = np.zeros((self.mode_count, 2, n, n))
         for k, (m1, m2, comp) in enumerate(_mode_indices(self.mode_count)):
             if self.flavor == "divergence-free":
-                stream = np.zeros((n, n))
-                # stream function supported away from the two outer rings
-                # so the curl vanishes on the boundary mask
-                xi = (np.arange(2, n - 2) - 1.5) / (n - 4)
-                XX, YY = np.meshgrid(xi, xi, indexing="ij")
-                stream[2:-2, 2:-2] = np.sin(np.pi * m1 * XX) * np.sin(np.pi * m2 * YY)
-                psi = curl_values(D, stream)
+                psi = sine_stream_curl(self.grid, m1, m2)
             elif self.flavor == "gradient":
                 q = np.cos(np.pi * m1 * X) * np.cos(np.pi * m2 * Y)
                 psi = grad_scalar_values(D, q)
                 psi[:, self.grid.boundary_mask] = 0.0
             else:
-                shape = np.sin(np.pi * m1 * X) * np.sin(np.pi * m2 * Y) * interior
+                shape = np.sin(np.pi * m1 * X) * np.sin(np.pi * m2 * Y) * self.grid.interior_mask
                 psi = np.zeros((2, n, n))
                 psi[comp] = shape
             norm = np.sqrt(self.grid.cell_area * np.sum(psi**2))
@@ -198,96 +176,6 @@ def apply_G(spec: NoiseSpec, u: VectorField, dW: WienerIncrement) -> VectorField
     if spec.rho != "one":
         out = out * spec.rho_values(u.values)[None, :, :]
     return VectorField(spec.grid, out)
-
-
-def hs_norm_G(spec: NoiseSpec, u: VectorField) -> float:
-    """Hilbert-Schmidt norm (sum_j ||g_j(., u)||^2)^(1/2) of the coefficient."""
-    if spec.mode_count == 0:
-        return 0.0
-    rho2 = spec.rho_values(u.values) ** 2
-    mode_sq = np.sum(spec.modes**2, axis=1)  # (J, n, n)
-    per_mode = spec.grid.cell_area * np.sum(mode_sq * rho2[None], axis=(1, 2))
-    return float(np.sqrt(np.sum(spec.lambdas**2 * per_mode)))
-
-
-@dataclass
-class AssumptionReport:
-    c_growth: float
-    c_lipschitz: float
-    c_strong: float
-    sample_count: int
-    exponent_p: float
-
-
-def check_assumptions(
-    spec: NoiseSpec,
-    sample_count: int,
-    exponent_p: float = 2.0,
-    rng_seed: int = 0,
-    projector=None,
-) -> AssumptionReport:
-    """Measure the growth, Lipschitz and strong-mode constants by sampling.
-
-    c_growth bounds ||G(u)||_HS^2 / (1 + ||u||^2); c_lipschitz bounds the
-    squared HS distance of coefficients against ||u1 - u2||^2; c_strong
-    bounds sum_j ||sym_grad(P g_j)||_{L^p}^2 / (1 + ||sym_grad u||_{L^p}^2)
-    with P the Helmholtz projection.  All constants are measured, finite
-    for valid specs, and reported rather than asserted against theory.
-    """
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
-    from .projection import HelmholtzProjector
-
-    if projector is None:
-        projector = HelmholtzProjector(spec.grid)
-    rng = np.random.default_rng(rng_seed)
-    n = spec.grid.n
-
-    def random_field():
-        v = rng.standard_normal((2, n, n)) * 10.0 ** rng.uniform(-1, 1)
-        v[:, spec.grid.boundary_mask] = 0.0
-        return VectorField(spec.grid, v)
-
-    fields = [random_field() for _ in range(sample_count)]
-    c_growth = 0.0
-    for u in fields:
-        c_growth = max(
-            c_growth, hs_norm_G(spec, u) ** 2 / (1.0 + lp_norm(u, 2) ** 2)
-        )
-
-    c_lip = 0.0
-    if spec.rho == "one":
-        c_lip = 0.0  # additive coefficient is u-independent
-    else:
-        mode_sq = np.sum(spec.modes**2, axis=1)
-        for a in range(sample_count - 1):
-            u1, u2 = fields[a], fields[a + 1]
-            drho = spec.rho_values(u1.values) - spec.rho_values(u2.values)
-            num = spec.grid.cell_area * float(
-                np.sum(spec.lambdas**2 * np.sum(mode_sq * drho[None] ** 2, axis=(1, 2)))
-            )
-            den = lp_norm(u1 - u2, 2) ** 2
-            if den > 1e-30:
-                c_lip = max(c_lip, num / den)
-
-    c_strong = 0.0
-    for u in fields:
-        rho = spec.rho_values(u.values)
-        total = 0.0
-        for j in range(spec.mode_count):
-            gj = VectorField(spec.grid, spec.lambdas[j] * spec.modes[j] * rho[None])
-            eps_pg = sym_grad(projector.project(gj))
-            total += lp_norm(eps_pg, exponent_p) ** 2
-        den = 1.0 + lp_norm(sym_grad(u), exponent_p) ** 2
-        c_strong = max(c_strong, total / den)
-
-    return AssumptionReport(
-        c_growth=float(c_growth),
-        c_lipschitz=float(c_lip),
-        c_strong=float(c_strong),
-        sample_count=sample_count,
-        exponent_p=exponent_p,
-    )
 
 
 @dataclass

@@ -20,7 +20,9 @@ facts used throughout the package:
   * phi is sandwiched between shifted p-th powers.
 
 Matrix magnitudes |xi| are Frobenius norms everywhere (the L^2 tensor
-inner product is the one used by the spatial discretisation).
+inner product is the one used by the spatial discretisation).  Tensor
+arguments have the field layout (2, 2, ...): the two leading axes are
+the matrix.  These kernels are the ones the stepper runs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "phi_second",
     "s_tensor",
     "v_tensor",
+    "hessian_coeffs",
     "energy",
     "inequality_report",
     "InequalityReport",
@@ -55,10 +58,6 @@ class PotentialParams:
         if self.kappa < 0.0:
             raise ValueError(f"shift kappa must be nonnegative, got {self.kappa}")
 
-    def shifted(self, extra_shift: float) -> "PotentialParams":
-        """Potential with shift kappa + extra_shift (composition of shifts)."""
-        return PotentialParams(self.p, self.kappa + extra_shift)
-
 
 def _check_nonnegative(t):
     if np.any(np.asarray(t) < 0.0):
@@ -74,20 +73,27 @@ def phi(params: PotentialParams, t):
     t/kappa instead; the branch switch keeps relative accuracy at a few
     ulp everywhere and makes phi(0) exactly zero.
     """
+    return _phi(params.p, params.kappa, t)
+
+
+def _phi(p, k, t):
+    """phi with shift k: one float, or an array of shifts shaped like t."""
     _check_nonnegative(t)
-    p, k = params.p, params.kappa
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if k == 0.0:
+    per_entry = np.ndim(k) > 0
+    if not per_entry and k == 0.0:
         out = t**p / p
         return float(out[0]) if scalar else out
-    x = t / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = t / k  # k = 0 entries give inf or nan and take the closed form
     small = x < 0.5
     out = np.empty_like(x)
     if np.any(~small):
         tb = t[~small]
-        kt = k + tb
-        val = kt**p / p - k * kt ** (p - 1.0) / (p - 1.0) + k**p / (p * (p - 1.0))
+        kb = k[~small] if per_entry else k
+        kt = kb + tb
+        val = kt**p / p - kb * kt ** (p - 1.0) / (p - 1.0) + kb**p / (p * (p - 1.0))
         out[~small] = np.maximum(val, 0.0)
     if np.any(small):
         # k^p * integral_0^x (1+s)^(p-2) s ds expanded binomially
@@ -100,20 +106,46 @@ def phi(params: PotentialParams, t):
             if np.max(np.abs(term)) <= 1e-18 * max(np.max(total), 1e-300):
                 break
             c = c * xs * ((p - 2.0 - j) / (j + 1.0))
-        out[small] = k**p * total
+        out[small] = (k[small] if per_entry else k) ** p * total
     return float(out[0]) if scalar else out
+
+
+def _frobenius(xi):
+    """Frobenius magnitude over the two leading (matrix) axes."""
+    return np.sqrt(np.sum(xi**2, axis=(0, 1)))
+
+
+def _radial_scale(params: PotentialParams, norm, expo: float):
+    """(kappa+|xi|)^expo, the radial factor of S (expo = p-2) and V.
+
+    For kappa = 0 and p < 2 the factor is singular at xi = 0 and is set
+    to 0 there, the continuous limit of S, V and phi'.
+    """
+    p, k = params.p, params.kappa
+    if p >= 2.0 or k > 0.0:
+        return (k + norm) ** expo
+    with np.errstate(divide="ignore"):
+        return np.where(norm > 0.0, np.where(norm > 0.0, norm, 1.0) ** expo, 0.0)
+
+
+def _curvatures(params: PotentialParams, t):
+    """a2 = phi'(t)/t and phi''(t), with their limits at t = 0.
+
+    For kappa = 0, p < 2 both are singular at t = 0; callers floor kappa
+    or exclude t = 0.
+    """
+    p, k = params.p, params.kappa
+    a2 = _radial_scale(params, t, p - 2.0)
+    if k > 0.0:
+        return a2, a2 * (1.0 + (p - 2.0) * t / (k + t))
+    return a2, (p - 1.0) * a2
 
 
 def phi_prime(params: PotentialParams, t):
     """Derivative phi'(t) = (kappa+t)^(p-2) t."""
     _check_nonnegative(t)
-    p, k = params.p, params.kappa
     t = np.asarray(t, dtype=float)
-    if p >= 2.0 or k > 0.0:
-        out = (k + t) ** (p - 2.0) * t
-    else:
-        # kappa = 0, p < 2: t^(p-1), finite at t = 0 with limit 0
-        out = np.where(t > 0.0, t ** (p - 1.0), 0.0)
+    out = _radial_scale(params, t, params.p - 2.0) * t
     return out if out.ndim else float(out)
 
 
@@ -123,54 +155,41 @@ def phi_second(params: PotentialParams, t):
     Singular for kappa = 0, p < 2 at t = 0; that combination raises.
     """
     _check_nonnegative(t)
-    p, k = params.p, params.kappa
     t = np.asarray(t, dtype=float)
-    if k == 0.0 and p < 2.0 and np.any(t == 0.0):
+    if params.kappa == 0.0 and params.p < 2.0 and np.any(t == 0.0):
         raise ZeroDivisionError(
             "phi'' is singular at t = 0 for kappa = 0 and p < 2"
         )
-    kt = k + t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(kt > 0.0, t / np.where(kt > 0.0, kt, 1.0), 0.0)
-        out = kt ** (p - 2.0) * (1.0 + (p - 2.0) * ratio)
-    if k == 0.0:
-        # limit at t = 0 is (p-1) t^(p-2): 0 for p > 2, 1 for p = 2
-        out = np.where(t == 0.0, 0.0 if p > 2.0 else 1.0, out)
+    out = _curvatures(params, t)[1]
     return out if out.ndim else float(out)
-
-
-def _frobenius(xi):
-    """Frobenius magnitude over the trailing 2x2 axes."""
-    return np.sqrt(np.sum(np.asarray(xi, dtype=float) ** 2, axis=(-2, -1)))
-
-
-def _radial_scale(params: PotentialParams, norm, half: bool):
-    """(kappa+|xi|)^(p-2) or its square root; continuous limit 0 at xi = 0."""
-    p, k = params.p, params.kappa
-    expo = (p - 2.0) / 2.0 if half else p - 2.0
-    if k > 0.0:
-        return (k + norm) ** expo
-    with np.errstate(divide="ignore"):
-        out = np.where(norm > 0.0, np.where(norm > 0.0, norm, 1.0) ** expo, 0.0)
-    return out
 
 
 def s_tensor(params: PotentialParams, xi):
     """Stress tensor S(xi) = (kappa+|xi|)^(p-2) xi, |.| Frobenius.
 
-    xi may carry leading batch axes; the trailing two axes are the matrix.
-    The limit S(0) = 0 is used when the radial factor is singular.
+    xi has the field layout: the two leading axes are the matrix, any
+    trailing axes are nodes or samples.  S(0) = 0 in every regime.
     """
-    xi = np.asarray(xi, dtype=float)
-    scale = _radial_scale(params, _frobenius(xi), half=False)
-    return scale[..., None, None] * xi
+    return _radial_scale(params, _frobenius(xi), params.p - 2.0) * xi
 
 
 def v_tensor(params: PotentialParams, xi):
-    """Monotonicity tensor V(xi) = (kappa+|xi|)^((p-2)/2) xi."""
-    xi = np.asarray(xi, dtype=float)
-    scale = _radial_scale(params, _frobenius(xi), half=True)
-    return scale[..., None, None] * xi
+    """Monotonicity tensor V(xi) = (kappa+|xi|)^((p-2)/2) xi, layout as s_tensor."""
+    return _radial_scale(params, _frobenius(xi), (params.p - 2.0) / 2.0) * xi
+
+
+def hessian_coeffs(params: PotentialParams, xi):
+    """Nodewise coefficients (a1, a2, E) of the second derivative of J.
+
+    D^2 J(u)[v, w] pairs eps v with eps w through the fourth-order
+    tensor a1 (E:M) E + a2 M, E = xi / |xi| (0 where xi = 0), with
+    a2 = phi'(t)/t and a1 = phi''(t) - a2 at t = |xi|.
+    """
+    t = _frobenius(xi)
+    a2, phipp = _curvatures(params, t)
+    pos = t > 0.0
+    unit = np.where(pos, xi / np.where(pos, t, 1.0), 0.0)
+    return phipp - a2, a2, unit
 
 
 def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
@@ -189,12 +208,11 @@ def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("strain field contains non-finite entries")
-    norms = np.sqrt(np.sum(values**2, axis=(0, 1)))
-    return float(cell_area * np.sum(phi(params, norms)))
+    return float(cell_area * np.sum(phi(params, _frobenius(values))))
 
 
 def _tensor_dot(a, b):
-    return np.sum(a * b, axis=(-2, -1))
+    return np.sum(a * b, axis=(0, 1))
 
 
 def _smallest_pow2_at_least(x: float) -> float:
@@ -247,7 +265,7 @@ def inequality_report(
     def sample_mats(count):
         mats = rng.standard_normal((count, 2, 2))
         scale = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
-        return mats * scale[:, None, None]
+        return np.moveaxis(mats * scale[:, None, None], 0, -1)
 
     P = sample_mats(n_samples)
     Q = sample_mats(n_samples)
@@ -264,11 +282,9 @@ def inequality_report(
 
     # Young-type inequality on fresh triples
     R = sample_mats(n_samples)
-    dS = s_tensor(params, P) - s_tensor(params, Q)
-    a = _tensor_dot(v_tensor(params, P) - v_tensor(params, Q),
-                    v_tensor(params, P) - v_tensor(params, Q))
-    b = _tensor_dot(v_tensor(params, R) - v_tensor(params, Q),
-                    v_tensor(params, R) - v_tensor(params, Q))
+    a = den
+    dVR = v_tensor(params, R) - v_tensor(params, Q)
+    b = _tensor_dot(dVR, dVR)
     lhs = _tensor_dot(dS, R - Q)
     ok = b > 1e-30
     young = {}
@@ -282,14 +298,8 @@ def inequality_report(
     t = np.abs(rng.standard_normal(n_samples)) * 10.0 ** rng.uniform(
         -2.0, 2.0, size=n_samples
     )
-    shift_p = _frobenius(P)
-    shift_q = _frobenius(Q)
-    lhs_cs = np.array(
-        [phi(params.shifted(s), tv) for s, tv in zip(shift_p, t)]
-    )
-    rhs_q = np.array(
-        [phi(params.shifted(s), tv) for s, tv in zip(shift_q, t)]
-    )
+    shifts = params.kappa + np.concatenate([_frobenius(P), _frobenius(Q)])
+    lhs_cs, rhs_q = np.split(_phi(params.p, shifts, np.concatenate([t, t])), 2)
     ok = rhs_q > 1e-300
     need = (lhs_cs[ok] - 0.5 * a[ok]) / rhs_q[ok]
     c_cs = _smallest_pow2_at_least(max(float(need.max(initial=0.0)), 1.0))

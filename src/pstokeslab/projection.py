@@ -120,9 +120,6 @@ class HelmholtzProjector:
     def project(self, v: VectorField) -> VectorField:
         return self.leray_project(v).div_free
 
-    def complement(self, v: VectorField) -> VectorField:
-        return self.leray_project(v).gradient
-
     def project_div_S(self, S_field: TensorField) -> VectorField:
         """Divergence-free part of the tensor divergence (strong residual)."""
         return self.project(div_tensor(S_field))
@@ -197,7 +194,3 @@ class BogovskiiOperator:
         _, mu = self._solve(v.values, np.zeros(self.grid.n**2))
         mu = mu - mu.mean()
         return ScalarField(self.grid, mu)
-
-    # convenience aliases matching the operation names
-    bogovskii_apply = apply
-    bogovskii_adjoint_apply = adjoint_apply

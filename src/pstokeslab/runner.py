@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .config import ExperimentConfig, RunManifest
-from .grid import Grid, VectorField, curl_values
+from .grid import Grid, VectorField, sine_stream_curl
 from .noise import NoiseSpec, PathRng
 from .potential import PotentialParams
 from .seminorms import OrliczSpec, SampledPath, besov_seminorm
@@ -41,12 +41,7 @@ def initial_velocity(grid: Grid, kind: str, scale: float) -> VectorField:
     """Divergence-free masked initial condition."""
     if kind == "zero":
         return grid.vector()
-    n = grid.n
-    stream = np.zeros((n, n))
-    xi = (np.arange(2, n - 2) - 1.5) / (n - 4)
-    XX, YY = np.meshgrid(xi, xi, indexing="ij")
-    stream[2:-2, 2:-2] = np.sin(np.pi * XX) * np.sin(np.pi * YY)
-    vals = curl_values(grid.diff_1d, stream)
+    vals = sine_stream_curl(grid, 1, 1)
     norm = np.sqrt(grid.cell_area * np.sum(vals**2))
     return VectorField(grid, vals * (scale / norm))
 
@@ -135,11 +130,25 @@ def _path_worker(args):
     return index, status, summary
 
 
+def _remove_run_outputs(run_dir: str):
+    """Delete what an earlier run or its analysis wrote; other files stay."""
+    for name in os.listdir(run_dir):
+        if name.startswith(("path_", "norms_", "fits_")) or name in (
+            "aggregate_norms.csv", WIENER_TABLE, "selftest.txt"
+        ):
+            os.remove(os.path.join(run_dir, name))
+
+
 def run_experiment(cfg: ExperimentConfig, run_dir: str | None = None) -> RunManifest:
-    """Execute all paths of an experiment; returns the final manifest."""
+    """Execute all paths of an experiment; returns the final manifest.
+
+    A reused run directory first loses the files an earlier run owned,
+    so the manifest and the analysis see this run's paths only.
+    """
     cfg.validate()
     run_dir = run_dir or cfg.resolved_out_dir()
     os.makedirs(run_dir, exist_ok=True)
+    _remove_run_outputs(run_dir)
     started = time.time()
     manifest = RunManifest(
         config={k: getattr(cfg, k) for k in cfg.__dataclass_fields__},

@@ -57,9 +57,9 @@ def _potential_checks(rng):
             phi_t >= lower - 1e-12 * np.maximum(np.abs(lower), 1.0)
         )
         out.append(CheckResult(f"potential power sandwich p={p}", bool(ok), ""))
-        xi = rng.standard_normal((200, 2, 2))
-        s_dot = np.sum(pot.s_tensor(params, xi) * xi, axis=(-2, -1))
-        v_sq = np.sum(pot.v_tensor(params, xi) ** 2, axis=(-2, -1))
+        xi = np.moveaxis(rng.standard_normal((200, 2, 2)), 0, -1)  # field layout
+        s_dot = np.sum(pot.s_tensor(params, xi) * xi, axis=(0, 1))
+        v_sq = np.sum(pot.v_tensor(params, xi) ** 2, axis=(0, 1))
         err = np.max(np.abs(s_dot - v_sq) / np.maximum(v_sq, 1e-300))
         out.append(CheckResult(f"S:xi equals |V|^2 p={p}", err < 1e-12, f"rel err {err:.2e}"))
     return out

@@ -32,14 +32,11 @@ __all__ = [
     "OrliczSpec",
     "SeminormReport",
     "FitResult",
-    "NegativeOrderReport",
     "luxemburg_norm",
     "difference_path",
     "besov_seminorm",
     "default_lag_grid",
     "fit_exponent",
-    "negative_order_report",
-    "holder_norm",
 ]
 
 
@@ -60,10 +57,6 @@ class SampledPath:
     @property
     def duration(self) -> float:
         return self.dt * (self.values.size - 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.dt
 
 
 @dataclass(frozen=True)
@@ -293,56 +286,3 @@ def fit_exponent(report: SeminormReport) -> FitResult:
         h_max=float(report.h_values[keep].max()),
         n_points=int(n),
     )
-
-
-@dataclass
-class NegativeOrderReport:
-    """Regularity certificate for the distributional time derivative.
-
-    A path with `alpha` temporal derivatives certifies order alpha - 1
-    for its derivative; the report carries the Besov report of the
-    primitive at the requested integrability plus its exponential-scale
-    Nikolskii report.
-    """
-
-    certified_order: float
-    besov: SeminormReport
-    nikolskii_phi2: SeminormReport
-    fit: FitResult
-
-
-def negative_order_report(
-    K_path: SampledPath, alpha: float, s: float, r: float
-) -> NegativeOrderReport:
-    besov = besov_seminorm(K_path, alpha, OrliczSpec.power(s), fine_index=r)
-    phi2 = besov_seminorm(K_path, alpha, OrliczSpec.phi2())
-    return NegativeOrderReport(
-        certified_order=alpha - 1.0,
-        besov=besov,
-        nikolskii_phi2=phi2,
-        fit=fit_exponent(besov),
-    )
-
-
-def holder_norm(path: SampledPath, alpha: float) -> float:
-    """Largest increment ratio |x_j - x_k| / |t_j - t_k|^alpha.
-
-    Exact over all pairs for paths up to 512 samples; longer paths are
-    coarsened to dyadic lags (an O(n log n) lower-bound restriction).
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    x = path.values
-    n = x.size
-    if n <= 512:
-        lags = range(1, n)
-    else:
-        lags, m = [], 1
-        while m < n:
-            lags.append(m)
-            m *= 2
-    best = 0.0
-    for m in lags:
-        d = np.abs(x[m:] - x[:-m]).max(initial=0.0)
-        best = max(best, d / (m * path.dt) ** alpha)
-    return float(best)

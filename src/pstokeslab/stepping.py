@@ -119,11 +119,6 @@ class PathTrajectory:
     error: str | None = None
     completed: bool = True
 
-    def final_velocity(self, grid: Grid) -> VectorField:
-        if not self.snapshots:
-            raise ValueError("no snapshots stored")
-        return VectorField(grid, self.snapshots[-1][1].copy())
-
 
 def dyadic_lags(n_steps: int) -> list:
     """Dyadic step lags from 1 up to n_steps // 8 (at least lag 1)."""
@@ -188,65 +183,13 @@ class Stepper:
     def _project(self, v):
         return self.projector.project_values(v)[0]
 
-    def _energy(self, v):
-        eps = sym_grad_values(self._D, v)
-        norms = np.sqrt(np.sum(eps**2, axis=(0, 1)))
-        return self._area * float(np.sum(pot.phi(self.params, norms)))
-
     def _inner(self, a, b):
         return self._area * float(np.sum(a * b))
-
-    def _stress(self, eps):
-        p, k = self.params.p, self.params.kappa
-        norms = np.sqrt(np.sum(eps**2, axis=(0, 1)))
-        if p >= 2.0 or k > 0.0:
-            scale = (k + norms) ** (p - 2.0)
-        else:
-            with np.errstate(divide="ignore"):
-                scale = np.where(norms > 0.0, np.where(norms > 0, norms, 1.0) ** (p - 2.0), 0.0)
-        return scale[None, None] * eps
-
-    def _vtensor(self, eps):
-        p, k = self.params.p, self.params.kappa
-        norms = np.sqrt(np.sum(eps**2, axis=(0, 1)))
-        if p >= 2.0 or k > 0.0:
-            scale = (k + norms) ** ((p - 2.0) / 2.0)
-        else:
-            with np.errstate(divide="ignore"):
-                scale = np.where(
-                    norms > 0.0, np.where(norms > 0, norms, 1.0) ** ((p - 2.0) / 2.0), 0.0
-                )
-        return scale[None, None] * eps
 
     def _grad_energy(self, v):
         """Gradient of J in the weighted L^2 product: -div S(eps v)."""
         eps = sym_grad_values(self._D, v)
-        return -div_tensor_values(self._D, self._stress(eps)), eps
-
-    def _hessian_coeffs(self, eps):
-        """Nodewise coefficients of the second Gateaux derivative of J.
-
-        D^2 J(u)[v, w] pairs eps v with eps w through the fourth-order
-        tensor a1 (E:M) E + a2 M, E = eps u / |eps u|, with
-        a2 = phi'(t)/t and a1 = phi''(t) - a2 at t = |eps u|.
-        """
-        hp = self._hess_params
-        p, k = hp.p, hp.kappa
-        t = np.sqrt(np.sum(eps**2, axis=(0, 1)))
-        pos = t > 0.0
-        tsafe = np.where(pos, t, 1.0)
-        if k > 0.0:
-            # phi'(t)/t = (k+t)^(p-2), with limit phi''(0) = k^(p-2) at t = 0
-            a2 = (k + t) ** (p - 2.0)
-            phipp = a2 * (1.0 + (p - 2.0) * t / (k + t))
-        else:
-            # kappa = 0 and p >= 2 (the singular regime is floored upstream)
-            a2 = np.where(pos, tsafe ** (p - 2.0), 1.0 if p == 2.0 else 0.0)
-            phipp = (p - 1.0) * a2
-        a1 = phipp - a2
-        unit = eps / tsafe[None, None]
-        unit[:, :, ~pos] = 0.0
-        return a1, a2, unit
+        return -div_tensor_values(self._D, pot.s_tensor(self.params, eps)), eps
 
     def _hessian_apply(self, a1, a2, unit, w):
         epsw = sym_grad_values(self._D, w)
@@ -268,7 +211,8 @@ class Stepper:
 
         def objective(v):
             diff = v - r
-            return dt * self._energy(v) + 0.5 * self._inner(diff, diff)
+            eps = sym_grad_values(self._D, v)
+            return dt * pot.energy(self.params, eps, self._area) + 0.5 * self._inner(diff, diff)
 
         v = u.copy()
         phi0 = objective(v)
@@ -276,6 +220,7 @@ class Stepper:
         vdist = np.inf
         grad_norm = np.inf
         converged = False
+        failure = f"Newton did not converge in {cfg.newton_max_iter} iterations"
         iterations = 0
         for it in range(cfg.newton_max_iter):
             grad_j, eps = self._grad_energy(v)
@@ -287,7 +232,7 @@ class Stepper:
             if grad_norm <= max(floor, 1e-14 * (1.0 + abs(phi_v))):
                 converged = True
                 break
-            a1, a2, unit = self._hessian_coeffs(eps)
+            a1, a2, unit = pot.hessian_coeffs(self._hess_params, eps)
 
             delta = self._cg_solve(a1, a2, unit, g, dt, floor)
             predicted = -self._inner(g, delta)
@@ -304,13 +249,13 @@ class Stepper:
                     break
                 alpha *= 0.5
             if not accepted:
-                converged = True  # decrease below rounding: at the minimiser
+                failure = f"line search stalled in Newton iteration {it + 1}"
                 break
-            v_old_V = self._vtensor(eps)  # eps belongs to the current v
+            v_old_V = pot.v_tensor(self.params, eps)  # eps belongs to the current v
             v = cand
             phi_v = phi_c
             iterations = it + 1
-            v_new_V = self._vtensor(sym_grad_values(self._D, v))
+            v_new_V = pot.v_tensor(self.params, sym_grad_values(self._D, v))
             dv = v_new_V - v_old_V
             vdist = self._inner(dv, dv)
             if vdist <= cfg.newton_tol:
@@ -326,7 +271,7 @@ class Stepper:
         )
         if not converged:
             raise StepError(
-                f"Newton did not converge in {cfg.newton_max_iter} iterations; "
+                f"{failure}; "
                 f"last V-distance^2 = {vdist:.3e}, gradient norm = {grad_norm:.3e}",
                 report,
             )
@@ -366,18 +311,23 @@ class Stepper:
             rs = rs_new
         return self._project(x)
 
+    def _stress_terms(self, eps):
+        """S(eps), the strong residual P div S and pi_det = -B*((I-P) div S)."""
+        stress = pot.s_tensor(self.params, eps)
+        div_s = div_tensor_values(self._D, stress)
+        res = self._project(div_s)
+        pi = self.bogovskii.adjoint_apply(VectorField(self.grid, div_s - res))
+        return stress, res, -pi.values
+
     def strong_residual(self, u: VectorField) -> VectorField:
         """P div S(eps u): the divergence-free part of the stress divergence."""
-        eps = sym_grad_values(self._D, u.values)
-        return VectorField(self.grid, self._project(div_tensor_values(self._D, self._stress(eps))))
+        res = self._stress_terms(sym_grad_values(self._D, u.values))[1]
+        return VectorField(self.grid, res)
 
     def pressure_det(self, u: VectorField) -> ScalarField:
         """Deterministic pressure -B*( (I-P) div S(eps u) ); mean-free."""
-        eps = sym_grad_values(self._D, u.values)
-        div_s = div_tensor_values(self._D, self._stress(eps))
-        grad_part = div_s - self._project(div_s)
-        pi = self.bogovskii.adjoint_apply(VectorField(self.grid, grad_part))
-        return ScalarField(self.grid, -pi.values)
+        pi = self._stress_terms(sym_grad_values(self._D, u.values))[2]
+        return ScalarField(self.grid, pi)
 
     def accumulate_K_sto(
         self, K_prev: ScalarField, u_n: VectorField, dW: WienerIncrement
@@ -404,7 +354,6 @@ class Stepper:
         energy = np.zeros(n_steps + 1)
         res_l2 = np.zeros(n_steps + 1)
         u_l2 = np.zeros(n_steps + 1)
-        v_incr = np.zeros(n_steps + 1)
         pi_lp = np.zeros(n_steps + 1)
         k_w12 = np.zeros(n_steps + 1)
         newton_its = np.zeros(n_steps + 1)
@@ -423,32 +372,23 @@ class Stepper:
 
         def record(k, u_vals, K_field):
             eps = sym_grad_values(self._D, u_vals)
-            Vt = self._vtensor(eps)
-            stress = self._stress(eps)
-            div_s = div_tensor_values(self._D, stress)
-            res = self._project(div_s)
-            energy[k] = self._area * float(np.sum(pot.phi(self.params, np.sqrt(np.sum(eps**2, axis=(0, 1))))))
+            Vt = pot.v_tensor(self.params, eps)
+            stress, res, pi = self._stress_terms(eps)
+            energy[k] = pot.energy(self.params, eps, self._area)
             res_l2[k] = np.sqrt(self._inner(res, res))
             u_l2[k] = np.sqrt(self._inner(u_vals, u_vals))
-            pi = self.bogovskii.adjoint_apply(VectorField(self.grid, div_s - res))
-            pi_lp[k] = lp_norm(ScalarField(self.grid, -pi.values), p_conj)
+            pi_lp[k] = lp_norm(ScalarField(self.grid, pi), p_conj)
             k_w12[k] = w12_norm(K_field)
             sup_stress[0] = max(
                 sup_stress[0], lp_norm(TensorField(self.grid, stress), p_conj)
             )
-            prev_v = buffers["V"].lagged(0)
-            if prev_v is not None:
-                dv = Vt - prev_v
-                v_incr[k] = np.sqrt(self._inner(dv, dv))
-            buffers["u"].push(u_vals)
-            buffers["V"].push(Vt)
-            buffers["K"].push(K_field.values)
+            latest = {"u": u_vals, "V": Vt, "K": K_field.values}
             for q, buf in buffers.items():
-                latest = {"u": u_vals, "V": Vt, "K": K_field.values}[q]
+                buf.push(latest[q])
                 for m in lags:
                     past = buf.lagged(m)
                     if past is not None:
-                        d = latest - past
+                        d = latest[q] - past
                         if q == "K":
                             val = w12_norm(ScalarField(self.grid, d))
                         else:
@@ -499,7 +439,8 @@ class Stepper:
             energy=energy[:trim],
             residual_l2=res_l2[:trim],
             velocity_l2=u_l2[:trim],
-            v_increment=v_incr[:trim],
+            # ||V(eps u_k) - V(eps u_{k-1})|| is the lag-1 difference of V
+            v_increment=np.concatenate([[0.0], diffs["V"][1][: counts["V"][1]]]),
             pressure_det_lp=pi_lp[:trim],
             k_sto_w12=k_w12[:trim],
             newton_iterations=newton_its[:trim],

@@ -23,7 +23,14 @@ from pstokeslab.grid import (
     lp_norm,
 )
 from pstokeslab.noise import NoiseSpec, ito_isometry_check
-from pstokeslab.potential import PotentialParams, inequality_report, phi, s_tensor, v_tensor
+from pstokeslab.potential import (
+    PotentialParams,
+    hessian_coeffs,
+    inequality_report,
+    phi,
+    s_tensor,
+    v_tensor,
+)
 from pstokeslab.projection import BogovskiiOperator, HelmholtzProjector
 from pstokeslab.runner import (
     initial_velocity,
@@ -127,9 +134,10 @@ def test_criterion_1_algebraic_identities():
         xi = rng.standard_normal((n_samples, 2, 2)) * 10.0 ** rng.uniform(
             -2, 2, (n_samples, 1, 1)
         )
+        xi = np.moveaxis(xi, 0, -1)  # the kernels' field layout (2, 2, samples)
         params = PotentialParams(p, kappa)
-        s_dot = np.sum(s_tensor(params, xi) * xi, axis=(-2, -1))
-        v_sq = np.sum(v_tensor(params, xi) ** 2, axis=(-2, -1))
+        s_dot = np.sum(s_tensor(params, xi) * xi, axis=(0, 1))
+        v_sq = np.sum(v_tensor(params, xi) ** 2, axis=(0, 1))
         worst = max(worst, np.max(np.abs(s_dot - v_sq) / np.maximum(v_sq, 1e-300)))
 
     g = Grid(16)
@@ -247,7 +255,7 @@ def test_criterion_4_linear_crosscheck():
     cfg = SolverConfig(dt=dt, T=0.1, newton_tol=1e-26, cg_tol=1e-12)
     stepper = Stepper(g, PotentialParams(2.0, 0.0), cfg)
     zero_eps = np.zeros((2, 2, 8, 8))
-    coeffs = stepper._hessian_coeffs(zero_eps)
+    coeffs = hessian_coeffs(stepper.params, zero_eps)
     dim = 128
 
     def columns(fn):

@@ -179,18 +179,6 @@ def test_grid_mismatch_rejected():
         l2_inner(a, b)
 
 
-def test_mask_helpers():
-    from pstokeslab.grid import apply_mask, is_masked
-
-    g = Grid(8)
-    rng = np.random.default_rng(9)
-    v = VectorField(g, rng.standard_normal((2, 8, 8)))
-    assert not is_masked(v)
-    masked = apply_mask(v)
-    assert is_masked(masked)
-    assert np.array_equal(masked.values[:, g.interior_mask], v.values[:, g.interior_mask])
-
-
 def test_csv_roundtrip(tmp_path):
     g = Grid(8)
     rng = np.random.default_rng(8)

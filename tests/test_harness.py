@@ -128,6 +128,25 @@ def test_manifest_lists_every_file_with_digest(tmp_path):
     assert manifest.path_seeds == [[7, 0], [7, 1]]
 
 
+def test_rerun_into_same_directory_drops_stale_outputs(tmp_path):
+    # 8 paths and their norms, then 1 path into the same directory: the
+    # manifest and norms see the 1-path run only, files the run does not
+    # own stay, and the outputs equal those of a fresh directory
+    run_dir = str(tmp_path / "reused")
+    run_experiment(small_config(run_dir, paths=8))
+    norms_command(run_dir, [0.5], [OrliczSpec.power(2)])
+    with open(os.path.join(run_dir, "notes.txt"), "w") as fh:
+        fh.write("kept\n")
+    manifest = run_experiment(small_config(run_dir, paths=1))
+    assert [n for n in manifest.files if n.endswith("_series.csv")] == ["path_0000_series.csv"]
+    assert "notes.txt" in manifest.files
+    fresh = str(tmp_path / "fresh")
+    run_experiment(small_config(fresh, paths=1))
+    assert run_files(run_dir) == run_files(fresh)
+    rows = norms_command(run_dir, [0.5], [OrliczSpec.power(2)])
+    assert rows and all(r.n_paths == 1 for r in rows)
+
+
 def test_selftest_kind_writes_report(tmp_path):
     cfg = ExperimentConfig(kind="selftest", out_dir=str(tmp_path / "st"))
     manifest = run_experiment(cfg)

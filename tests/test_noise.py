@@ -7,8 +7,6 @@ from pstokeslab.noise import (
     PathRng,
     WienerIncrement,
     apply_G,
-    check_assumptions,
-    hs_norm_G,
     ito_isometry_check,
     sample_increment,
 )
@@ -115,56 +113,6 @@ def test_apply_g_linear_in_increment(grid16):
         - 0.5 * apply_G(spec, u, WienerIncrement(1.0, z2)).values
     )
     assert np.max(np.abs(combo - parts)) < 1e-13
-
-
-def test_hs_norm_additive_is_u_independent(grid16):
-    rng = np.random.default_rng(2)
-    spec = NoiseSpec(grid16, 8, rho="one")
-    expect = np.sqrt(spec.hilbert_schmidt_constant())
-    for _ in range(3):
-        u = VectorField(grid16, rng.standard_normal((2, 16, 16)))
-        assert hs_norm_G(spec, u) == pytest.approx(expect, rel=1e-12)
-
-
-def test_hs_norm_zero_spec(grid16):
-    spec = NoiseSpec(grid16, 0)
-    u = VectorField(grid16, np.ones((2, 16, 16)))
-    assert hs_norm_G(spec, u) == 0.0
-
-
-def test_growth_bound_measured(grid16):
-    rng = np.random.default_rng(3)
-    spec = NoiseSpec(grid16, 8, rho="inv_one_plus_s2")
-    worst = 0.0
-    for _ in range(100):
-        u = VectorField(grid16, rng.standard_normal((2, 16, 16)))
-        worst = max(worst, hs_norm_G(spec, u) ** 2 / (1.0 + lp_norm(u, 2) ** 2))
-    assert np.isfinite(worst) and worst > 0.0
-
-
-def test_check_assumptions_additive(grid16):
-    spec = NoiseSpec(grid16, 8, rho="one")
-    rep = check_assumptions(spec, 10, exponent_p=2.5, rng_seed=0)
-    assert rep.c_lipschitz == 0.0
-    assert np.isfinite(rep.c_growth) and rep.c_growth > 0.0
-    assert np.isfinite(rep.c_strong)
-
-
-def test_check_assumptions_multiplicative(grid16):
-    spec = NoiseSpec(grid16, 8, rho="inv_one_plus_s2")
-    rep = check_assumptions(spec, 10, rng_seed=1)
-    assert np.isfinite(rep.c_lipschitz) and rep.c_lipschitz > 0.0
-
-
-def test_check_assumptions_gradient_flavor(grid16):
-    spec = NoiseSpec(grid16, 8, flavor="gradient")
-    rep = check_assumptions(spec, 5, exponent_p=2.5, rng_seed=2)
-    assert np.isfinite(rep.c_strong)
-
-
-def test_check_assumptions_validates_count(grid16):
-    with pytest.raises(ValueError):
-        check_assumptions(NoiseSpec(grid16, 4), 1)
 
 
 def test_ito_zero_spec(grid16):

@@ -132,10 +132,11 @@ def test_v_tensor_zero_limit():
 def test_s_v_compatibility():
     rng = np.random.default_rng(6)
     xi = rng.standard_normal((1000, 2, 2)) * 10.0 ** rng.uniform(-2, 2, (1000, 1, 1))
+    xi = np.moveaxis(xi, 0, -1)  # the kernels' field layout (2, 2, samples)
     for p, kappa in ((1.5, 0.0), (2.5, 0.01), (4.5, 1.0)):
         params = PotentialParams(p, kappa)
-        s_dot = np.sum(s_tensor(params, xi) * xi, axis=(-2, -1))
-        v_sq = np.sum(v_tensor(params, xi) ** 2, axis=(-2, -1))
+        s_dot = np.sum(s_tensor(params, xi) * xi, axis=(0, 1))
+        v_sq = np.sum(v_tensor(params, xi) ** 2, axis=(0, 1))
         assert np.max(np.abs(s_dot - v_sq) / np.maximum(v_sq, 1e-300)) < 1e-12
 
 

@@ -7,9 +7,7 @@ from pstokeslab.seminorms import (
     besov_seminorm,
     difference_path,
     fit_exponent,
-    holder_norm,
     luxemburg_norm,
-    negative_order_report,
 )
 
 
@@ -176,54 +174,7 @@ def test_fit_exponent_sqrt_path():
     assert fit_exponent(rep_exp).slope == pytest.approx(0.5515, abs=5e-3)
 
 
-def test_holder_norm_cases():
-    assert holder_norm(SampledPath(np.full(32, 1.5), 0.1), 0.5) == 0.0
-    n = 256
-    lin = SampledPath(np.arange(n + 1) / n, 1.0 / n)
-    assert holder_norm(lin, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_holder_norm_matches_allpairs_oracle():
-    rng = np.random.default_rng(7)
-    vals = np.cumsum(rng.standard_normal(300))
-    path = SampledPath(vals, 0.25)
-    alpha = 0.4
-    best = 0.0
-    for j in range(300):
-        for k in range(j + 1, 300):
-            best = max(best, abs(vals[k] - vals[j]) / ((k - j) * 0.25) ** alpha)
-    assert holder_norm(path, alpha) == pytest.approx(best, rel=1e-14)
-
-
-def test_holder_norm_long_path_dyadic_restriction():
-    # beyond 512 samples only dyadic lags are scanned: a lower bound of
-    # the all-pairs value that coincides with the hand computation
-    rng = np.random.default_rng(10)
-    vals = np.cumsum(rng.standard_normal(2048))
-    path = SampledPath(vals, 1.0 / 2047)
-    alpha = 0.5
-    best = 0.0
-    m = 1
-    while m < 2048:
-        d = np.abs(vals[m:] - vals[:-m]).max()
-        best = max(best, d / (m * path.dt) ** alpha)
-        m *= 2
-    assert holder_norm(path, alpha) == pytest.approx(best, rel=1e-14)
-
-
-def test_holder_norm_validates_alpha():
-    with pytest.raises(ValueError):
-        holder_norm(SampledPath(np.ones(8), 0.1), 1.5)
-
-
-def test_negative_order_report_zero_path():
-    rep = negative_order_report(SampledPath(np.zeros(256), 1 / 256), 0.5, 4.0, np.inf)
-    assert rep.certified_order == pytest.approx(-0.5)
-    assert rep.besov.degenerate
-    assert rep.nikolskii_phi2.degenerate
-
-
-def test_negative_order_report_wiener_like():
+def test_k_sto_exponent_matches_wiener_oracle():
     # accumulated stochastic pressure under additive gradient noise
     # behaves like a Wiener reduction: its fitted exponent matches the
     # directly simulated scalar Wiener oracle's window
@@ -250,9 +201,8 @@ def test_negative_order_report_wiener_like():
             dW = sample_increment(rng_path, dt, 4)
             K = stepper.accumulate_K_sto(K, u, dW)
             series.append(w12_norm(K))
-        rep = negative_order_report(SampledPath(np.asarray(series), dt), 0.5, 2.0, np.inf)
-        assert rep.certified_order == pytest.approx(-0.5)
-        slopes.append(rep.fit.slope)
+        rep = besov_seminorm(SampledPath(np.asarray(series), dt), 0.5, OrliczSpec.power(2.0))
+        slopes.append(fit_exponent(rep).slope)
     k_median = float(np.median(slopes))
     assert 0.4 <= k_median <= 0.6
 
@@ -260,8 +210,8 @@ def test_negative_order_report_wiener_like():
     oracle_slopes = []
     for _ in range(16):
         w = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n)) * np.sqrt(dt)])
-        rep = negative_order_report(SampledPath(np.abs(w), dt), 0.5, 2.0, np.inf)
-        oracle_slopes.append(rep.fit.slope)
+        rep = besov_seminorm(SampledPath(np.abs(w), dt), 0.5, OrliczSpec.power(2.0))
+        oracle_slopes.append(fit_exponent(rep).slope)
     w_median = float(np.median(oracle_slopes))
     assert 0.4 <= w_median <= 0.6
     assert abs(k_median - w_median) <= 0.1

@@ -10,11 +10,12 @@ from pstokeslab.grid import (
     grad_vec,
     l2_inner,
     lp_norm,
+    sym_grad_values,
 )
 from pstokeslab.noise import NoiseSpec, PathRng, WienerIncrement, apply_G
-from pstokeslab.potential import PotentialParams
+from pstokeslab.potential import PotentialParams, energy, hessian_coeffs, s_tensor
 from pstokeslab.runner import initial_velocity
-from pstokeslab.stepping import SolverConfig, Stepper, dyadic_lags
+from pstokeslab.stepping import SolverConfig, StepError, Stepper, dyadic_lags
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +69,25 @@ def test_step_is_descent(grid8):
     assert rep.phi_final <= rep.phi_initial
 
 
+def test_line_search_stall_raises(grid8):
+    # a CG direction that no step length along it can descend: the
+    # stalled line search must fail the step, not report convergence
+    class UphillStepper(Stepper):
+        def _cg_solve(self, a1, a2, unit, g, dt, floor):
+            return -1e20 * g
+
+    cfg = SolverConfig(dt=1e-2, T=8e-2)
+    stepper = UphillStepper(grid8, PotentialParams(3.0, 0.0), cfg)
+    u0 = initial_velocity(grid8, "curl", 1.0)
+    with pytest.raises(StepError, match="line search stalled.*gradient norm"):
+        stepper.step(u0, None)
+
+
 def test_p2_step_matches_dense_oracle(grid8):
     # implicit Euler for the linear case: (I + dt P A P) u1 = P u0
     stepper = make_stepper(grid8, p=2.0, kappa=0.0, dt=1e-3, newton_tol=1e-26, cg_tol=1e-12)
     zero_eps = np.zeros((2, 2, 8, 8))
-    coeffs = stepper._hessian_coeffs(zero_eps)
+    coeffs = hessian_coeffs(stepper.params, zero_eps)
     A = dense_operator(stepper, lambda w: stepper._hessian_apply(*coeffs, w))
     P = dense_operator(stepper, stepper._project)
     M = np.eye(128) + 1e-3 * (P @ A @ P)
@@ -93,7 +108,7 @@ def test_strong_residual_eigenmode_collinearity(grid8):
     # dense eigen-decomposition oracle for the p=2 projected operator
     stepper = make_stepper(grid8, p=2.0, kappa=0.0)
     zero_eps = np.zeros((2, 2, 8, 8))
-    coeffs = stepper._hessian_coeffs(zero_eps)
+    coeffs = hessian_coeffs(stepper.params, zero_eps)
     A = dense_operator(stepper, lambda w: stepper._hessian_apply(*coeffs, w))
     P = dense_operator(stepper, stepper._project)
     PAP = P @ A @ P
@@ -115,7 +130,7 @@ def test_strong_residual_duality(grid16):
     from pstokeslab.grid import sym_grad_values
     from pstokeslab.grid import TensorField
 
-    stress = TensorField(grid16, stepper._stress(sym_grad_values(grid16.diff_1d, u.values)))
+    stress = TensorField(grid16, s_tensor(stepper.params, sym_grad_values(grid16.diff_1d, u.values)))
     for _ in range(20):
         stream = np.zeros((16, 16))
         stream[2:-2, 2:-2] = rng.standard_normal((12, 12))
@@ -140,7 +155,7 @@ def test_pressure_det_defining_identity(grid16):
     assert abs(pi.values.mean()) < 1e-12
     from pstokeslab.grid import TensorField, sym_grad_values
 
-    stress = TensorField(grid16, stepper._stress(sym_grad_values(grid16.diff_1d, u.values)))
+    stress = TensorField(grid16, s_tensor(stepper.params, sym_grad_values(grid16.diff_1d, u.values)))
     for _ in range(20):
         xi = VectorField(grid16, rng.standard_normal((2, 16, 16)))
         grad_part = xi.values - stepper._project(xi.values)
@@ -277,7 +292,8 @@ def test_gradient_matches_finite_differences(grid16):
 
     def objective(v):
         diff = v - r
-        return dt * stepper._energy(v) + 0.5 * stepper._inner(diff, diff)
+        eps = sym_grad_values(grid16.diff_1d, v)
+        return dt * energy(stepper.params, eps, grid16.cell_area) + 0.5 * stepper._inner(diff, diff)
 
     v = u.values + 0.1 * stepper._project(rng.standard_normal((2, 16, 16)))
     grad_j, _ = stepper._grad_energy(v)
