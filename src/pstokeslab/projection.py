@@ -19,9 +19,13 @@ as a KKT saddle system.  Two kernels need a gauge:
     energy and are divergence-free, so the minimiser is defined up to
     them.
 
-Both are removed by rank-one/rank-two regularisation blocks, which pins
-the solution with zero checkerboard content and a mean-free multiplier.
-The saddle matrix is factorised once per grid (sparse LU) and reused.
+Both are removed by bordering the saddle matrix with three sparse rows
+and columns, C^T w = 0 for the checkerboards and z^T mu = 0 for the
+multiplier constant (Benzi, Golub and Liesen, Acta Numerica 2005):
+
+    [[H, B^T, C, 0], [B, 0, 0, z], [C^T, 0, 0, 0], [0, z^T, 0, 0]].
+
+The bordered matrix is factorised once per grid (sparse LU) and reused.
 """
 
 from __future__ import annotations
@@ -125,11 +129,6 @@ class HelmholtzProjector:
         return self.project(div_tensor(S_field))
 
 
-def _checkerboard(n: int) -> np.ndarray:
-    cb = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
-    return (cb / np.linalg.norm(cb)).ravel()
-
-
 class BogovskiiOperator:
     """Minimal-gradient-norm right inverse of the discrete divergence.
 
@@ -149,25 +148,23 @@ class BogovskiiOperator:
         Atil = DX.T @ DX + DY.T @ DY
         H = sp.block_diag([Atil, Atil])
         B = sp.hstack([DX, DY])
-        cb = _checkerboard(n)
-        C = np.zeros((2 * n * n, 2))
-        C[: n * n, 0] = cb
-        C[n * n :, 1] = cb
-        scale_h = 4.0 / grid.h**2
-        Creg = sp.csr_matrix(C * np.sqrt(scale_h))
-        z = np.full((n * n, 1), 1.0 / n)
-        Zreg = sp.csr_matrix(z * (2.0 / grid.h))
-        kkt = sp.bmat(
-            [[H + Creg @ Creg.T, B.T], [B, -Zreg @ Zreg.T]]
-        ).tocsc()
+        cb = ((-1.0) ** np.add.outer(np.arange(n), np.arange(n))).ravel() / n  # unit norm
+        C = sp.block_diag([cb[:, None], cb[:, None]], format="csr")
+        z = sp.csr_matrix(np.full((n * n, 1), 1.0 / n))
+        kkt = sp.bmat([
+            [H, B.T, C, None],
+            [B, None, None, z],
+            [C.T, None, None, None],
+            [None, z.T, None, None],
+        ]).tocsc()
         self._lu = spla.splu(kkt)
         self._nv = 2 * n * n
 
     def _solve(self, rhs_v: np.ndarray, rhs_g: np.ndarray):
-        rhs = np.concatenate([rhs_v.ravel(), rhs_g.ravel()])
+        rhs = np.concatenate([rhs_v.ravel(), rhs_g.ravel(), np.zeros(3)])
         sol = self._lu.solve(rhs)
         n = self.grid.n
-        return sol[: self._nv].reshape(2, n, n), sol[self._nv :].reshape(n, n)
+        return sol[: self._nv].reshape(2, n, n), sol[self._nv : -3].reshape(n, n)
 
     def apply(self, g: ScalarField) -> VectorField:
         """Field w with div w = g, zero wall trace, minimal gradient energy."""

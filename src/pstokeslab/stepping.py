@@ -22,7 +22,10 @@ pressure
     K_{n+1} = K_n - B*( (I - P) G(u_n) dW ),
 
 with B* the Bogovskii adjoint, whose temporal regularity certifies the
-negative-order regularity of the stochastic pressure.
+negative-order regularity of the stochastic pressure.  Additive noise
+(rho = one) makes K linear in W: the stepper stores
+k_j = lambda_j B*((I - P) psi_j) once and steps K_{n+1} = K_n - sum_j dW_j k_j
+without a solve.  Multiplicative noise solves for each increment.
 """
 
 from __future__ import annotations
@@ -178,10 +181,20 @@ class Stepper:
             self._hess_params = pot.PotentialParams(p, config.kappa_reg)
         else:
             self._hess_params = params
+        self._k_modes = None  # k_j of additive noise (module docstring)
+        if spec is not None and spec.mode_count > 0 and spec.rho == "one":
+            self._k_modes = np.array([
+                lam * self._bstar_grad_part(psi) for lam, psi in zip(spec.lambdas, spec.modes)
+            ])
 
     # -- array-level building blocks -----------------------------------
     def _project(self, v):
         return self.projector.project_values(v)[0]
+
+    def _bstar_grad_part(self, v):
+        """B*((I-P) v): the Bogovskii adjoint of the gradient part of v."""
+        grad_part = v - self._project(v)
+        return self.bogovskii.adjoint_apply(VectorField(self.grid, grad_part)).values
 
     def _inner(self, a, b):
         return self._area * float(np.sum(a * b))
@@ -335,10 +348,11 @@ class Stepper:
         """K_next = K_prev - B*( (I-P) G(u_n) dW ); stays mean-free."""
         if self.spec is None or self.spec.mode_count == 0:
             return K_prev
-        forcing = apply_G(self.spec, u_n, dW).values
-        grad_part = forcing - self._project(forcing)
-        incr = self.bogovskii.adjoint_apply(VectorField(self.grid, grad_part))
-        return ScalarField(self.grid, K_prev.values - incr.values)
+        if self._k_modes is not None:
+            incr = np.tensordot(dW.z, self._k_modes, axes=(0, 0))
+        else:
+            incr = self._bstar_grad_part(apply_G(self.spec, u_n, dW).values)
+        return ScalarField(self.grid, K_prev.values - incr)
 
     def run_path(self, u0: VectorField, rng: PathRng) -> PathTrajectory:
         """Integrate one sample path and collect all monitored series."""

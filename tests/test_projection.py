@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pstokeslab.grid import (
     Grid,
@@ -32,6 +34,59 @@ def dense_divergence_matrix(grid):
         e[c] = 1.0
         D[:, c] = div_vec(VectorField(grid, e.reshape(2, n, n))).values.ravel()
     return D
+
+
+def dense_gradient_matrix(grid):
+    n = grid.n
+    G = np.zeros((4 * n * n, 2 * n * n))
+    for c in range(2 * n * n):
+        e = np.zeros(2 * n * n)
+        e[c] = 1.0
+        G[:, c] = grad_vec(VectorField(grid, e.reshape(2, n, n))).values.ravel()
+    return G
+
+
+def checkerboard_basis(grid):
+    """Unit per-component checkerboards (-1)^(i+j), as columns."""
+    n = grid.n
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    cb = np.where((i + j) % 2 == 0, 1.0, -1.0).ravel() / n
+    C = np.zeros((2 * n * n, 2))
+    C[: n * n, 0] = cb
+    C[n * n :, 1] = cb
+    return C
+
+
+class PenaltyBogovskii:
+    """Reference: the gauges as dense penalty blocks C C^T and z z^T.
+
+    Minimises ||grad w||^2 subject to div w = g with the KKT matrix
+    [[G^T G + c C C^T, B^T], [B, -c z z^T]], c = (2/h)^2, assembled
+    from the field-level gradient and divergence.
+    """
+
+    def __init__(self, grid):
+        n = grid.n
+        self.grid = grid
+        self.nv = 2 * n * n
+        G = dense_gradient_matrix(grid)
+        B = dense_divergence_matrix(grid)
+        C = checkerboard_basis(grid) * (2.0 / grid.h)
+        z = np.full((n * n, 1), 2.0 / (grid.h * n))
+        kkt = np.block([[G.T @ G + C @ C.T, B.T], [B, -z @ z.T]])
+        self._lu = spla.splu(sp.csc_matrix(kkt))
+
+    def apply(self, g):
+        sol = self._lu.solve(np.concatenate([np.zeros(self.nv), g.ravel()]))
+        return sol[: self.nv].reshape(2, self.grid.n, self.grid.n)
+
+    def adjoint_apply(self, v):
+        mu = self._lu.solve(np.concatenate([v.ravel(), np.zeros(self.grid.n**2)]))[self.nv :]
+        return (mu - mu.mean()).reshape(self.grid.n, self.grid.n)
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +242,52 @@ def test_bogovskii_adjoint_meanfree(bog16, grid16):
     v = VectorField(grid16, rng.standard_normal((2, 16, 16)))
     out = bog16.adjoint_apply(v)
     assert abs(out.values.mean()) < 1e-13 * np.abs(out.values).max()
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_bordered_bogovskii_matches_penalty_reference(n):
+    grid = Grid(n)
+    ours = BogovskiiOperator(grid)
+    ref = PenaltyBogovskii(grid)
+    rng = np.random.default_rng(100 + n)
+    for _ in range(4):
+        g = rng.standard_normal((n, n))
+        g -= g.mean()
+        v = rng.standard_normal((2, n, n))
+        assert rel_diff(ours.apply(ScalarField(grid, g)).values, ref.apply(g)) < 1e-12
+        assert rel_diff(ours.adjoint_apply(VectorField(grid, v)).values, ref.adjoint_apply(v)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_bordered_bogovskii_gauges(n):
+    grid = Grid(n)
+    bog = BogovskiiOperator(grid)
+    C = checkerboard_basis(grid)
+    rng = np.random.default_rng(200 + n)
+    g = rng.standard_normal((n, n))
+    g -= g.mean()
+    w = bog.apply(ScalarField(grid, g)).values.ravel()
+    # the bordering rows C^T w = 0 pin the checkerboard content
+    assert np.max(np.abs(C.T @ w)) < 1e-12 * np.linalg.norm(w)
+    v = rng.standard_normal((2, n, n))
+    _, mu = bog._solve(v, np.zeros(n * n))
+    # the bordering row z^T mu = 0 pins the multiplier constant
+    assert abs(mu.mean()) < 1e-12 * np.abs(mu).max()
+    out = bog.adjoint_apply(VectorField(grid, v)).values
+    assert abs(out.mean()) < 1e-13 * np.abs(out).max()
+
+
+def test_bogovskii_n64_right_inverse_and_adjoint():
+    grid = Grid(64)
+    bog = BogovskiiOperator(grid)
+    rng = np.random.default_rng(64)
+    for _ in range(3):
+        g = rng.standard_normal((64, 64))
+        g -= g.mean()
+        gf = ScalarField(grid, g)
+        w = bog.apply(gf)
+        assert lp_norm(div_vec(w) - gf, 2) < 1e-10 * lp_norm(gf, 2)
+        v = VectorField(grid, rng.standard_normal((2, 64, 64)))
+        lhs = l2_inner(bog.adjoint_apply(v), gf)
+        rhs = l2_inner(v, w)
+        assert abs(lhs - rhs) < 1e-10 * lp_norm(v, 2) * lp_norm(gf, 2)

@@ -12,8 +12,10 @@ from pstokeslab.grid import (
     lp_norm,
     sym_grad_values,
 )
-from pstokeslab.noise import NoiseSpec, PathRng, WienerIncrement, apply_G
+from pstokeslab import stepping
+from pstokeslab.noise import NoiseSpec, PathRng, WienerIncrement, apply_G, sample_increment
 from pstokeslab.potential import PotentialParams, energy, hessian_coeffs, s_tensor
+from pstokeslab.projection import BogovskiiOperator, HelmholtzProjector
 from pstokeslab.runner import initial_velocity
 from pstokeslab.stepping import SolverConfig, StepError, Stepper, dyadic_lags
 
@@ -220,6 +222,55 @@ def test_k_sto_single_gradient_mode_matches_composition_oracle(grid16):
     assert np.max(np.abs(K1.values - oracle)) < 1e-10
 
 
+@pytest.mark.parametrize("flavor", ["mixed", "gradient"])
+def test_additive_k_sto_matches_closed_form(grid16, flavor):
+    # oracle: K(t) = -sum_j lambda_j B*((I-P) psi_j) W_j(t), assembled
+    # from a standalone projector and a fresh Bogovskii operator
+    spec = NoiseSpec(grid16, 8, flavor=flavor)
+    stepper = make_stepper(grid16, p=2.5, kappa=0.01, spec=spec)
+    rng = PathRng(5, 2)
+    K = grid16.scalar()
+    u = initial_velocity(grid16, "curl", 1.0)
+    W = np.zeros(8)
+    for _ in range(32):
+        dW = sample_increment(rng, 1e-3, 8)
+        K = stepper.accumulate_K_sto(K, u, dW)
+        W += dW.z
+    projector = HelmholtzProjector(grid16)
+    bog = BogovskiiOperator(grid16)
+    bstar = np.array([
+        bog.adjoint_apply(projector.leray_project(VectorField(grid16, psi)).gradient).values
+        for psi in spec.modes
+    ])
+    closed = -np.tensordot(spec.lambdas * W, bstar, axes=(0, 0))
+    assert np.linalg.norm(K.values - closed) < 1e-12 * np.linalg.norm(closed)
+
+
+@pytest.mark.parametrize("rho, per_step", [("one", 1), ("inv_one_plus_s2", 2)])
+def test_run_path_noise_and_bogovskii_calls_per_step(grid8, monkeypatch, rho, per_step):
+    spec = NoiseSpec(grid8, 4, rho=rho, flavor="gradient")
+    stepper = make_stepper(grid8, p=2.5, kappa=0.01, dt=1e-3, T=8e-3, spec=spec)
+    calls = {"apply_G": 0, "bstar": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(stepping, "apply_G", counted("apply_G", stepping.apply_G))
+    monkeypatch.setattr(
+        BogovskiiOperator, "adjoint_apply",
+        counted("bstar", BogovskiiOperator.adjoint_apply),
+    )
+    traj = stepper.run_path(initial_velocity(grid8, "curl", 1.0), PathRng(1, 0))
+    assert traj.completed
+    n_steps = stepper.config.n_steps
+    assert calls["apply_G"] == per_step * n_steps
+    # one more B* for pi_det of the initial state
+    assert calls["bstar"] == per_step * n_steps + 1
+
+
 def test_run_path_zero_everything(grid8):
     stepper = make_stepper(grid8, p=2.0, kappa=0.0, dt=1e-2, T=8e-2)
     traj = stepper.run_path(grid8.vector(), PathRng(0, 0))
@@ -253,8 +304,6 @@ def test_run_path_divergence_free_preserved(grid16):
     # recompute divergence of the final state via a fresh short run
     u = grid16.vector()
     rng = PathRng(3, 1)
-    from pstokeslab.noise import sample_increment
-
     for _ in range(16):
         dW = sample_increment(rng, 1e-3, 8)
         stepper.accumulate_K_sto(grid16.scalar(), u, dW)
