@@ -53,17 +53,32 @@ def load_series(run_dir: str, index: int) -> dict:
 
 
 def load_diffs(run_dir: str, index: int) -> dict:
-    """quantity -> {lag: difference-norm series}."""
+    """quantity -> {lag: difference-norm series}.
+
+    The runner writes each (quantity, lag) series as one contiguous block
+    of rows, so the file is split once and its value column converted in
+    one call; each series is a slice of that column.
+    """
     path = diffs_path(run_dir, index)
     out: dict = {q: {} for q in QUANTITIES}
     with open(path) as fh:
         fh.readline()  # header
-        rows: dict = {}
-        for line in fh:
-            q, lag, _k, value = line.rstrip("\n").split(",")
-            rows.setdefault((q, int(lag)), []).append(float(value))
-    for (q, lag), values in rows.items():
-        out[q][lag] = np.asarray(values)
+        text = fh.read().strip()
+    if not text:
+        return out
+    cells = text.replace("\n", ",").split(",")
+    if len(cells) % 4:
+        raise ValueError(f"{path}: rows must have 4 cells")
+    quantity = np.array(cells[0::4])
+    lag = np.array(cells[1::4])
+    values = np.array(cells[3::4], dtype=float)
+    starts = np.flatnonzero((quantity[1:] != quantity[:-1]) | (lag[1:] != lag[:-1])) + 1
+    bounds = [0, *starts.tolist(), values.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        series = out[str(quantity[a])]
+        if int(lag[a]) in series:
+            raise ValueError(f"{path}: rows of ({quantity[a]}, {lag[a]}) are not contiguous")
+        series[int(lag[a])] = values[a:b]
     return out
 
 

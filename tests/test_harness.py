@@ -256,6 +256,40 @@ def test_fit_median_matches_scripted_slope_oracle(finished_run):
     assert got == pytest.approx(oracle_median, rel=1e-6)
 
 
+def test_load_diffs_matches_line_parser(finished_run):
+    # reference: the row-by-row parser, which needs no block order
+    from pstokeslab.analysis import load_diffs
+    from pstokeslab.runner import diffs_path
+
+    for index in range(3):
+        rows = {}
+        with open(diffs_path(finished_run, index)) as fh:
+            fh.readline()
+            for line in fh:
+                q, lag, _k, value = line.rstrip("\n").split(",")
+                rows.setdefault((q, int(lag)), []).append(float(value))
+        got = load_diffs(finished_run, index)
+        assert sorted((q, lag) for q in got for lag in got[q]) == sorted(rows)
+        for (q, lag), values in rows.items():
+            expected = np.asarray(values)
+            assert got[q][lag].dtype == expected.dtype
+            assert got[q][lag].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("body", [
+    "u,4,0,1.0\nu,8,0,2.0\nu,4,1,3.0\n",   # (u, 4) split in two blocks
+    "u,4,0,1.0\nu,4,1\n",                   # truncated last row
+])
+def test_load_diffs_rejects_malformed_files(tmp_path, body):
+    from pstokeslab.analysis import load_diffs
+    from pstokeslab.runner import diffs_path
+
+    with open(diffs_path(str(tmp_path), 0), "w") as fh:
+        fh.write("quantity,lag_steps,k,value\n" + body)
+    with pytest.raises(ValueError):
+        load_diffs(str(tmp_path), 0)
+
+
 def test_report_digest(finished_run):
     text = report_command(finished_run)
     assert "energy monitor" in text

@@ -215,3 +215,109 @@ def test_k_sto_exponent_matches_wiener_oracle():
     w_median = float(np.median(oracle_slopes))
     assert 0.4 <= w_median <= 0.6
     assert abs(k_median - w_median) <= 0.1
+
+
+# ------------------------------------------------- Luxemburg root-find
+
+ROOT_SPECS = [OrliczSpec.phi2(), OrliczSpec.nq(1.0), OrliczSpec.nq(2.0), OrliczSpec.nq(3.5)]
+
+
+def _log_phi(spec, logt):
+    """log Phi(t) from log t, finite wherever Phi(t) > 0 is representable."""
+    if spec.kind == "phi2":
+        a = np.exp(2.0 * logt)
+        return np.where(2.0 * logt < -700.0, 2.0 * logt, a + np.log(-np.expm1(-a)))
+    loglog1p = np.where(logt < -700.0, logt, np.log(np.log1p(np.exp(logt))))
+    return spec.q * logt + 0.5 * spec.q * loglog1p
+
+
+def log_space_luxemburg(values, dt, spec):
+    """Independent oracle: brentq on the log modular in u = log(lambda / max|x|).
+
+    The modular is summed as a shifted log-sum, so no term overflows, and
+    the bracket is widened until it strictly contains the root.
+    """
+    from scipy.optimize import brentq
+
+    x = np.abs(np.asarray(values, dtype=float)[:-1])
+    xmax = float(x.max())
+    logx = np.log(x[x > 0.0]) - np.log(xmax)
+
+    def g(u):
+        with np.errstate(over="ignore", divide="ignore"):
+            lp = _log_phi(spec, logx - u)
+        top = float(lp.max())
+        return np.log(dt) + top + np.log(np.sum(np.exp(lp - top)))
+
+    lo, hi = -5.0, 5.0
+    while g(lo) <= 0.0:
+        lo -= 5.0
+    while g(hi) >= 0.0:
+        hi += 5.0
+    return xmax * np.exp(brentq(g, lo, hi, xtol=1e-15, rtol=1e-15, maxiter=500))
+
+
+@pytest.mark.parametrize("spec", ROOT_SPECS + [OrliczSpec.power(3.0)], ids=lambda s: s.label)
+def test_t_derivative_matches_central_difference(spec):
+    t = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 4.0])
+    h = 1e-6 * t
+    slope = (spec.evaluate(t + h) - spec.evaluate(t - h)) / (2.0 * h)
+    got = spec.t_derivative(t, spec.evaluate(t))
+    np.testing.assert_allclose(got, t * slope, rtol=1e-7)
+    assert spec.t_derivative(np.zeros(3), spec.evaluate(np.zeros(3))).tolist() == [0.0] * 3
+
+
+@pytest.mark.parametrize("spec", ROOT_SPECS, ids=lambda s: s.label)
+def test_luxemburg_matches_log_space_brentq_oracle(spec):
+    rng = np.random.default_rng(11)
+    for e in range(10, 17):
+        dt = 2.0**-e
+        n = 2**e
+        brownian = rng.standard_normal(n) * np.sqrt(dt)
+        cauchy = rng.standard_cauchy(n)
+        for values in (brownian, cauchy):
+            expected = log_space_luxemburg(values, dt, spec)
+            got = luxemburg_norm(SampledPath(values, dt), spec)
+            assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ROOT_SPECS, ids=lambda s: s.label)
+def test_luxemburg_bracket_edge_paths(spec):
+    # the Newton start s0 = Phi^-1(1/dt)/max|x| is the exact root of a
+    # single-spike path, and constant modulus puts every sample at the max
+    for dt in (2.0**-10, 0.5, 1.0, 3.0, 100.0):
+        spike = np.zeros(64)
+        spike[5] = -2.5
+        got = luxemburg_norm(SampledPath(spike, dt), spec)
+        assert got == pytest.approx(log_space_luxemburg(spike, dt, spec), rel=1e-12)
+        alternating = 0.7 * np.where(np.arange(64) % 2, 1.0, -1.0)
+        got = luxemburg_norm(SampledPath(alternating, dt), spec)
+        assert got == pytest.approx(log_space_luxemburg(alternating, dt, spec), rel=1e-12)
+        if spec.kind == "phi2":
+            # dt Phi(2.5/lambda) = 1 and 63 dt Phi(0.7/lambda) = 1
+            assert luxemburg_norm(SampledPath(spike, dt), spec) == pytest.approx(
+                2.5 / np.sqrt(np.log1p(1.0 / dt)), rel=1e-13
+            )
+            assert got == pytest.approx(0.7 / np.sqrt(np.log1p(1.0 / (63 * dt))), rel=1e-13)
+    wide = np.geomspace(1e-200, 1e200, 1001) * np.where(np.arange(1001) % 3, 1.0, -1.0)
+    for dt in (1e-3, 1.0, 10.0):
+        got = luxemburg_norm(SampledPath(wide, dt), spec)
+        assert got == pytest.approx(log_space_luxemburg(wide, dt, spec), rel=1e-12)
+
+
+def test_phi2_norm_evaluation_budget(monkeypatch):
+    # Newton from the right converges in a handful of modular evaluations
+    calls = []
+    evaluate = OrliczSpec.evaluate
+
+    def counted(self, t):
+        calls.append(1)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(OrliczSpec, "evaluate", counted)
+    rng = np.random.default_rng(3)
+    dt = 2.0**-16
+    increment = rng.standard_normal(65536) * np.sqrt(dt)
+    norm = luxemburg_norm(SampledPath(increment, dt), OrliczSpec.phi2())
+    assert norm > 0.0
+    assert len(calls) <= 12
