@@ -133,14 +133,15 @@ def _path_fits(run_dir: str, alphas, specs):
     """Per path and quantity: (spec, alpha, report, fit) for every pair.
 
     Yields (index, quantity, results) in path order; the loop shared by
-    norms_command and fit_command.
+    norms_command and fit_command.  Paths whose manifest status is not
+    "ok" are truncated and stay out of the reports and medians.
     """
     manifest = RunManifest.read(run_dir)
     dt = float(manifest.config["dt"])
     n_steps = int(round(float(manifest.config["T"]) / dt))
-    indices = path_indices(run_dir)
+    indices = [i for i in path_indices(run_dir) if manifest.path_status.get(str(i)) == "ok"]
     if not indices:
-        raise FileNotFoundError(f"no trajectory files in {run_dir}")
+        raise FileNotFoundError(f"no trajectory files of completed paths in {run_dir}")
     for index in indices:
         diffs = load_diffs(run_dir, index)
         for quantity in QUANTITIES:

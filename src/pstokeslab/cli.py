@@ -108,7 +108,7 @@ def main(argv=None) -> int:
                         f"{quantity} {kind} alpha={alpha:g}: slope {fit.slope:.4f} "
                         f"+/- {fit.half_width:.4f} on [{fit.h_min:.4g}, {fit.h_max:.4g}]"
                     )
-        except (FileNotFoundError, OSError) as exc:
+        except (OSError, ValueError) as exc:  # missing or malformed run files
             print(f"runtime error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         return EXIT_OK
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
 
         try:
             print(report_command(args.dir))
-        except (FileNotFoundError, OSError) as exc:
+        except (OSError, ValueError) as exc:  # missing or malformed run files
             print(f"runtime error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         return EXIT_OK

@@ -154,19 +154,14 @@ def _same_grid(*fields):
 
 
 # ---------------------------------------------------------------------
-# array kernels (hot path; Field wrappers below)
+# array kernels (hot path; Field wrappers below).  d/dx is D @ q and
+# d/dy is q @ D.T; each kernel applies them to the whole stacked
+# component axis at once, which matmul treats as a batch of n x n
+# products, so the result equals the per-component formulas bit for bit.
 # ---------------------------------------------------------------------
 
-def dx(D, q):
-    return D @ q
-
-
-def dy(D, q):
-    return q @ D.T
-
-
 def div_vec_values(D, v):
-    return dx(D, v[0]) + dy(D, v[1])
+    return D @ v[0] + v[1] @ D.T
 
 
 def grad_scalar_values(D, q):
@@ -175,26 +170,24 @@ def grad_scalar_values(D, q):
 
 
 def grad_vec_values(D, v):
-    return np.stack([np.stack([dx(D, v[i]), dy(D, v[i])]) for i in range(2)])
+    """(grad v)[i, j] = d_j v_i for the stacked components v[i]."""
+    return np.stack([D @ v, v @ D.T], axis=1)
 
 
 def sym_grad_values(D, v):
-    g = grad_vec_values(D, v)
-    off = 0.5 * (g[0, 1] + g[1, 0])
-    return np.stack([
-        np.stack([g[0, 0], off]),
-        np.stack([off, g[1, 1]]),
-    ])
+    e = grad_vec_values(D, v)
+    e[0, 1] = e[1, 0] = 0.5 * (e[0, 1] + e[1, 0])
+    return e
 
 
 def div_tensor_values(D, T):
     # negative transpose of grad_vec, acting row-wise
-    return np.stack([-(D.T @ T[i, 0]) - (T[i, 1] @ D) for i in range(2)])
+    return -(D.T @ T[:, 0]) - T[:, 1] @ D
 
 
 def curl_values(D, phi):
-    """(d_y phi, -d_x phi); exactly divergence-free since dx and dy commute."""
-    return np.stack([dy(D, phi), -dx(D, phi)])
+    """(d_y phi, -d_x phi); exactly divergence-free since d_x and d_y commute."""
+    return np.stack([phi @ D.T, -(D @ phi)])
 
 
 def magnitude(values: np.ndarray) -> np.ndarray:

@@ -15,11 +15,13 @@ each level contributing (h^(-alpha) n(h))^r * ln 2.
 
 Luxemburg norms inf{lambda : integral Phi(|x|/lambda) <= 1} are computed
 by Newton's method in s = 1/lambda.  The modular m(s) = integral Phi(s|x|)
-is convex and increasing in s, and the start s0 = Phi^{-1}(1/dt)/max|x|
-lies right of the root (the largest sample alone gives m >= 1), so the
-iterates decrease monotonically onto it without a bracket.  The left
-Riemann rule over the path's own time window provides the integral, so
-constants on [0,1] reproduce the closed forms exactly.
+is convex and increasing in s, and the start s0 = t0/max|x| with
+Phi(t0) >= 1/dt lies right of the root (the largest sample alone gives
+m >= 1), so the iterates decrease monotonically onto it without a
+bracket.  t0 is Phi^{-1}(1/dt) for power and phi2 and an upper point of
+it for Nq (`OrliczSpec.inverse`).  The left Riemann rule over the path's
+own time window provides the integral, so constants on [0,1] reproduce
+the closed forms exactly.
 """
 
 from __future__ import annotations
@@ -112,25 +114,18 @@ class OrliczSpec:
         return phi * (self.q + 0.5 * self.q * ratio)
 
     def inverse(self, s: float) -> float:
-        """Phi^{-1}(s) by monotonicity (sets the Luxemburg Newton start)."""
+        """Phi^{-1}(s), or for Nq a point right of it (the Luxemburg Newton start).
+
+        For Nq it returns the upper point max(s^(1/q), e - 1), not the
+        inverse: once ln(1+t) >= 1, Phi(t) >= t^q, so Phi there is >= s.
+        """
         if s <= 0.0:
             return 0.0
         if self.kind == "power":
             return s ** (1.0 / self.q)
         if self.kind == "phi2":
             return math.sqrt(math.log1p(s))
-        lo, hi = 0.0, 1.0
-        while self.evaluate(hi) < s:
-            hi *= 2.0
-            if hi > 1e150:
-                return hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.evaluate(mid) < s:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return max(s ** (1.0 / self.q), math.e - 1.0)
 
     @property
     def label(self) -> str:
@@ -160,7 +155,7 @@ def luxemburg_norm(path: SampledPath, spec: OrliczSpec) -> float:
     if spec.kind == "power":
         return float((dt * np.sum(vals**spec.q)) ** (1.0 / spec.q))
 
-    # at s the largest sample alone brings the modular to one, so s >= root
+    # at s the largest sample alone brings the modular to at least one, so s >= root
     s = spec.inverse(1.0 / dt) / vmax
     for _ in range(200):
         t = s * vals

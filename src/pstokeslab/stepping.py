@@ -13,7 +13,9 @@ exactly divergence-free because gradients and directions are projected.
 The stopping quantity is the squared distance between consecutive
 iterates measured through the monotonicity tensor V, which is
 proportional to the remaining energy gap of the strongly convex
-objective.
+objective.  Each iterate carries its objective value, its strain and
+its V: the line search's accepted candidate hands them on, so within one
+step no strain and no V is evaluated twice.
 
 Each step also records the strong residual P div S(strain), the
 deterministic pressure, and the running time-integrated stochastic
@@ -26,6 +28,10 @@ negative-order regularity of the stochastic pressure.  Additive noise
 (rho = one) makes K linear in W: the stepper stores
 k_j = lambda_j B*((I - P) psi_j) once and steps K_{n+1} = K_n - sum_j dW_j k_j
 without a solve.  Multiplicative noise solves for each increment.
+`run_path` evaluates the recorded quantities from the returned velocity,
+so the final strain is computed once more there.  Lagged differences
+come from one ring array per quantity holding the last max(lag) + 1
+states.
 """
 
 from __future__ import annotations
@@ -118,7 +124,7 @@ class PathTrajectory:
     diff_lags: list                 # dyadic lags in steps
     diffs: dict                     # quantity -> {lag: series of norms}
     snapshots: list = field(default_factory=list)  # (k, velocity values)
-    sup_stress_lpprime: float = 0.0  # running max of ||S(eps u)||_{L^{p'}}
+    sup_stress_lpprime: float = 0.0  # max over recorded steps of ||S(eps u)||_{L^{p'}}
     error: str | None = None
     completed: bool = True
 
@@ -130,25 +136,6 @@ def dyadic_lags(n_steps: int) -> list:
         lags.append(m)
         m *= 2
     return lags
-
-
-class _RingBuffer:
-    """Fixed-depth history of field values for lagged differences."""
-
-    def __init__(self, depth: int, shape):
-        self.depth = depth
-        self.buf = np.zeros((depth,) + tuple(shape))
-        self.count = 0
-
-    def push(self, values):
-        self.buf[self.count % self.depth] = values
-        self.count += 1
-
-    def lagged(self, lag: int):
-        """Value pushed `lag` pushes before the latest one, or None."""
-        if self.count <= lag:
-            return None
-        return self.buf[(self.count - 1 - lag) % self.depth]
 
 
 class Stepper:
@@ -199,10 +186,9 @@ class Stepper:
     def _inner(self, a, b):
         return self._area * float(np.sum(a * b))
 
-    def _grad_energy(self, v):
-        """Gradient of J in the weighted L^2 product: -div S(eps v)."""
-        eps = sym_grad_values(self._D, v)
-        return -div_tensor_values(self._D, pot.s_tensor(self.params, eps)), eps
+    def _grad_energy(self, eps):
+        """Gradient of J in the weighted L^2 product at strain eps: -div S(eps)."""
+        return -div_tensor_values(self._D, pot.s_tensor(self.params, eps))
 
     def _hessian_apply(self, a1, a2, unit, w):
         epsw = sym_grad_values(self._D, w)
@@ -223,21 +209,24 @@ class Stepper:
             r = u
 
         def objective(v):
+            """Objective value at v and the strain of v."""
             diff = v - r
             eps = sym_grad_values(self._D, v)
-            return dt * pot.energy(self.params, eps, self._area) + 0.5 * self._inner(diff, diff)
+            value = dt * pot.energy(self.params, eps, self._area) + 0.5 * self._inner(diff, diff)
+            return value, eps
 
+        # v carries phi_v, eps and, once it has moved, V_v
         v = u.copy()
-        phi0 = objective(v)
+        phi0, eps = objective(v)
         phi_v = phi0
+        V_v = None
         vdist = np.inf
         grad_norm = np.inf
         converged = False
         failure = f"Newton did not converge in {cfg.newton_max_iter} iterations"
         iterations = 0
         for it in range(cfg.newton_max_iter):
-            grad_j, eps = self._grad_energy(v)
-            g = self._project(dt * grad_j) + (v - r)
+            g = self._project(dt * self._grad_energy(eps)) + (v - r)
             grad_norm = np.sqrt(self._inner(g, g))
             # rounding floor: below this scale no descent is representable
             field_scale = 1.0 + np.sqrt(self._inner(v, v))
@@ -256,7 +245,7 @@ class Stepper:
             accepted = False
             while alpha > 1e-14:
                 cand = v + alpha * delta
-                phi_c = objective(cand)
+                phi_c, eps_c = objective(cand)
                 if phi_c <= phi_v - 1e-4 * alpha * predicted:
                     accepted = True
                     break
@@ -264,12 +253,12 @@ class Stepper:
             if not accepted:
                 failure = f"line search stalled in Newton iteration {it + 1}"
                 break
-            v_old_V = pot.v_tensor(self.params, eps)  # eps belongs to the current v
-            v = cand
-            phi_v = phi_c
+            if V_v is None:
+                V_v = pot.v_tensor(self.params, eps)
+            V_c = pot.v_tensor(self.params, eps_c)
+            dv = V_c - V_v
+            v, phi_v, eps, V_v = cand, phi_c, eps_c, V_c
             iterations = it + 1
-            v_new_V = pot.v_tensor(self.params, sym_grad_values(self._D, v))
-            dv = v_new_V - v_old_V
             vdist = self._inner(dv, dv)
             if vdist <= cfg.newton_tol:
                 converged = True
@@ -371,18 +360,15 @@ class Stepper:
         pi_lp = np.zeros(n_steps + 1)
         k_w12 = np.zeros(n_steps + 1)
         newton_its = np.zeros(n_steps + 1)
+        stress_lp = np.zeros(n_steps + 1)
 
-        buffers = {
-            "u": _RingBuffer(depth, (2, n, n)),
-            "V": _RingBuffer(depth, (2, 2, n, n)),
-            "K": _RingBuffer(depth, (n, n)),
+        # state k sits at k % depth; the lag-m difference of step k is entry k - m
+        rings = {
+            "u": np.zeros((depth, 2, n, n)),
+            "V": np.zeros((depth, 2, 2, n, n)),
+            "K": np.zeros((depth, n, n)),
         }
-        diffs = {
-            q: {m: np.zeros(max(n_steps - m + 1, 0)) for m in lags} for q in buffers
-        }
-        counts = {q: {m: 0 for m in lags} for q in buffers}
-
-        sup_stress = [0.0]
+        diffs = {q: {m: np.zeros(n_steps + 1 - m) for m in lags} for q in rings}
 
         def record(k, u_vals, K_field):
             eps = sym_grad_values(self._D, u_vals)
@@ -393,22 +379,17 @@ class Stepper:
             u_l2[k] = np.sqrt(self._inner(u_vals, u_vals))
             pi_lp[k] = lp_norm(ScalarField(self.grid, pi), p_conj)
             k_w12[k] = w12_norm(K_field)
-            sup_stress[0] = max(
-                sup_stress[0], lp_norm(TensorField(self.grid, stress), p_conj)
-            )
-            latest = {"u": u_vals, "V": Vt, "K": K_field.values}
-            for q, buf in buffers.items():
-                buf.push(latest[q])
+            stress_lp[k] = lp_norm(TensorField(self.grid, stress), p_conj)
+            for q, latest in (("u", u_vals), ("V", Vt), ("K", K_field.values)):
+                rings[q][k % depth] = latest
                 for m in lags:
-                    past = buf.lagged(m)
-                    if past is not None:
-                        d = latest[q] - past
-                        if q == "K":
-                            val = w12_norm(ScalarField(self.grid, d))
-                        else:
-                            val = np.sqrt(self._inner(d, d))
-                        diffs[q][m][counts[q][m]] = val
-                        counts[q][m] += 1
+                    if m > k:
+                        break
+                    d = latest - rings[q][(k - m) % depth]
+                    if q == "K":
+                        diffs[q][m][k - m] = w12_norm(ScalarField(self.grid, d))
+                    else:
+                        diffs[q][m][k - m] = np.sqrt(self._inner(d, d))
 
         div_u0 = lp_norm(
             ScalarField(self.grid, div_vec_values(self._D, u0.values)), 2
@@ -454,16 +435,14 @@ class Stepper:
             residual_l2=res_l2[:trim],
             velocity_l2=u_l2[:trim],
             # ||V(eps u_k) - V(eps u_{k-1})|| is the lag-1 difference of V
-            v_increment=np.concatenate([[0.0], diffs["V"][1][: counts["V"][1]]]),
+            v_increment=np.concatenate([[0.0], diffs["V"][1][: trim - 1]]),
             pressure_det_lp=pi_lp[:trim],
             k_sto_w12=k_w12[:trim],
             newton_iterations=newton_its[:trim],
             diff_lags=lags,
-            diffs={
-                q: {m: diffs[q][m][: counts[q][m]] for m in lags} for q in diffs
-            },
+            diffs={q: {m: diffs[q][m][: max(trim - m, 0)] for m in lags} for q in diffs},
             snapshots=snapshots,
-            sup_stress_lpprime=sup_stress[0],
+            sup_stress_lpprime=float(stress_lp.max()),
             error=error,
             completed=completed,
         )

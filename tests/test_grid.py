@@ -7,15 +7,20 @@ from pstokeslab.grid import (
     ScalarField,
     TensorField,
     VectorField,
+    curl_values,
     div_tensor,
+    div_tensor_values,
+    div_vec_values,
     div_vec,
     grad_scalar,
     grad_vec,
+    grad_vec_values,
     l2_inner,
     load_field,
     lp_norm,
     save_field,
     sym_grad,
+    sym_grad_values,
 )
 
 
@@ -190,3 +195,28 @@ def test_csv_roundtrip(tmp_path):
         assert np.array_equal(back.values, f.values)
         with open(path) as fh:
             assert fh.readline().strip() == "i,j,comp,value"
+
+
+def test_whole_field_kernels_match_per_component_formulas():
+    # the batched kernels against one D @ q / q @ D.T product per component
+    rng = np.random.default_rng(12)
+    for n in (8, 16, 32, 64):
+        D = Grid(n).diff_1d
+        for _ in range(5):
+            v = rng.standard_normal((2, n, n)) * 10.0 ** rng.uniform(-6, 6)
+            T = rng.standard_normal((2, 2, n, n))
+            q = rng.standard_normal((n, n))
+            g = np.stack([np.stack([D @ v[i], v[i] @ D.T]) for i in range(2)])
+            off = 0.5 * (g[0, 1] + g[1, 0])
+            sym = np.stack([np.stack([g[0, 0], off]), np.stack([off, g[1, 1]])])
+            div_t = np.stack([-(D.T @ T[i, 0]) - (T[i, 1] @ D) for i in range(2)])
+            pairs = [
+                (grad_vec_values(D, v), g),
+                (sym_grad_values(D, v), sym),
+                (div_vec_values(D, v), D @ v[0] + v[1] @ D.T),
+                (div_tensor_values(D, T), div_t),
+                (curl_values(D, q), np.stack([q @ D.T, -(D @ q)])),
+            ]
+            for fast, reference in pairs:
+                assert fast.shape == reference.shape
+                assert fast.tobytes() == reference.tobytes()

@@ -13,8 +13,10 @@ from pstokeslab.config import (
     parse_config_text,
     sha256_file,
 )
+from pstokeslab import runner
 from pstokeslab.runner import run_experiment
 from pstokeslab.seminorms import OrliczSpec
+from pstokeslab.stepping import StepError, Stepper
 
 
 def small_config(out_dir, **overrides):
@@ -296,6 +298,40 @@ def test_report_digest(finished_run):
     assert "status: ok" in text
 
 
+def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch):
+    # path 1 stops at step 5 and keeps its truncated files; the reports,
+    # medians and fits are those of paths 0 and 2 alone
+    class StopsPathOne(Stepper):
+        def run_path(self, u0, rng):
+            self.stop_at, self.steps = (5 if rng.path_index == 1 else None), 0
+            return super().run_path(u0, rng)
+
+        def step(self, u_n, dW):
+            self.steps += 1
+            if self.steps == self.stop_at:
+                raise StepError("stopped")
+            return super().step(u_n, dW)
+
+    monkeypatch.setattr(runner, "Stepper", StopsPathOne)
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    out = str(tmp_path / "one_failed")
+    manifest = run_experiment(small_config(out, paths=3))
+    assert manifest.path_status["1"].startswith("failed: step 5")
+    assert os.path.exists(os.path.join(out, "path_0001_series.csv"))
+    rows = norms_command(out, [0.5], [OrliczSpec.power(2)])
+    assert rows and all(r.n_paths == 2 for r in rows)
+    assert not any("path0001" in name for name in os.listdir(out))
+    fit_command(out, alphas=[0.5], specs=[OrliczSpec.power(2)])
+    with open(os.path.join(out, "fits_detail.csv")) as fh:
+        next(fh)
+        assert {line.split(",")[2] for line in fh} == {"0", "2"}
+    # with no completed path left there is nothing to analyse
+    manifest.path_status.update({"0": "failed: step 3", "2": "failed: step 3"})
+    manifest.write(out)
+    with pytest.raises(FileNotFoundError):
+        norms_command(out, [0.5], [OrliczSpec.power(2)])
+
+
 def test_norms_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         norms_command(str(tmp_path / "nothing"), [0.5], [OrliczSpec.power(2)])
@@ -362,6 +398,15 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert cli_main(["norms", "--dir", str(tmp_path / "void"),
                      "--alpha", "0.5", "--orlicz", "2"]) == 2
+
+    # malformed run files are runtime errors, not tracebacks (status 1)
+    diffs = tmp_path / "cli_run" / "path_0000_diffs.csv"
+    diffs.write_text(diffs.read_text().rstrip("\n").rsplit(",", 1)[0] + "\n")
+    assert cli_main(["norms", "--dir", str(tmp_path / "cli_run")]) == 2
+    assert cli_main(["fit", "--dir", str(tmp_path / "cli_run")]) == 2
+    (tmp_path / "cli_run" / "manifest.json").write_text("{not json")
+    for command in ("norms", "fit", "report"):
+        assert cli_main([command, "--dir", str(tmp_path / "cli_run")]) == 2
 
 
 def test_cli_selftest_exit_codes(monkeypatch):

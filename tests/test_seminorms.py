@@ -283,8 +283,8 @@ def test_luxemburg_matches_log_space_brentq_oracle(spec):
 
 @pytest.mark.parametrize("spec", ROOT_SPECS, ids=lambda s: s.label)
 def test_luxemburg_bracket_edge_paths(spec):
-    # the Newton start s0 = Phi^-1(1/dt)/max|x| is the exact root of a
-    # single-spike path, and constant modulus puts every sample at the max
+    # for phi2 the Newton start s0 = Phi^-1(1/dt)/max|x| is the exact root
+    # of a single-spike path, and constant modulus puts every sample at the max
     for dt in (2.0**-10, 0.5, 1.0, 3.0, 100.0):
         spike = np.zeros(64)
         spike[5] = -2.5
@@ -306,7 +306,8 @@ def test_luxemburg_bracket_edge_paths(spec):
 
 
 def test_phi2_norm_evaluation_budget(monkeypatch):
-    # Newton from the right converges in a handful of modular evaluations
+    # Newton from the right converges in a handful of modular evaluations;
+    # Nq starts from the closed-form upper point of Phi^-1, not a bisection
     calls = []
     evaluate = OrliczSpec.evaluate
 
@@ -318,6 +319,9 @@ def test_phi2_norm_evaluation_budget(monkeypatch):
     rng = np.random.default_rng(3)
     dt = 2.0**-16
     increment = rng.standard_normal(65536) * np.sqrt(dt)
-    norm = luxemburg_norm(SampledPath(increment, dt), OrliczSpec.phi2())
-    assert norm > 0.0
-    assert len(calls) <= 12
+    budgets = [(OrliczSpec.phi2(), 12)] + [(OrliczSpec.nq(q), 16) for q in (1.0, 2.0, 3.5)]
+    for spec, budget in budgets:
+        calls.clear()
+        norm = luxemburg_norm(SampledPath(increment, dt), spec)
+        assert norm > 0.0
+        assert len(calls) <= budget, spec.label

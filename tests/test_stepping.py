@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from pstokeslab.grid import (
     lp_norm,
     sym_grad_values,
 )
-from pstokeslab import stepping
+from pstokeslab import potential, stepping
 from pstokeslab.noise import NoiseSpec, PathRng, WienerIncrement, apply_G, sample_increment
-from pstokeslab.potential import PotentialParams, energy, hessian_coeffs, s_tensor
+from pstokeslab.potential import PotentialParams, energy, hessian_coeffs, s_tensor, v_tensor
 from pstokeslab.projection import BogovskiiOperator, HelmholtzProjector
 from pstokeslab.runner import initial_velocity
 from pstokeslab.stepping import SolverConfig, StepError, Stepper, dyadic_lags
@@ -345,7 +347,7 @@ def test_gradient_matches_finite_differences(grid16):
         return dt * energy(stepper.params, eps, grid16.cell_area) + 0.5 * stepper._inner(diff, diff)
 
     v = u.values + 0.1 * stepper._project(rng.standard_normal((2, 16, 16)))
-    grad_j, _ = stepper._grad_energy(v)
+    grad_j = stepper._grad_energy(sym_grad_values(grid16.diff_1d, v))
     grad_full = dt * grad_j + (v - r)
     for _ in range(10):
         d = stepper._project(rng.standard_normal((2, 16, 16)))
@@ -359,3 +361,90 @@ def test_gradient_matches_finite_differences(grid16):
 def test_dyadic_lags():
     assert dyadic_lags(4096) == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
     assert dyadic_lags(8) == [1]
+
+
+@pytest.mark.parametrize("n, p, kappa, rho, u0_kind", [
+    (16, 3.0, 0.0, "one", "curl"),
+    (16, 2.5, 0.01, "inv_one_plus_s2", "curl"),
+    (16, 1.5, 0.0, "one", "curl"),
+    (8, 2.5, 0.01, "one", "zero"),
+])
+def test_step_evaluates_each_strain_and_V_once(monkeypatch, n, p, kappa, rho, u0_kind):
+    # every Newton iterate carries its strain and V: within one step no
+    # field reaches sym_grad_values or v_tensor twice
+    grid = Grid(n)
+    spec = NoiseSpec(grid, 8, rho=rho, flavor="mixed")
+    stepper = make_stepper(grid, p=p, kappa=kappa, dt=2.0**-8, spec=spec)
+    seen = {"sym_grad_values": [], "v_tensor": []}
+
+    def hashed(name, fn):
+        def wrapper(*args):
+            seen[name].append(hashlib.sha256(np.ascontiguousarray(args[-1]).tobytes()).digest())
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(stepping, "sym_grad_values", hashed("sym_grad_values", sym_grad_values))
+    monkeypatch.setattr(potential, "v_tensor", hashed("v_tensor", potential.v_tensor))
+    u = initial_velocity(grid, u0_kind, 1.0)
+    rng = PathRng(2, 0)
+    newton = 0
+    for _ in range(4):
+        for calls in seen.values():
+            calls.clear()
+        u, rep = stepper.step(u, sample_increment(rng, 2.0**-8, 8))
+        newton += rep.iterations
+        for name, calls in seen.items():
+            assert len(set(calls)) == len(calls), name
+    assert newton > 0
+
+
+def _direct_diffs(stepper, traj):
+    """Lag differences of u and V recomputed from the stored snapshots."""
+    snaps = dict(traj.snapshots)
+    D, area = stepper.grid.diff_1d, stepper.grid.cell_area
+    fields = {
+        "u": snaps,
+        "V": {k: v_tensor(stepper.params, sym_grad_values(D, u)) for k, u in snaps.items()},
+    }
+    return {
+        q: {
+            m: np.array([
+                np.sqrt(area * np.sum((f[k + m] - f[k]) ** 2))
+                for k in range(len(snaps) - m)
+            ])
+            for m in traj.diff_lags
+        }
+        for q, f in fields.items()
+    }
+
+
+@pytest.mark.parametrize("stop_at", [None, 5])
+def test_run_path_diffs_match_snapshot_recomputation(grid8, stop_at):
+    # the ring history must give every lag's difference series; a path
+    # stopped by a failed step keeps recorded - m entries per lag
+    class StopsAt(Stepper):
+        steps = 0
+
+        def step(self, u_n, dW):
+            self.steps += 1
+            if self.steps == stop_at:
+                raise StepError("stopped")
+            return super().step(u_n, dW)
+
+    spec = NoiseSpec(grid8, 4, flavor="mixed")
+    cfg = SolverConfig(dt=2.0**-8, T=2.0**-8 * 64, store_every=1)
+    stepper = StopsAt(grid8, PotentialParams(2.5, 0.01), cfg, spec=spec)
+    traj = stepper.run_path(initial_velocity(grid8, "curl", 1.0), PathRng(4, 0))
+    recorded = 65 if stop_at is None else stop_at
+    assert traj.completed == (stop_at is None)
+    assert traj.diff_lags == [1, 2, 4, 8]
+    assert len(traj.snapshots) == traj.times.size == recorded
+    direct = _direct_diffs(stepper, traj)
+    for m in traj.diff_lags:
+        assert traj.diffs["K"][m].size == max(recorded - m, 0)
+        for q in ("u", "V"):
+            assert traj.diffs[q][m].size == max(recorded - m, 0)
+            np.testing.assert_allclose(traj.diffs[q][m], direct[q][m], rtol=1e-12, atol=0.0)
+    assert traj.v_increment.size == recorded
+    assert traj.v_increment[0] == 0.0
+    np.testing.assert_allclose(traj.v_increment[1:], direct["V"][1], rtol=1e-12, atol=0.0)
