@@ -239,15 +239,25 @@ def l2_inner(a: _Field, b: _Field) -> float:
     return float(g.cell_area * np.sum(a.values * b.values))
 
 
+def w12_norm_values(D, area, q):
+    """Discrete W^{1,2} norms of the scalar fields q[..., :, :].
+
+    Leading axes are a batch; the gradient is grad_scalar's, whose sign
+    the squares drop.
+    """
+    gx = D.T @ q
+    gy = q @ D
+    return np.sqrt(area * np.sum(q * q + gx * gx + gy * gy, axis=(-2, -1)))
+
+
 def w12_norm(f: _Field) -> float:
     """Discrete W^{1,2} norm: (||f||^2 + ||grad f||^2)^(1/2)."""
     if isinstance(f, ScalarField):
-        gv = grad_scalar(f)
-    elif isinstance(f, VectorField):
+        return float(w12_norm_values(f.grid.diff_1d, f.grid.cell_area, f.values))
+    if isinstance(f, VectorField):
         gv = grad_vec(f)
-    else:
-        raise TypeError("w12_norm defined for scalar and vector fields")
-    return float(np.sqrt(lp_norm(f, 2) ** 2 + lp_norm(gv, 2) ** 2))
+        return float(np.sqrt(lp_norm(f, 2) ** 2 + lp_norm(gv, 2) ** 2))
+    raise TypeError("w12_norm defined for scalar and vector fields")
 
 
 def sine_stream_curl(grid: Grid, m1: int, m2: int) -> np.ndarray:

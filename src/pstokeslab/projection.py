@@ -26,6 +26,12 @@ multiplier constant (Benzi, Golub and Liesen, Acta Numerica 2005):
     [[H, B^T, C, 0], [B, 0, 0, z], [C^T, 0, 0, 0], [0, z^T, 0, 0]].
 
 The bordered matrix is factorised once per grid (sparse LU) and reused.
+
+The stepper does not call B*: grad_scalar = -div_vec^T and div B = id on
+mean-free scalars give B* grad q = -q, so its pressures are Helmholtz
+potentials.  The operator is the reference against which the selftest,
+the tests and the benchmark's output checks confirm that identity and
+recompute both pressures.
 """
 
 from __future__ import annotations

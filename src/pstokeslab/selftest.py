@@ -118,6 +118,11 @@ def _projection_checks(rng):
     adj = abs(l2_inner(bog.adjoint_apply(vv), gq) - l2_inner(vv, w))
     adj /= lp_norm(vv, 2) * lp_norm(gq, 2)
     out.append(CheckResult("Bogovskii adjoint identity", adj < 1e-10, f"{adj:.2e}"))
+    # B* grad q = -q on mean-free q: the stepper's pressures rely on it
+    pot_err = lp_norm(bog.adjoint_apply(grad_scalar(gq)) + gq, 2) / lp_norm(gq, 2)
+    out.append(CheckResult(
+        "Bogovskii adjoint of a gradient is minus its potential", pot_err < 1e-10, f"{pot_err:.2e}"
+    ))
     return out
 
 

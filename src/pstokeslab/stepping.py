@@ -24,14 +24,23 @@ pressure
     K_{n+1} = K_n - B*( (I - P) G(u_n) dW ),
 
 with B* the Bogovskii adjoint, whose temporal regularity certifies the
-negative-order regularity of the stochastic pressure.  Additive noise
-(rho = one) makes K linear in W: the stepper stores
-k_j = lambda_j B*((I - P) psi_j) once and steps K_{n+1} = K_n - sum_j dW_j k_j
-without a solve.  Multiplicative noise solves for each increment.
+negative-order regularity of the stochastic pressure.  No Bogovskii
+solve is needed: grad_scalar = -div_vec^T holds exactly and div B = id
+on mean-free scalars, so <B* grad q, g> = <grad q, B g> = -<q, g>, that
+is B* grad q = -q for every mean-free q.  The Helmholtz projection
+already splits (I - P) v = grad q_v with q_v its mean-free potential,
+hence B*((I - P) v) = -q_v and
+
+    pi_det = q_{div S},      K_{n+1} = K_n + q_{G(u_n) dW}.
+
+Additive noise (rho = one) makes K linear in W: the stepper stores
+k_j = lambda_j q_{psi_j} once and steps K_{n+1} = K_n + sum_j dW_j k_j.
+Multiplicative noise projects G(u_n) dW once more for its potential.
 `run_path` evaluates the recorded quantities from the returned velocity,
 so the final strain is computed once more there.  Lagged differences
 come from one ring array per quantity holding the last max(lag) + 1
-states.
+states; each step takes the norms of all its lags in one batched
+reduction per quantity.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from .grid import (
     lp_norm,
     sym_grad_values,
     w12_norm,
+    w12_norm_values,
 )
 from .noise import NoiseSpec, PathRng, WienerIncrement, apply_G, sample_increment
 from .projection import BogovskiiOperator, HelmholtzProjector
@@ -159,7 +169,10 @@ class Stepper:
         self.config = config
         self.spec = spec
         self.projector = projector or HelmholtzProjector(grid)
-        self.bogovskii = bogovskii or BogovskiiOperator(grid)
+        # The stepper never calls B* (module docstring).  The keyword and
+        # attribute remain for callers that build the operator for their
+        # own independent checks of pi_det and K and hand it in here.
+        self.bogovskii = bogovskii
         self._area = grid.cell_area
         self._D = grid.diff_1d
         # Hessian evaluation parameters; floored shift in the singular regime
@@ -171,17 +184,17 @@ class Stepper:
         self._k_modes = None  # k_j of additive noise (module docstring)
         if spec is not None and spec.mode_count > 0 and spec.rho == "one":
             self._k_modes = np.array([
-                lam * self._bstar_grad_part(psi) for lam, psi in zip(spec.lambdas, spec.modes)
+                lam * self._grad_potential(psi)[1] for lam, psi in zip(spec.lambdas, spec.modes)
             ])
 
     # -- array-level building blocks -----------------------------------
     def _project(self, v):
         return self.projector.project_values(v)[0]
 
-    def _bstar_grad_part(self, v):
-        """B*((I-P) v): the Bogovskii adjoint of the gradient part of v."""
-        grad_part = v - self._project(v)
-        return self.bogovskii.adjoint_apply(VectorField(self.grid, grad_part)).values
+    def _grad_potential(self, v):
+        """P v and the mean-free q with (I-P) v = grad q; B*((I-P) v) = -q."""
+        div_free, _, q = self.projector.project_values(v)
+        return div_free, q - q.mean()
 
     def _inner(self, a, b):
         return self._area * float(np.sum(a * b))
@@ -314,12 +327,14 @@ class Stepper:
         return self._project(x)
 
     def _stress_terms(self, eps):
-        """S(eps), the strong residual P div S and pi_det = -B*((I-P) div S)."""
+        """S(eps), the strong residual P div S and pi_det.
+
+        pi_det = -B*((I-P) div S) is the mean-free Helmholtz potential of
+        div S, which the projection for the residual returns anyway.
+        """
         stress = pot.s_tensor(self.params, eps)
-        div_s = div_tensor_values(self._D, stress)
-        res = self._project(div_s)
-        pi = self.bogovskii.adjoint_apply(VectorField(self.grid, div_s - res))
-        return stress, res, -pi.values
+        res, pi = self._grad_potential(div_tensor_values(self._D, stress))
+        return stress, res, pi
 
     def strong_residual(self, u: VectorField) -> VectorField:
         """P div S(eps u): the divergence-free part of the stress divergence."""
@@ -327,24 +342,37 @@ class Stepper:
         return VectorField(self.grid, res)
 
     def pressure_det(self, u: VectorField) -> ScalarField:
-        """Deterministic pressure -B*( (I-P) div S(eps u) ); mean-free."""
+        """Deterministic pressure -B*( (I-P) div S(eps u) ); mean-free.
+
+        Computed as the Helmholtz potential of div S, without a Bogovskii
+        solve (module docstring).
+        """
         pi = self._stress_terms(sym_grad_values(self._D, u.values))[2]
         return ScalarField(self.grid, pi)
 
     def accumulate_K_sto(
         self, K_prev: ScalarField, u_n: VectorField, dW: WienerIncrement
     ) -> ScalarField:
-        """K_next = K_prev - B*( (I-P) G(u_n) dW ); stays mean-free."""
+        """K_next = K_prev - B*( (I-P) G(u_n) dW ); stays mean-free.
+
+        The increment is the potential of the gradient part of G(u_n) dW
+        (module docstring).
+        """
         if self.spec is None or self.spec.mode_count == 0:
             return K_prev
         if self._k_modes is not None:
             incr = np.tensordot(dW.z, self._k_modes, axes=(0, 0))
         else:
-            incr = self._bstar_grad_part(apply_G(self.spec, u_n, dW).values)
-        return ScalarField(self.grid, K_prev.values - incr)
+            incr = self._grad_potential(apply_G(self.spec, u_n, dW).values)[1]
+        return ScalarField(self.grid, K_prev.values + incr)
 
     def run_path(self, u0: VectorField, rng: PathRng) -> PathTrajectory:
-        """Integrate one sample path and collect all monitored series."""
+        """Integrate one sample path and collect all monitored series.
+
+        An exception raised while stepping ends this path only: the
+        trajectory keeps the steps recorded so far, `completed` is False
+        and `error` names the step and the exception.
+        """
         cfg = self.config
         n_steps = cfg.n_steps
         lags = dyadic_lags(n_steps)
@@ -368,7 +396,9 @@ class Stepper:
             "V": np.zeros((depth, 2, 2, n, n)),
             "K": np.zeros((depth, n, n)),
         }
-        diffs = {q: {m: np.zeros(n_steps + 1 - m) for m in lags} for q in rings}
+        # row i holds the lag-lags[i] differences; step k writes entry k - lags[i]
+        lag_steps = np.array(lags)
+        diffs = {q: np.zeros((len(lags), n_steps + 1)) for q in rings}
 
         def record(k, u_vals, K_field):
             eps = sym_grad_values(self._D, u_vals)
@@ -380,16 +410,18 @@ class Stepper:
             pi_lp[k] = lp_norm(ScalarField(self.grid, pi), p_conj)
             k_w12[k] = w12_norm(K_field)
             stress_lp[k] = lp_norm(TensorField(self.grid, stress), p_conj)
+            m = lag_steps[lag_steps <= k]
+            rows = np.arange(m.size)
             for q, latest in (("u", u_vals), ("V", Vt), ("K", K_field.values)):
                 rings[q][k % depth] = latest
-                for m in lags:
-                    if m > k:
-                        break
-                    d = latest - rings[q][(k - m) % depth]
-                    if q == "K":
-                        diffs[q][m][k - m] = w12_norm(ScalarField(self.grid, d))
-                    else:
-                        diffs[q][m][k - m] = np.sqrt(self._inner(d, d))
+                if not m.size:
+                    continue
+                d = latest - rings[q][(k - m) % depth]
+                if q == "K":
+                    diffs[q][rows, k - m] = w12_norm_values(self._D, self._area, d)
+                else:
+                    sq = np.sum((d * d).reshape(m.size, -1), axis=1)
+                    diffs[q][rows, k - m] = np.sqrt(self._area * sq)
 
         div_u0 = lp_norm(
             ScalarField(self.grid, div_vec_values(self._D, u0.values)), 2
@@ -415,8 +447,9 @@ class Stepper:
                 if dW is not None:
                     K = self.accumulate_K_sto(K, u, dW)
                 u, rep = self.step(u, dW)
-            except StepError as exc:
-                error = f"step {k}: {exc}"
+            except Exception as exc:  # any failure ends this path only
+                kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
+                error = f"step {k}: {kind}{exc}"
                 completed = False
                 break
             if not np.all(np.isfinite(u.values)):
@@ -435,12 +468,15 @@ class Stepper:
             residual_l2=res_l2[:trim],
             velocity_l2=u_l2[:trim],
             # ||V(eps u_k) - V(eps u_{k-1})|| is the lag-1 difference of V
-            v_increment=np.concatenate([[0.0], diffs["V"][1][: trim - 1]]),
+            v_increment=np.concatenate([[0.0], diffs["V"][0, : trim - 1]]),
             pressure_det_lp=pi_lp[:trim],
             k_sto_w12=k_w12[:trim],
             newton_iterations=newton_its[:trim],
             diff_lags=lags,
-            diffs={q: {m: diffs[q][m][: max(trim - m, 0)] for m in lags} for q in diffs},
+            diffs={
+                q: {m: diffs[q][i, : max(trim - m, 0)] for i, m in enumerate(lags)}
+                for q in diffs
+            },
             snapshots=snapshots,
             sup_stress_lpprime=float(stress_lp.max()),
             error=error,

@@ -21,6 +21,8 @@ from pstokeslab.grid import (
     save_field,
     sym_grad,
     sym_grad_values,
+    w12_norm,
+    w12_norm_values,
 )
 
 
@@ -220,3 +222,18 @@ def test_whole_field_kernels_match_per_component_formulas():
             for fast, reference in pairs:
                 assert fast.shape == reference.shape
                 assert fast.tobytes() == reference.tobytes()
+
+
+def test_w12_norm_batch_matches_definition():
+    # each slice of a batch against (||q||^2 + ||grad_scalar q||^2)^(1/2)
+    rng = np.random.default_rng(13)
+    for n in (8, 32):
+        g = Grid(n)
+        batch = rng.standard_normal((3, 2, n, n))
+        norms = w12_norm_values(g.diff_1d, g.cell_area, batch)
+        assert norms.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            q = ScalarField(g, batch[idx])
+            expect = np.sqrt(lp_norm(q, 2) ** 2 + lp_norm(grad_scalar(q), 2) ** 2)
+            assert norms[idx] == pytest.approx(expect, rel=1e-14)
+            assert w12_norm(q) == norms[idx]

@@ -332,6 +332,31 @@ def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch):
         norms_command(out, [0.5], [OrliczSpec.power(2)])
 
 
+def test_path_exception_other_than_step_error_fails_that_path_only(tmp_path, monkeypatch):
+    # a ValueError inside path 1's step (as potential.energy raises on a
+    # non-finite candidate) fails that path alone; the run finishes
+    class RaisesOnPathOne(Stepper):
+        def run_path(self, u0, rng):
+            self.fail_at, self.steps = (3 if rng.path_index == 1 else None), 0
+            return super().run_path(u0, rng)
+
+        def step(self, u_n, dW):
+            self.steps += 1
+            if self.steps == self.fail_at:
+                raise ValueError("non-finite candidate")
+            return super().step(u_n, dW)
+
+    monkeypatch.setattr(runner, "Stepper", RaisesOnPathOne)
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    out = str(tmp_path / "value_error")
+    manifest = run_experiment(small_config(out, paths=3))
+    assert manifest.status == "1 paths failed"
+    assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
+    assert manifest.path_status["1"] == "failed: step 3: ValueError: non-finite candidate"
+    with open(os.path.join(out, "path_0001_series.csv")) as fh:
+        assert len(fh.readlines()) == 1 + 3  # header and steps 0..2
+
+
 def test_norms_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         norms_command(str(tmp_path / "nothing"), [0.5], [OrliczSpec.power(2)])

@@ -8,6 +8,7 @@ from pstokeslab.grid import (
     ScalarField,
     VectorField,
     curl_values,
+    div_tensor_values,
     div_vec,
     grad_vec,
     l2_inner,
@@ -184,7 +185,7 @@ def test_pressure_kernel_case(grid16):
     div_t = div_tensor_values(D, T)
     assert lp_norm(div_vec(VectorField(grid16, div_t)), 2) < 1e-11
     grad_part = div_t - stepper._project(div_t)
-    pi = stepper.bogovskii.adjoint_apply(VectorField(grid16, grad_part))
+    pi = BogovskiiOperator(grid16).adjoint_apply(VectorField(grid16, grad_part))
     assert lp_norm(pi, 2) < 1e-10 * max(np.abs(div_t).max(), 1.0)
 
 
@@ -220,7 +221,7 @@ def test_k_sto_single_gradient_mode_matches_composition_oracle(grid16):
     K1 = stepper.accumulate_K_sto(K0, grid16.vector(), dW)
     forcing = spec.lambdas[0] * spec.modes[0] * z[0]
     grad_part = forcing - stepper._project(forcing)
-    oracle = -stepper.bogovskii.adjoint_apply(VectorField(grid16, grad_part)).values
+    oracle = -BogovskiiOperator(grid16).adjoint_apply(VectorField(grid16, grad_part)).values
     assert np.max(np.abs(K1.values - oracle)) < 1e-10
 
 
@@ -248,6 +249,34 @@ def test_additive_k_sto_matches_closed_form(grid16, flavor):
     assert np.linalg.norm(K.values - closed) < 1e-12 * np.linalg.norm(closed)
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_pressures_equal_bogovskii_adjoint_oracle(n):
+    # pi_det and one multiplicative K increment, which the stepper takes
+    # from Helmholtz potentials, against -B*((I-P) .) from a standalone
+    # projector and Bogovskii operator
+    grid = Grid(n)
+    spec = NoiseSpec(grid, 8, rho="inv_one_plus_s2", flavor="mixed")
+    stepper = make_stepper(grid, p=3.0, kappa=0.01, spec=spec)
+    projector = HelmholtzProjector(grid)
+    bog = BogovskiiOperator(grid)
+
+    def oracle(v):
+        grad_part = projector.leray_project(VectorField(grid, v)).gradient
+        return -bog.adjoint_apply(grad_part).values
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    rng = np.random.default_rng(n)
+    u = VectorField(grid, rng.standard_normal((2, n, n)))
+    stress = s_tensor(stepper.params, sym_grad_values(grid.diff_1d, u.values))
+    expected = oracle(div_tensor_values(grid.diff_1d, stress))
+    assert rel(stepper.pressure_det(u).values, expected) < 1e-12
+    dW = sample_increment(PathRng(n, 0), 1e-3, 8)
+    K1 = stepper.accumulate_K_sto(grid.scalar(), u, dW)
+    assert rel(K1.values, oracle(apply_G(spec, u, dW).values)) < 1e-12
+
+
 @pytest.mark.parametrize("rho, per_step", [("one", 1), ("inv_one_plus_s2", 2)])
 def test_run_path_noise_and_bogovskii_calls_per_step(grid8, monkeypatch, rho, per_step):
     spec = NoiseSpec(grid8, 4, rho=rho, flavor="gradient")
@@ -269,8 +298,8 @@ def test_run_path_noise_and_bogovskii_calls_per_step(grid8, monkeypatch, rho, pe
     assert traj.completed
     n_steps = stepper.config.n_steps
     assert calls["apply_G"] == per_step * n_steps
-    # one more B* for pi_det of the initial state
-    assert calls["bstar"] == per_step * n_steps + 1
+    # pi_det and K come from Helmholtz potentials: no Bogovskii solve
+    assert calls["bstar"] == 0
 
 
 def test_run_path_zero_everything(grid8):
