@@ -36,8 +36,9 @@ hence B*((I - P) v) = -q_v and
 Additive noise (rho = one) makes K linear in W: the stepper stores
 k_j = lambda_j q_{psi_j} once and steps K_{n+1} = K_n + sum_j dW_j k_j.
 Multiplicative noise projects G(u_n) dW once more for its potential.
-`run_path` evaluates the recorded quantities from the returned velocity,
-so the final strain is computed once more there.  Lagged differences
+The step report carries the strain and V of the returned velocity, and
+`run_path` records from them, so no strain or V is evaluated again
+there.  Lagged differences
 come from one ring array per quantity holding the last max(lag) + 1
 states; each step takes the norms of all its lags in one batched
 reduction per quantity.
@@ -117,6 +118,9 @@ class StepReport:
     phi_initial: float
     phi_final: float
     converged: bool
+    # strain and V of the returned velocity, which run_path records
+    strain: np.ndarray | None = field(default=None, repr=False)
+    V: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -276,6 +280,8 @@ class Stepper:
             if vdist <= cfg.newton_tol:
                 converged = True
                 break
+        if V_v is None:
+            V_v = pot.v_tensor(self.params, eps)
         report = StepReport(
             iterations=iterations,
             v_distance_sq=float(vdist if np.isfinite(vdist) else 0.0),
@@ -283,6 +289,8 @@ class Stepper:
             phi_initial=float(phi0),
             phi_final=float(phi_v),
             converged=converged,
+            strain=eps,
+            V=V_v,
         )
         if not converged:
             raise StepError(
@@ -400,9 +408,7 @@ class Stepper:
         lag_steps = np.array(lags)
         diffs = {q: np.zeros((len(lags), n_steps + 1)) for q in rings}
 
-        def record(k, u_vals, K_field):
-            eps = sym_grad_values(self._D, u_vals)
-            Vt = pot.v_tensor(self.params, eps)
+        def record(k, u_vals, eps, Vt, K_field):
             stress, res, pi = self._stress_terms(eps)
             energy[k] = pot.energy(self.params, eps, self._area)
             res_l2[k] = np.sqrt(self._inner(res, res))
@@ -437,7 +443,8 @@ class Stepper:
         error = None
         completed = True
         recorded = 1
-        record(0, u.values, K)
+        eps0 = sym_grad_values(self._D, u.values)
+        record(0, u.values, eps0, pot.v_tensor(self.params, eps0), K)
         if cfg.store_every > 0:
             snapshots.append((0, u.values.copy()))
         J = self.spec.mode_count if self.spec is not None else 0
@@ -457,7 +464,7 @@ class Stepper:
                 completed = False
                 break
             newton_its[k] = rep.iterations
-            record(k, u.values, K)
+            record(k, u.values, rep.strain, rep.V, K)
             recorded = k + 1
             if cfg.store_every > 0 and k % cfg.store_every == 0:
                 snapshots.append((k, u.values.copy()))
