@@ -111,7 +111,7 @@ def _path_worker(args):
     stepper = _build_stepper(cfg)
     u0 = initial_velocity(stepper.grid, cfg.u0_kind, cfg.u0_scale)
     rng = PathRng(cfg.master_seed, index)
-    started = time.time()
+    started = time.perf_counter()
     traj = stepper.run_path(u0, rng)
     _write_trajectory(run_dir, index, traj, stepper.grid)
     dt = cfg.dt
@@ -124,7 +124,7 @@ def _path_worker(args):
         "sup_pressure_det_lpprime": float(traj.pressure_det_lp.max(initial=0.0)),
         "sup_k_sto_w12": float(traj.k_sto_w12.max(initial=0.0)),
         "steps_completed": int(traj.times.size - 1),
-        "seconds": time.time() - started,
+        "seconds": time.perf_counter() - started,
     }
     status = "ok" if traj.completed else f"failed: {traj.error}"
     return index, status, summary

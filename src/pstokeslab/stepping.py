@@ -8,14 +8,16 @@ One time step solves the convex minimisation
 with J the potential energy of the strain and P the Helmholtz-Leray
 projection: the noise is evaluated explicitly at u_n, the nonlinear
 diffusion implicitly.  The minimiser is found by damped Newton with a
-projected conjugate-gradient inner solve; every Newton iterate stays
-exactly divergence-free because gradients and directions are projected.
-The stopping quantity is the squared distance between consecutive
-iterates measured through the monotonicity tensor V, which is
-proportional to the remaining energy gap of the strongly convex
-objective.  Each iterate carries its objective value, its strain and
-its V: the line search's accepted candidate hands them on, so within one
-step no strain and no V is evaluated twice.
+projected conjugate-gradient inner solve, started at the explicit
+predictor r: without noise r = u_n, and with noise r is already within
+O(dt) of the minimiser, where u_n is O(sqrt(dt)) away.  Every Newton
+iterate stays exactly divergence-free because r is and because gradients
+and directions are projected.  The stopping quantity is the squared
+distance between consecutive iterates measured through the monotonicity
+tensor V, which is proportional to the remaining energy gap of the
+strongly convex objective.  Each iterate carries its objective value,
+its strain and its V: the line search's accepted candidate hands them
+on, so within one step no strain and no V is evaluated twice.
 
 Each step also records the strong residual P div S(strain), the
 deterministic pressure, and the running time-integrated stochastic
@@ -38,10 +40,11 @@ k_j = lambda_j q_{psi_j} once and steps K_{n+1} = K_n + sum_j dW_j k_j.
 Multiplicative noise projects G(u_n) dW once more for its potential.
 The step report carries the strain and V of the returned velocity, and
 `run_path` records from them, so no strain or V is evaluated again
-there.  Lagged differences
-come from one ring array per quantity holding the last max(lag) + 1
-states; each step takes the norms of all its lags in one batched
-reduction per quantity.
+there; as the step never evaluates the strain of u_n itself, no strain
+and no V of a noisy path is evaluated twice.  Lagged differences come
+from one ring array per quantity holding the last max(lag) + 1 states;
+each step takes the norms of all its lags in one batched reduction per
+quantity.
 """
 
 from __future__ import annotations
@@ -115,12 +118,14 @@ class StepReport:
     iterations: int
     v_distance_sq: float
     grad_norm: float
-    phi_initial: float
+    phi_initial: float              # objective at the start iterate r
     phi_final: float
     converged: bool
+    cg_iterations: int              # summed over the Newton iterations
+    backtracks: int                 # line-search halvings, summed likewise
     # strain and V of the returned velocity, which run_path records
-    strain: np.ndarray | None = field(default=None, repr=False)
-    V: np.ndarray | None = field(default=None, repr=False)
+    strain: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -232,8 +237,8 @@ class Stepper:
             value = dt * pot.energy(self.params, eps, self._area) + 0.5 * self._inner(diff, diff)
             return value, eps
 
-        # v carries phi_v, eps and, once it has moved, V_v
-        v = u.copy()
+        # start at the predictor; v carries phi_v, eps and, once it has moved, V_v
+        v = r.copy()
         phi0, eps = objective(v)
         phi_v = phi0
         V_v = None
@@ -241,7 +246,7 @@ class Stepper:
         grad_norm = np.inf
         converged = False
         failure = f"Newton did not converge in {cfg.newton_max_iter} iterations"
-        iterations = 0
+        iterations = cg_iterations = backtracks = 0
         for it in range(cfg.newton_max_iter):
             g = self._project(dt * self._grad_energy(eps)) + (v - r)
             grad_norm = np.sqrt(self._inner(g, g))
@@ -253,7 +258,8 @@ class Stepper:
                 break
             a1, a2, unit = pot.hessian_coeffs(self._hess_params, eps)
 
-            delta = self._cg_solve(a1, a2, unit, g, dt, floor)
+            delta, cg_its = self._cg_solve(a1, a2, unit, g, dt, floor)
+            cg_iterations += cg_its
             predicted = -self._inner(g, delta)
             if predicted <= floor * grad_norm:
                 converged = True
@@ -267,6 +273,7 @@ class Stepper:
                     accepted = True
                     break
                 alpha *= 0.5
+                backtracks += 1
             if not accepted:
                 failure = f"line search stalled in Newton iteration {it + 1}"
                 break
@@ -289,6 +296,8 @@ class Stepper:
             phi_initial=float(phi0),
             phi_final=float(phi_v),
             converged=converged,
+            cg_iterations=cg_iterations,
+            backtracks=backtracks,
             strain=eps,
             V=V_v,
         )
@@ -302,6 +311,8 @@ class Stepper:
 
     def _cg_solve(self, a1, a2, unit, g, dt, floor):
         """CG on  P(w + dt * Hess_J w) = -g  within the div-free subspace.
+
+        Returns the direction and the number of CG iterations taken.
 
         The target residual never goes below the rounding floor of the
         operator application, directions whose curvature collapses
@@ -319,20 +330,20 @@ class Stepper:
         p_dir = res.copy()
         rs = self._inner(res, res)
         target = max(cfg.cg_tol**2 * rs, floor**2)
-        for _ in range(cfg.cg_max_iter):
-            if rs <= target:
-                break
+        iterations = 0
+        while iterations < cfg.cg_max_iter and rs > target:
             Ap = apply_op(p_dir)
             denom = self._inner(p_dir, Ap)
             if denom <= 1e-12 * self._inner(p_dir, p_dir):
                 break
+            iterations += 1
             alpha = rs / denom
             x += alpha * p_dir
             res -= alpha * Ap
             rs_new = self._inner(res, res)
             p_dir = res + (rs_new / rs) * p_dir
             rs = rs_new
-        return self._project(x)
+        return self._project(x), iterations
 
     def _stress_terms(self, eps):
         """S(eps), the strong residual P div S and pi_det.
@@ -377,9 +388,9 @@ class Stepper:
     def run_path(self, u0: VectorField, rng: PathRng) -> PathTrajectory:
         """Integrate one sample path and collect all monitored series.
 
-        An exception raised while stepping ends this path only: the
-        trajectory keeps the steps recorded so far, `completed` is False
-        and `error` names the step and the exception.
+        An exception raised while stepping or recording ends this path
+        only: the trajectory keeps the steps recorded so far, `completed`
+        is False and `error` names the step and the exception.
         """
         cfg = self.config
         n_steps = cfg.n_steps
@@ -441,7 +452,6 @@ class Stepper:
         K = self.grid.scalar()
         snapshots = []
         error = None
-        completed = True
         recorded = 1
         eps0 = sym_grad_values(self._D, u.values)
         record(0, u.values, eps0, pot.v_tensor(self.params, eps0), K)
@@ -454,17 +464,15 @@ class Stepper:
                 if dW is not None:
                     K = self.accumulate_K_sto(K, u, dW)
                 u, rep = self.step(u, dW)
+                if not np.all(np.isfinite(u.values)):
+                    error = f"step {k}: non-finite velocity"
+                    break
+                newton_its[k] = rep.iterations
+                record(k, u.values, rep.strain, rep.V, K)
             except Exception as exc:  # any failure ends this path only
                 kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
                 error = f"step {k}: {kind}{exc}"
-                completed = False
                 break
-            if not np.all(np.isfinite(u.values)):
-                error = f"step {k}: non-finite velocity"
-                completed = False
-                break
-            newton_its[k] = rep.iterations
-            record(k, u.values, rep.strain, rep.V, K)
             recorded = k + 1
             if cfg.store_every > 0 and k % cfg.store_every == 0:
                 snapshots.append((k, u.values.copy()))
@@ -485,7 +493,7 @@ class Stepper:
                 for q in diffs
             },
             snapshots=snapshots,
-            sup_stress_lpprime=float(stress_lp.max()),
+            sup_stress_lpprime=float(stress_lp[:trim].max()),
             error=error,
-            completed=completed,
+            completed=error is None,
         )

@@ -357,6 +357,34 @@ def test_path_exception_other_than_step_error_fails_that_path_only(tmp_path, mon
         assert len(fh.readlines()) == 1 + 3  # header and steps 0..2
 
 
+def test_exception_while_recording_fails_that_path_only(tmp_path, monkeypatch):
+    # record() of step 3 raises in path 1 (its fourth stress evaluation,
+    # after steps 0..2); the trajectory keeps steps 0..2, the run finishes
+    class RecordFailsOnPathOne(Stepper):
+        def run_path(self, u0, rng):
+            self.fail_at, self.calls = (4 if rng.path_index == 1 else None), 0
+            return super().run_path(u0, rng)
+
+        def _stress_terms(self, eps):
+            self.calls += 1
+            if self.calls == self.fail_at:
+                raise FloatingPointError("overflow in the stress")
+            return super()._stress_terms(eps)
+
+    monkeypatch.setattr(runner, "Stepper", RecordFailsOnPathOne)
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    out = str(tmp_path / "record_error")
+    manifest = run_experiment(small_config(out, paths=3))
+    assert manifest.status == "1 paths failed"
+    assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
+    assert manifest.path_status["1"] == "failed: step 3: FloatingPointError: overflow in the stress"
+    assert manifest.path_summary["1"]["steps_completed"] == 2
+    with open(os.path.join(out, "path_0001_series.csv")) as fh:
+        assert len(fh.readlines()) == 1 + 3  # header and steps 0..2
+    with open(os.path.join(out, "path_0000_series.csv")) as fh:
+        assert len(fh.readlines()) == 1 + 65
+
+
 def test_norms_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         norms_command(str(tmp_path / "nothing"), [0.5], [OrliczSpec.power(2)])

@@ -79,7 +79,7 @@ def test_line_search_stall_raises(grid8):
     # stalled line search must fail the step, not report convergence
     class UphillStepper(Stepper):
         def _cg_solve(self, a1, a2, unit, g, dt, floor):
-            return -1e20 * g
+            return -1e20 * g, 0
 
     cfg = SolverConfig(dt=1e-2, T=8e-2)
     stepper = UphillStepper(grid8, PotentialParams(3.0, 0.0), cfg)
@@ -399,8 +399,9 @@ def test_dyadic_lags():
     (8, 2.5, 0.01, "one", "zero"),
 ])
 def test_step_evaluates_each_strain_and_V_once(monkeypatch, n, p, kappa, rho, u0_kind):
-    # every Newton iterate carries its strain and V: within one step no
-    # field reaches sym_grad_values or v_tensor twice
+    # every Newton iterate carries its strain and V, Newton starts at the
+    # predictor and record() takes the returned strain and V: across a
+    # whole noisy path no field reaches sym_grad_values or v_tensor twice
     grid = Grid(n)
     spec = NoiseSpec(grid, 8, rho=rho, flavor="mixed")
     stepper = make_stepper(grid, p=p, kappa=kappa, dt=2.0**-8, spec=spec)
@@ -414,17 +415,96 @@ def test_step_evaluates_each_strain_and_V_once(monkeypatch, n, p, kappa, rho, u0
 
     monkeypatch.setattr(stepping, "sym_grad_values", hashed("sym_grad_values", sym_grad_values))
     monkeypatch.setattr(potential, "v_tensor", hashed("v_tensor", potential.v_tensor))
-    u = initial_velocity(grid, u0_kind, 1.0)
-    rng = PathRng(2, 0)
-    newton = 0
-    for _ in range(4):
-        for calls in seen.values():
-            calls.clear()
-        u, rep = stepper.step(u, sample_increment(rng, 2.0**-8, 8))
-        newton += rep.iterations
-        for name, calls in seen.items():
-            assert len(set(calls)) == len(calls), name
-    assert newton > 0
+    traj = stepper.run_path(initial_velocity(grid, u0_kind, 1.0), PathRng(2, 0))
+    assert traj.completed
+    assert traj.newton_iterations.sum() > 0
+    for name, calls in seen.items():
+        assert len(set(calls)) == len(calls), name
+
+
+# Worst relative L^2 error per step against the tight solve over the 18
+# cases of the test below, when Newton started at u_n: 6.34e-10 in the
+# worst case, 1.54e-10 in the mean over cases.
+COLD_START_WORST = 6.4e-10
+COLD_START_MEAN = 1.6e-10
+
+
+def test_warm_started_step_matches_tight_minimiser():
+    # each step from the same u_n and dW against newton_tol = 1e-30,
+    # cg_tol = 1e-12; 16 steps from rest at the workloads' dt and tolerances
+    dt, steps, modes = 2.0**-12, 16, 16
+    noises = [("one", "mixed"), ("inv_one_plus_s2", "mixed"), ("one", "divergence-free")]
+    worst = []
+    for n in (8, 16):
+        grid = Grid(n)
+        for p, kappa in ((1.5, 0.0), (2.5, 0.01), (3.0, 0.0)):
+            for rho, flavor in noises:
+                spec = NoiseSpec(grid, modes, decay=2.0, rho=rho, flavor=flavor)
+                stepper = make_stepper(grid, p, kappa, dt, dt * steps, spec, cg_tol=1e-10)
+                tight = make_stepper(
+                    grid, p, kappa, dt, dt * steps, spec, cg_tol=1e-12, newton_tol=1e-30
+                )
+                u, rng, err = grid.vector(), PathRng(5, 0), 0.0
+                for _ in range(steps):
+                    dW = sample_increment(rng, dt, modes)
+                    u_ref = tight.step(u, dW)[0].values
+                    u = stepper.step(u, dW)[0]
+                    rel = np.sqrt(np.sum((u.values - u_ref) ** 2) / np.sum(u_ref**2))
+                    err = max(err, rel)
+                worst.append(err)
+    assert max(worst) <= COLD_START_WORST
+    assert np.mean(worst) <= COLD_START_MEAN
+
+
+def test_newton_iterations_per_step_from_predictor():
+    # n = 16 additive mixed noise as in the everyday workload: Newton
+    # started at u_n took about 3.0 iterations per step
+    grid = Grid(16)
+    spec = NoiseSpec(grid, 16, decay=2.0, flavor="mixed")
+    dt = 2.0**-12
+    stepper = make_stepper(grid, 2.5, 0.01, dt, 64 * dt, spec, cg_tol=1e-10)
+    traj = stepper.run_path(grid.vector(), PathRng(1, 0))
+    assert traj.completed
+    assert traj.newton_iterations[1:].mean() <= 2.2
+
+
+def test_noiseless_step_keeps_cold_start_bits():
+    # without noise the predictor is u_n: steps and a whole path keep the
+    # bits Newton started at u_n gave (sha256 of the same arrays then)
+    expected = {
+        (8, 1.5, 0.0): "f8169a8b2b3eaa2db1abe3c4e896daff233914c76a3050c479a6b9e4e10356be",
+        (16, 2.5, 0.01): "f70d3141297db38aef30b0ddba6b3402d4961fc8c41691c280e6d430496e1200",
+        (16, 3.0, 0.0): "0ce0850a11fbbae64d64cdb7cec585e7e70e6a052b6ac25676b17eabacbbe291",
+    }
+    dt = 2.0**-8
+    for (n, p, kappa), digest in expected.items():
+        grid = Grid(n)
+        noisy = make_stepper(grid, p, kappa, dt, 4 * dt, NoiseSpec(grid, 4), cg_tol=1e-10)
+        u = initial_velocity(grid, "curl", 1.0)
+        h = hashlib.sha256()
+        for _ in range(4):
+            u = noisy.step(u, None)[0]
+            h.update(u.values.tobytes())
+        plain = make_stepper(grid, p, kappa, dt, 4 * dt, cg_tol=1e-10)
+        traj = plain.run_path(initial_velocity(grid, "curl", 1.0), PathRng(0, 0))
+        for series in (traj.energy, traj.residual_l2, traj.diffs["V"][1]):
+            h.update(series.tobytes())
+        assert h.hexdigest() == digest, (n, p, kappa)
+
+
+def test_step_report_solver_telemetry(grid8):
+    stepper = make_stepper(grid8, p=2.5, kappa=0.01)
+    _, rep = stepper.step(grid8.vector(), None)
+    assert (rep.iterations, rep.cg_iterations, rep.backtracks) == (0, 0, 0)
+    # p = 2 without noise is quadratic: with CG run down to its rounding
+    # floor, one full Newton step lands on the minimiser
+    for grid in (grid8, Grid(16)):
+        stepper = make_stepper(grid, p=2.0, kappa=0.0, dt=1e-2, cg_tol=1e-14)
+        u = initial_velocity(grid, "curl", 1.0)
+        for _ in range(4):
+            u, rep = stepper.step(u, None)
+            assert (rep.iterations, rep.backtracks) == (1, 0)
+            assert rep.cg_iterations > 0
 
 
 def _direct_diffs(stepper, traj):
