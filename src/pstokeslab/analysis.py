@@ -28,6 +28,7 @@ __all__ = [
     "load_series",
     "load_diffs",
     "path_indices",
+    "failed_path_indices",
     "parse_orlicz",
     "report_for_quantity",
     "norms_command",
@@ -45,6 +46,11 @@ def path_indices(run_dir: str):
         if name.startswith("path_") and name.endswith("_series.csv"):
             out.append(int(name.split("_")[1]))
     return out
+
+
+def failed_path_indices(run_dir: str, manifest: RunManifest) -> list:
+    """Paths with files in run_dir whose manifest status is not "ok"."""
+    return [i for i in path_indices(run_dir) if manifest.path_status.get(str(i)) != "ok"]
 
 
 def load_series(run_dir: str, index: int) -> dict:
@@ -139,7 +145,8 @@ def _path_fits(run_dir: str, alphas, specs):
     manifest = RunManifest.read(run_dir)
     dt = float(manifest.config["dt"])
     n_steps = int(round(float(manifest.config["T"]) / dt))
-    indices = [i for i in path_indices(run_dir) if manifest.path_status.get(str(i)) == "ok"]
+    failed = set(failed_path_indices(run_dir, manifest))
+    indices = [i for i in path_indices(run_dir) if i not in failed]
     if not indices:
         raise FileNotFoundError(f"no trajectory files of completed paths in {run_dir}")
     for index in indices:
@@ -265,23 +272,44 @@ def report_command(run_dir: str) -> str:
         )
     )
     lines.append(f"wall clock: {manifest.wall_clock_seconds:.1f} s")
-    if manifest.path_summary:
-        sup = [s["sup_energy"] for s in manifest.path_summary.values()]
-        dis = [s["dissipation_integral"] for s in manifest.path_summary.values()]
-        j0 = [s["initial_energy"] for s in manifest.path_summary.values()]
+    summaries = list(manifest.path_summary.values())
+    if summaries:
+        sup = [s["sup_energy"] for s in summaries]
+        dis = [s["dissipation_integral"] for s in summaries]
+        j0 = [s["initial_energy"] for s in summaries]
         lines.append(
             f"energy monitor: max sup_J = {max(sup):.6g}, "
             f"max dissipation integral = {max(dis):.6g}, "
             f"bound 1e3*(J0+1) = {1e3 * (max(j0) + 1.0):.6g}"
         )
+        if all("newton_per_step" in s for s in summaries):  # older runs lack them
+            lines.append(_solver_line(summaries))
     agg = os.path.join(run_dir, "aggregate_norms.csv")
     if os.path.exists(agg):
         lines.append("aggregate seminorms:")
         with open(agg) as fh:
             lines.extend("  " + ln.rstrip("\n") for ln in fh)
-    failures = {
-        idx: st for idx, st in manifest.path_status.items() if st != "ok"
-    }
-    if failures:
-        lines.append(f"failed paths: {failures}")
+    for idx, st in manifest.path_status.items():
+        if st != "ok":
+            lines.append(f"failed path {idx}: {st.removeprefix('failed: ')}")
     return "\n".join(lines)
+
+
+def _solver_line(summaries) -> str:
+    """Step-weighted solver means, throughput and phase times over all paths."""
+    steps = sum(s["steps_completed"] for s in summaries)
+    per_step = {
+        key: sum(s[key] * s["steps_completed"] for s in summaries) / max(steps, 1)
+        for key in ("newton_per_step", "cg_per_step", "backtracks_per_step")
+    }
+    phases = ", ".join(
+        f"{name} {sum(s[f'{name}_s'] for s in summaries):.3g} s"
+        for name in ("step", "record", "K", "write")
+    )
+    ms = 1e3 * sum(s["seconds"] for s in summaries) / max(steps, 1)
+    return (
+        f"solver: {per_step['newton_per_step']:.3f} Newton, "
+        f"{per_step['cg_per_step']:.3f} CG, "
+        f"{per_step['backtracks_per_step']:.3f} backtracks per step; "
+        f"{ms:.3g} ms per step over {steps} steps ({phases})"
+    )

@@ -82,7 +82,8 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command in ("norms", "fit"):
-        from .analysis import fit_command, norms_command, parse_orlicz
+        from .analysis import failed_path_indices, fit_command, norms_command, parse_orlicz
+        from .config import RunManifest
 
         try:
             alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
@@ -108,6 +109,11 @@ def main(argv=None) -> int:
                         f"{quantity} {kind} alpha={alpha:g}: slope {fit.slope:.4f} "
                         f"+/- {fit.half_width:.4f} on [{fit.h_min:.4g}, {fit.h_max:.4g}]"
                     )
+            failed = failed_path_indices(args.dir, RunManifest.read(args.dir))
+            print(
+                f"failed paths excluded from the medians: {len(failed)}"
+                + (f" ({', '.join(map(str, failed))})" if failed else "")
+            )
         except (OSError, ValueError) as exc:  # missing or malformed run files
             print(f"runtime error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

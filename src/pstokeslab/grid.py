@@ -158,31 +158,47 @@ def _same_grid(*fields):
 # d/dy is q @ D.T; each kernel applies them to the whole stacked
 # component axis at once, which matmul treats as a batch of n x n
 # products, so the result equals the per-component formulas bit for bit.
+# Products are written with out= into one result allocated per call;
+# no kernel keeps a buffer between calls, because callers hold on to
+# the arrays they get (the stepper's report and its lag history).
 # ---------------------------------------------------------------------
 
 def div_vec_values(D, v):
-    return D @ v[0] + v[1] @ D.T
+    out = D @ v[0]
+    out += v[1] @ D.T
+    return out
 
 
 def grad_scalar_values(D, q):
     # negative transpose of div_vec
-    return np.stack([-(D.T @ q), -(q @ D)])
+    out = np.empty((2,) + q.shape)
+    np.matmul(D.T, q, out=out[0])
+    np.matmul(q, D, out=out[1])
+    return np.negative(out, out=out)
 
 
 def grad_vec_values(D, v):
     """(grad v)[i, j] = d_j v_i for the stacked components v[i]."""
-    return np.stack([D @ v, v @ D.T], axis=1)
+    out = np.empty((v.shape[0], 2) + v.shape[1:])
+    np.matmul(D, v, out=out[:, 0])
+    np.matmul(v, D.T, out=out[:, 1])
+    return out
 
 
 def sym_grad_values(D, v):
     e = grad_vec_values(D, v)
-    e[0, 1] = e[1, 0] = 0.5 * (e[0, 1] + e[1, 0])
+    off = e[0, 1]
+    off += e[1, 0]
+    off *= 0.5
+    e[1, 0] = off
     return e
 
 
 def div_tensor_values(D, T):
-    # negative transpose of grad_vec, acting row-wise
-    return -(D.T @ T[:, 0]) - T[:, 1] @ D
+    # negative transpose of grad_vec, acting row-wise: -(a + b) = -a - b exactly
+    out = D.T @ T[:, 0]
+    out += T[:, 1] @ D
+    return np.negative(out, out=out)
 
 
 def curl_values(D, phi):
@@ -195,7 +211,7 @@ def magnitude(values: np.ndarray) -> np.ndarray:
     if values.ndim == 2:
         return np.abs(values)
     comp_axes = tuple(range(values.ndim - 2))
-    return np.sqrt(np.sum(values**2, axis=comp_axes))
+    return np.sqrt(np.add.reduce(values**2, axis=comp_axes))
 
 
 # ---------------------------------------------------------------------
@@ -231,7 +247,7 @@ def lp_norm(f: _Field, r: float) -> float:
     mags = magnitude(f.values)
     if np.isinf(r):
         return float(mags.max(initial=0.0))
-    return float((f.grid.cell_area * np.sum(mags**r)) ** (1.0 / r))
+    return float((f.grid.cell_area * np.add.reduce(mags**r, axis=None)) ** (1.0 / r))
 
 
 def l2_inner(a: _Field, b: _Field) -> float:

@@ -172,7 +172,9 @@ def apply_G(spec: NoiseSpec, u: VectorField, dW: WienerIncrement) -> VectorField
     if spec.mode_count == 0:
         return spec.grid.vector()
     coeff = spec.lambdas * dW.z
-    out = np.tensordot(coeff, spec.modes, axes=(0, 0))
+    # the one dot that tensordot(coeff, modes, 1) makes, without its wrapper
+    modes = spec.modes
+    out = np.dot(coeff.reshape(1, -1), modes.reshape(len(modes), -1)).reshape(modes.shape[1:])
     if spec.rho != "one":
         out = out * spec.rho_values(u.values)[None, :, :]
     return VectorField(spec.grid, out)

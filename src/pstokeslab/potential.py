@@ -77,7 +77,12 @@ def phi(params: PotentialParams, t):
 
 
 def _phi(p, k, t):
-    """phi with shift k: one float, or an array of shifts shaped like t."""
+    """phi with shift k: one float, or an array of shifts shaped like t.
+
+    The closed form is evaluated once over the whole array and the
+    entries with t/k < 0.5 are then overwritten by the series; when every
+    entry is that small the series alone is evaluated.
+    """
     _check_nonnegative(t)
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -85,34 +90,42 @@ def _phi(p, k, t):
     if not per_entry and k == 0.0:
         out = t**p / p
         return float(out[0]) if scalar else out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = t / k  # k = 0 entries give inf or nan and take the closed form
+    if per_entry:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = t / k  # k = 0 entries give inf or nan and keep the closed form
+    else:
+        x = t / k
     small = x < 0.5
-    out = np.empty_like(x)
-    if np.any(~small):
-        tb = t[~small]
-        kb = k[~small] if per_entry else k
-        kt = kb + tb
-        val = kt**p / p - kb * kt ** (p - 1.0) / (p - 1.0) + kb**p / (p * (p - 1.0))
-        out[~small] = np.maximum(val, 0.0)
-    if np.any(small):
-        # k^p * integral_0^x (1+s)^(p-2) s ds expanded binomially
-        xs = x[small]
-        total = np.zeros_like(xs)
-        c = np.ones_like(xs)  # binom(p-2, j) x^j
-        for j in range(120):
-            term = c * xs * xs / (j + 2.0)
-            total += term
-            if np.max(np.abs(term)) <= 1e-18 * max(np.max(total), 1e-300):
-                break
-            c = c * xs * ((p - 2.0 - j) / (j + 1.0))
-        out[small] = (k[small] if per_entry else k) ** p * total
+    if small.all():
+        out = _phi_series(p, k, x)
+    else:
+        kt = k + t
+        out = kt**p / p - k * kt ** (p - 1.0) / (p - 1.0) + k**p / (p * (p - 1.0))
+        np.maximum(out, 0.0, out=out)
+        if small.any():
+            out[small] = _phi_series(p, k[small] if per_entry else k, x[small])
     return float(out[0]) if scalar else out
+
+
+def _phi_series(p, k, xs):
+    """k^p * integral_0^x (1+s)^(p-2) s ds expanded binomially, x = xs < 1/2.
+
+    The sum stops once the largest term over all of xs is negligible.
+    """
+    total = np.zeros_like(xs)
+    c = np.ones_like(xs)  # binom(p-2, j) x^j
+    for j in range(120):
+        term = c * xs * xs / (j + 2.0)
+        total += term
+        if np.max(np.abs(term)) <= 1e-18 * max(np.max(total), 1e-300):
+            break
+        c = c * xs * ((p - 2.0 - j) / (j + 1.0))
+    return k**p * total
 
 
 def _frobenius(xi):
     """Frobenius magnitude over the two leading (matrix) axes."""
-    return np.sqrt(np.sum(xi**2, axis=(0, 1)))
+    return np.sqrt(np.add.reduce(xi**2, axis=(0, 1)))
 
 
 def _radial_scale(params: PotentialParams, norm, expo: float):
@@ -208,7 +221,7 @@ def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("strain field contains non-finite entries")
-    return float(cell_area * np.sum(phi(params, _frobenius(values))))
+    return float(cell_area * np.add.reduce(phi(params, _frobenius(values)), axis=None))
 
 
 def _tensor_dot(a, b):

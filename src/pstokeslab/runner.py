@@ -105,6 +105,11 @@ def _write_trajectory(run_dir: str, index: int, traj, grid: Grid):
         save_field(VectorField(grid, values), snapshot_path(run_dir, index, k))
 
 
+def _per_step(counts, steps: int) -> float:
+    """Mean of a per-step count over steps 1..steps; 0 without steps."""
+    return float(counts[1:].sum() / steps) if steps else 0.0
+
+
 def _path_worker(args):
     cfg_dict, index, run_dir = args
     cfg = ExperimentConfig(**cfg_dict)
@@ -113,8 +118,12 @@ def _path_worker(args):
     rng = PathRng(cfg.master_seed, index)
     started = time.perf_counter()
     traj = stepper.run_path(u0, rng)
+    written = time.perf_counter()
     _write_trajectory(run_dir, index, traj, stepper.grid)
+    finished = time.perf_counter()
     dt = cfg.dt
+    steps = traj.times.size - 1
+    phases = {f"{name}_s": secs for name, secs in traj.phase_seconds.items()}
     summary = {
         "sup_energy": float(traj.energy.max(initial=0.0)),
         "initial_energy": float(traj.energy[0]) if traj.energy.size else 0.0,
@@ -123,8 +132,15 @@ def _path_worker(args):
         "sup_stress_lpprime": traj.sup_stress_lpprime,
         "sup_pressure_det_lpprime": float(traj.pressure_det_lp.max(initial=0.0)),
         "sup_k_sto_w12": float(traj.k_sto_w12.max(initial=0.0)),
-        "steps_completed": int(traj.times.size - 1),
-        "seconds": time.perf_counter() - started,
+        "steps_completed": int(steps),
+        "seconds": finished - started,
+        # solver health and throughput, per completed step
+        "newton_per_step": _per_step(traj.newton_iterations, steps),
+        "cg_per_step": _per_step(traj.cg_iterations, steps),
+        "backtracks_per_step": _per_step(traj.backtracks, steps),
+        "ms_per_step": 1e3 * (finished - started) / steps if steps else 0.0,
+        **phases,
+        "write_s": finished - written,
     }
     status = "ok" if traj.completed else f"failed: {traj.error}"
     return index, status, summary

@@ -38,17 +38,19 @@ hence B*((I - P) v) = -q_v and
 Additive noise (rho = one) makes K linear in W: the stepper stores
 k_j = lambda_j q_{psi_j} once and steps K_{n+1} = K_n + sum_j dW_j k_j.
 Multiplicative noise projects G(u_n) dW once more for its potential.
-The step report carries the strain and V of the returned velocity, and
-`run_path` records from them, so no strain or V is evaluated again
-there; as the step never evaluates the strain of u_n itself, no strain
-and no V of a noisy path is evaluated twice.  Lagged differences come
-from one ring array per quantity holding the last max(lag) + 1 states;
-each step takes the norms of all its lags in one batched reduction per
-quantity.
+The step report carries the strain, V and energy J of the returned
+velocity, and `run_path` records from them, so no strain, V or J is
+evaluated again there; as the step never evaluates the strain of u_n
+itself, no strain, V or J of a noisy path is evaluated twice.  Lagged
+differences come from one ring array per quantity holding the last
+max(lag) + 1 states; each step takes the norms of all its lags in one
+batched reduction per quantity.  The trajectory keeps the solver counts
+of every step and the time spent stepping, recording and accumulating K.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +125,8 @@ class StepReport:
     converged: bool
     cg_iterations: int              # summed over the Newton iterations
     backtracks: int                 # line-search halvings, summed likewise
-    # strain and V of the returned velocity, which run_path records
+    # J, strain and V of the returned velocity, which run_path records
+    J: float
     strain: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
 
@@ -140,8 +143,11 @@ class PathTrajectory:
     pressure_det_lp: np.ndarray     # ||pi_det||_{L^{p'}}
     k_sto_w12: np.ndarray           # ||K_sto||_{W^{1,2}}
     newton_iterations: np.ndarray
+    cg_iterations: np.ndarray
+    backtracks: np.ndarray
     diff_lags: list                 # dyadic lags in steps
     diffs: dict                     # quantity -> {lag: series of norms}
+    phase_seconds: dict             # perf_counter seconds in step, record and K
     snapshots: list = field(default_factory=list)  # (k, velocity values)
     sup_stress_lpprime: float = 0.0  # max over recorded steps of ||S(eps u)||_{L^{p'}}
     error: str | None = None
@@ -190,10 +196,11 @@ class Stepper:
             self._hess_params = pot.PotentialParams(p, config.kappa_reg)
         else:
             self._hess_params = params
-        self._k_modes = None  # k_j of additive noise (module docstring)
+        self._k_modes = None  # k_j of additive noise, flattened (module docstring)
         if spec is not None and spec.mode_count > 0 and spec.rho == "one":
             self._k_modes = np.array([
-                lam * self._grad_potential(psi)[1] for lam, psi in zip(spec.lambdas, spec.modes)
+                lam * self._grad_potential(psi)[1].ravel()
+                for lam, psi in zip(spec.lambdas, spec.modes)
             ])
 
     # -- array-level building blocks -----------------------------------
@@ -206,17 +213,23 @@ class Stepper:
         return div_free, q - q.mean()
 
     def _inner(self, a, b):
-        return self._area * float(np.sum(a * b))
+        return self._area * float(np.add.reduce(a * b, axis=None))
 
     def _grad_energy(self, eps):
         """Gradient of J in the weighted L^2 product at strain eps: -div S(eps)."""
         return -div_tensor_values(self._D, pot.s_tensor(self.params, eps))
 
     def _hessian_apply(self, a1, a2, unit, w):
+        """-div( a1 (E:eps w) E + a2 eps w ), built in place."""
         epsw = sym_grad_values(self._D, w)
-        proj = np.sum(unit * epsw, axis=(0, 1))
-        tens = a1[None, None] * proj[None, None] * unit + a2[None, None] * epsw
-        return -div_tensor_values(self._D, tens)
+        tens = unit * epsw
+        proj = np.add.reduce(tens, axis=(0, 1))
+        proj *= a1
+        np.multiply(unit, proj, out=tens)
+        epsw *= a2
+        tens += epsw
+        out = div_tensor_values(self._D, tens)
+        return np.negative(out, out=out)
 
     # -- public operations ---------------------------------------------
     def step(self, u_n: VectorField, dW: WienerIncrement | None):
@@ -231,15 +244,16 @@ class Stepper:
             r = u
 
         def objective(v):
-            """Objective value at v and the strain of v."""
+            """Objective value at v, the strain of v and its energy J."""
             diff = v - r
             eps = sym_grad_values(self._D, v)
-            value = dt * pot.energy(self.params, eps, self._area) + 0.5 * self._inner(diff, diff)
-            return value, eps
+            J = pot.energy(self.params, eps, self._area)
+            return dt * J + 0.5 * self._inner(diff, diff), eps, J
 
-        # start at the predictor; v carries phi_v, eps and, once it has moved, V_v
+        # start at the predictor; v carries phi_v, eps, J_v and, once it
+        # has moved, V_v
         v = r.copy()
-        phi0, eps = objective(v)
+        phi0, eps, J_v = objective(v)
         phi_v = phi0
         V_v = None
         vdist = np.inf
@@ -268,7 +282,7 @@ class Stepper:
             accepted = False
             while alpha > 1e-14:
                 cand = v + alpha * delta
-                phi_c, eps_c = objective(cand)
+                phi_c, eps_c, J_c = objective(cand)
                 if phi_c <= phi_v - 1e-4 * alpha * predicted:
                     accepted = True
                     break
@@ -281,7 +295,7 @@ class Stepper:
                 V_v = pot.v_tensor(self.params, eps)
             V_c = pot.v_tensor(self.params, eps_c)
             dv = V_c - V_v
-            v, phi_v, eps, V_v = cand, phi_c, eps_c, V_c
+            v, phi_v, eps, V_v, J_v = cand, phi_c, eps_c, V_c, J_c
             iterations = it + 1
             vdist = self._inner(dv, dv)
             if vdist <= cfg.newton_tol:
@@ -298,6 +312,7 @@ class Stepper:
             converged=converged,
             cg_iterations=cg_iterations,
             backtracks=backtracks,
+            J=J_v,
             strain=eps,
             V=V_v,
         )
@@ -323,7 +338,10 @@ class Stepper:
         cfg = self.config
 
         def apply_op(w):
-            return self._project(w + dt * self._hessian_apply(a1, a2, unit, w))
+            hw = self._hessian_apply(a1, a2, unit, w)
+            hw *= dt
+            hw += w
+            return self._project(hw)
 
         x = np.zeros_like(g)
         res = -g
@@ -341,7 +359,8 @@ class Stepper:
             x += alpha * p_dir
             res -= alpha * Ap
             rs_new = self._inner(res, res)
-            p_dir = res + (rs_new / rs) * p_dir
+            p_dir *= rs_new / rs
+            p_dir += res
             rs = rs_new
         return self._project(x), iterations
 
@@ -380,7 +399,8 @@ class Stepper:
         if self.spec is None or self.spec.mode_count == 0:
             return K_prev
         if self._k_modes is not None:
-            incr = np.tensordot(dW.z, self._k_modes, axes=(0, 0))
+            # the one dot that tensordot(z, k_modes, 1) makes, without its wrapper
+            incr = np.dot(dW.z.reshape(1, -1), self._k_modes).reshape(self.grid.n, self.grid.n)
         else:
             incr = self._grad_potential(apply_G(self.spec, u_n, dW).values)[1]
         return ScalarField(self.grid, K_prev.values + incr)
@@ -407,6 +427,8 @@ class Stepper:
         pi_lp = np.zeros(n_steps + 1)
         k_w12 = np.zeros(n_steps + 1)
         newton_its = np.zeros(n_steps + 1)
+        cg_its = np.zeros(n_steps + 1)
+        backtracks = np.zeros(n_steps + 1)
         stress_lp = np.zeros(n_steps + 1)
 
         # state k sits at k % depth; the lag-m difference of step k is entry k - m
@@ -419,9 +441,9 @@ class Stepper:
         lag_steps = np.array(lags)
         diffs = {q: np.zeros((len(lags), n_steps + 1)) for q in rings}
 
-        def record(k, u_vals, eps, Vt, K_field):
+        def record(k, u_vals, eps, Vt, J, K_field):
             stress, res, pi = self._stress_terms(eps)
-            energy[k] = pot.energy(self.params, eps, self._area)
+            energy[k] = J
             res_l2[k] = np.sqrt(self._inner(res, res))
             u_l2[k] = np.sqrt(self._inner(u_vals, u_vals))
             pi_lp[k] = lp_norm(ScalarField(self.grid, pi), p_conj)
@@ -437,7 +459,7 @@ class Stepper:
                 if q == "K":
                     diffs[q][rows, k - m] = w12_norm_values(self._D, self._area, d)
                 else:
-                    sq = np.sum((d * d).reshape(m.size, -1), axis=1)
+                    sq = np.add.reduce((d * d).reshape(m.size, -1), axis=1)
                     diffs[q][rows, k - m] = np.sqrt(self._area * sq)
 
         div_u0 = lp_norm(
@@ -453,22 +475,34 @@ class Stepper:
         snapshots = []
         error = None
         recorded = 1
+        clock = time.perf_counter
+        t0 = clock()
         eps0 = sym_grad_values(self._D, u.values)
-        record(0, u.values, eps0, pot.v_tensor(self.params, eps0), K)
+        record(0, u.values, eps0, pot.v_tensor(self.params, eps0),
+               pot.energy(self.params, eps0, self._area), K)
+        phases = {"step": 0.0, "record": clock() - t0, "K": 0.0}
         if cfg.store_every > 0:
             snapshots.append((0, u.values.copy()))
-        J = self.spec.mode_count if self.spec is not None else 0
+        modes = self.spec.mode_count if self.spec is not None else 0
         for k in range(1, n_steps + 1):
-            dW = sample_increment(rng, cfg.dt, J) if J > 0 else None
+            dW = sample_increment(rng, cfg.dt, modes) if modes > 0 else None
             try:
+                t0 = clock()
                 if dW is not None:
                     K = self.accumulate_K_sto(K, u, dW)
+                t1 = clock()
+                phases["K"] += t1 - t0
                 u, rep = self.step(u, dW)
+                t0 = clock()
+                phases["step"] += t0 - t1
                 if not np.all(np.isfinite(u.values)):
                     error = f"step {k}: non-finite velocity"
                     break
                 newton_its[k] = rep.iterations
-                record(k, u.values, rep.strain, rep.V, K)
+                cg_its[k] = rep.cg_iterations
+                backtracks[k] = rep.backtracks
+                record(k, u.values, rep.strain, rep.V, rep.J, K)
+                phases["record"] += clock() - t0
             except Exception as exc:  # any failure ends this path only
                 kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
                 error = f"step {k}: {kind}{exc}"
@@ -487,11 +521,14 @@ class Stepper:
             pressure_det_lp=pi_lp[:trim],
             k_sto_w12=k_w12[:trim],
             newton_iterations=newton_its[:trim],
+            cg_iterations=cg_its[:trim],
+            backtracks=backtracks[:trim],
             diff_lags=lags,
             diffs={
                 q: {m: diffs[q][i, : max(trim - m, 0)] for i, m in enumerate(lags)}
                 for q in diffs
             },
+            phase_seconds=phases,
             snapshots=snapshots,
             sup_stress_lpprime=float(stress_lp[:trim].max()),
             error=error,

@@ -13,6 +13,7 @@ from pstokeslab.grid import (
     div_vec_values,
     div_vec,
     grad_scalar,
+    grad_scalar_values,
     grad_vec,
     grad_vec_values,
     l2_inner,
@@ -218,6 +219,7 @@ def test_whole_field_kernels_match_per_component_formulas():
                 (div_vec_values(D, v), D @ v[0] + v[1] @ D.T),
                 (div_tensor_values(D, T), div_t),
                 (curl_values(D, q), np.stack([q @ D.T, -(D @ q)])),
+                (grad_scalar_values(D, q), np.stack([-(D.T @ q), -(q @ D)])),
             ]
             for fast, reference in pairs:
                 assert fast.shape == reference.shape

@@ -298,7 +298,7 @@ def test_report_digest(finished_run):
     assert "status: ok" in text
 
 
-def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch):
+def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch, capsys):
     # path 1 stops at step 5 and keeps its truncated files; the reports,
     # medians and fits are those of paths 0 and 2 alone
     class StopsPathOne(Stepper):
@@ -325,11 +325,59 @@ def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch):
     with open(os.path.join(out, "fits_detail.csv")) as fh:
         next(fh)
         assert {line.split(",")[2] for line in fh} == {"0", "2"}
+    # the CLI prints the excluded count next to the medians
+    capsys.readouterr()
+    for command in ("norms", "fit"):
+        assert cli_main([command, "--dir", out]) == 0
+        *medians, excluded = capsys.readouterr().out.splitlines()
+        assert medians and excluded == "failed paths excluded from the medians: 1 (1)"
     # with no completed path left there is nothing to analyse
     manifest.path_status.update({"0": "failed: step 3", "2": "failed: step 3"})
     manifest.write(out)
     with pytest.raises(FileNotFoundError):
         norms_command(out, [0.5], [OrliczSpec.power(2)])
+
+
+def test_path_summary_solver_health_and_report(tmp_path, monkeypatch):
+    # per-step means of the StepReport counts, throughput and phase
+    # times per path; report prints them and each failed path's reason
+    sums = {}
+
+    class CountsReports(Stepper):
+        def run_path(self, u0, rng):
+            self.path = rng.path_index
+            self.stop_at, self.steps = (5 if rng.path_index == 1 else None), 0
+            sums[self.path] = [0, 0, 0]
+            return super().run_path(u0, rng)
+
+        def step(self, u_n, dW):
+            self.steps += 1
+            if self.steps == self.stop_at:
+                raise StepError("stopped")
+            u, rep = super().step(u_n, dW)
+            for i, count in enumerate((rep.iterations, rep.cg_iterations, rep.backtracks)):
+                sums[self.path][i] += count
+            return u, rep
+
+    monkeypatch.setattr(runner, "Stepper", CountsReports)
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    out = str(tmp_path / "health")
+    manifest = run_experiment(small_config(out, paths=3, p=2.0, kappa=0.0))
+    for index, summary in manifest.path_summary.items():
+        steps = summary["steps_completed"]
+        assert steps == (4 if index == "1" else 64)
+        keys = ("newton_per_step", "cg_per_step", "backtracks_per_step")
+        for key, total in zip(keys, sums[int(index)]):
+            assert summary[key] == total / steps, (index, key)
+        assert summary["cg_per_step"] > 0.0
+        assert summary["ms_per_step"] == pytest.approx(1e3 * summary["seconds"] / steps)
+        phases = [summary[f"{name}_s"] for name in ("step", "record", "K", "write")]
+        assert all(t > 0.0 for t in phases)
+        assert sum(phases) <= summary["seconds"]
+    lines = report_command(out).splitlines()
+    solver = [ln for ln in lines if ln.startswith("solver: ")]
+    assert len(solver) == 1 and "ms per step over 132 steps" in solver[0]
+    assert "failed path 1: step 5: stopped" in lines
 
 
 def test_path_exception_other_than_step_error_fails_that_path_only(tmp_path, monkeypatch):

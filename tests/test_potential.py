@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pstokeslab import potential
 from pstokeslab.potential import (
     PotentialParams,
     energy,
@@ -44,6 +45,58 @@ def test_phi_against_quadrature_oracle():
         assert phi(PotentialParams(p, kappa), t) == pytest.approx(
             quad_phi(p, kappa, t), rel=1e-9, abs=1e-12
         )
+
+
+def _masked_phi(p, k, t):
+    """phi as it was evaluated before the one-pass form: the closed form
+    and the series each on their own gathered subset of entries."""
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    per_entry = np.ndim(k) > 0
+    if not per_entry and k == 0.0:
+        out = t**p / p
+        return float(out[0]) if scalar else out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = t / k
+    small = x < 0.5
+    out = np.empty_like(x)
+    if np.any(~small):
+        tb = t[~small]
+        kb = k[~small] if per_entry else k
+        kt = kb + tb
+        val = kt**p / p - kb * kt ** (p - 1.0) / (p - 1.0) + kb**p / (p * (p - 1.0))
+        out[~small] = np.maximum(val, 0.0)
+    if np.any(small):
+        xs = x[small]
+        total = np.zeros_like(xs)
+        c = np.ones_like(xs)
+        for j in range(120):
+            term = c * xs * xs / (j + 2.0)
+            total += term
+            if np.max(np.abs(term)) <= 1e-18 * max(np.max(total), 1e-300):
+                break
+            c = c * xs * ((p - 2.0 - j) / (j + 1.0))
+        out[small] = (k[small] if per_entry else k) ** p * total
+    return float(out[0]) if scalar else out
+
+
+def test_phi_bytes_match_masked_evaluation():
+    # the one-pass phi gives the masked evaluation's bytes in every branch
+    rng = np.random.default_rng(21)
+    for p in (1.5, 2.5, 3.0, 4.2):
+        k = 0.01
+        closed = rng.uniform(0.006, 2.0, (16, 16))
+        series = rng.uniform(0.0, 0.0049, (32, 32))
+        series[0, 0] = 0.0
+        mixed = np.where(rng.uniform(size=(16, 16)) < 0.1, series[:16, :16], closed)
+        cases = [(k, closed), (k, series), (k, mixed), (0.0, closed), (0.0, series),
+                 (k, 0.0), (k, 0.003), (k, 1.5)]
+        # per-entry shifts as inequality_report passes them, some zero
+        shifts = rng.uniform(0.0, 1.0, 200) * (rng.uniform(size=200) < 0.8)
+        cases.append((shifts, rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.uniform(-3, 1, 200)))
+        for kk, t in cases:
+            got, want = potential._phi(p, kk, t), _masked_phi(p, kk, t)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (p, t)
 
 
 def test_phi_domain_error():

@@ -399,27 +399,61 @@ def test_dyadic_lags():
     (8, 2.5, 0.01, "one", "zero"),
 ])
 def test_step_evaluates_each_strain_and_V_once(monkeypatch, n, p, kappa, rho, u0_kind):
-    # every Newton iterate carries its strain and V, Newton starts at the
-    # predictor and record() takes the returned strain and V: across a
-    # whole noisy path no field reaches sym_grad_values or v_tensor twice
+    # every Newton iterate carries its strain, J and V, Newton starts at
+    # the predictor and record() takes the returned strain, J and V:
+    # across a whole noisy path no field reaches sym_grad_values,
+    # v_tensor or energy twice
     grid = Grid(n)
     spec = NoiseSpec(grid, 8, rho=rho, flavor="mixed")
     stepper = make_stepper(grid, p=p, kappa=kappa, dt=2.0**-8, spec=spec)
-    seen = {"sym_grad_values": [], "v_tensor": []}
+    seen = {"sym_grad_values": [], "v_tensor": [], "energy": []}
 
-    def hashed(name, fn):
+    def hashed(name, fn, arg):
         def wrapper(*args):
-            seen[name].append(hashlib.sha256(np.ascontiguousarray(args[-1]).tobytes()).digest())
+            seen[name].append(hashlib.sha256(np.ascontiguousarray(args[arg]).tobytes()).digest())
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(stepping, "sym_grad_values", hashed("sym_grad_values", sym_grad_values))
-    monkeypatch.setattr(potential, "v_tensor", hashed("v_tensor", potential.v_tensor))
+    monkeypatch.setattr(stepping, "sym_grad_values", hashed("sym_grad_values", sym_grad_values, 1))
+    monkeypatch.setattr(potential, "v_tensor", hashed("v_tensor", potential.v_tensor, 1))
+    monkeypatch.setattr(potential, "energy", hashed("energy", potential.energy, 1))
     traj = stepper.run_path(initial_velocity(grid, u0_kind, 1.0), PathRng(2, 0))
     assert traj.completed
     assert traj.newton_iterations.sum() > 0
     for name, calls in seen.items():
         assert len(set(calls)) == len(calls), name
+
+
+def _noisy_path_digest(n, rho):
+    grid = Grid(n)
+    spec = NoiseSpec(grid, 8, decay=2.0, rho=rho, flavor="mixed")
+    stepper = make_stepper(grid, 2.5, 0.01, 2.0**-10, 32 * 2.0**-10, spec)
+    traj = stepper.run_path(initial_velocity(grid, "curl", 1.0), PathRng(9, 1))
+    assert traj.completed
+    h = hashlib.sha256()
+    for series in (traj.energy, traj.residual_l2):
+        h.update(series.tobytes())
+    for q in ("u", "V", "K"):
+        for m in traj.diff_lags:
+            h.update(traj.diffs[q][m].tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, rho, digest", [
+    (8, "one",
+     "c250b6389285ef3e2d9cf5b7bc1654ce020f5656d00fa3dd9fc0a0000cffb217"),
+    (8, "inv_one_plus_s2",
+     "806820ba3f8d9c6a9f30083db232e593a52d0c97738b82d7cab2bd7b6c8abdde"),
+    (16, "one",
+     "5f5a4b6bc55ca457c6ba302a2a0409f5511d547c95afa18942b56383389a319d"),
+    (16, "inv_one_plus_s2",
+     "bffc43aeef6bad16346fc6c35a4f20f8ea1b4e4a8a5e938f822d1422df3dd925"),
+])
+def test_noisy_run_path_bits_are_pinned(n, rho, digest):
+    # sha256 of a 32-step noisy path's energy, residual and u/V/K lag
+    # differences, pinned from the masked-phi, stacked-kernel stepper:
+    # changes that claim bit-identity must keep every one of them
+    assert _noisy_path_digest(n, rho) == digest
 
 
 # Worst relative L^2 error per step against the tight solve over the 18

@@ -1,0 +1,63 @@
+"""The benchmark's tracer must still see every seam it wraps.
+
+bench/tracing.py counts calls by swapping module attributes and
+subclassing the stepper and projector.  A refactor that routes around
+one of those seams leaves the run correct but zeroes its per-layer
+metric without a word; this test runs a tiny traced run and fails then.
+bench/ is only imported, never changed.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+from pstokeslab import runner
+from pstokeslab.config import ExperimentConfig
+from pstokeslab.runner import run_experiment
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+SEAMS = (
+    "stepping.step",
+    "stepping.run_path",
+    "stepping.accumulate_K_sto",
+    "stepping.newton_iterations",
+    "projection.helmholtz",
+    "potential.phi",
+    "noise.apply_G",
+)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(BENCH, "tracing.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("rho, apply_g_per_step", [("one", 1), ("inv_one_plus_s2", 2)])
+def test_traced_run_counts_every_seam(tmp_path, monkeypatch, rho, apply_g_per_step):
+    tracing = _load_tracing()
+    # a stepper cached by an earlier run would bypass the traced one
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    steps = 16
+    cfg = ExperimentConfig(
+        grid_n=8, p=2.5, kappa=0.01, dt=2.0**-8, T=steps * 2.0**-8, paths=1,
+        master_seed=3, noise_modes=4, noise_rho=rho, workers=1,
+        out_dir=str(tmp_path / "run"),
+    ).validate()
+    span_dir = tmp_path / "spans"
+    span_dir.mkdir()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, str(span_dir)):
+        manifest = run_experiment(cfg)
+    assert manifest.status == "ok"
+    _, counts = tracing.collect(tracer, str(span_dir))
+    missing = [name for name in SEAMS if counts.get(name, 0) == 0]
+    assert not missing, f"seams no longer traced: {missing}"
+    assert counts["stepping.run_path"] == 1
+    assert counts["stepping.step"] == counts["stepping.accumulate_K_sto"] == steps
+    assert counts["noise.apply_G"] == apply_g_per_step * steps
