@@ -282,7 +282,7 @@ def report_command(run_dir: str) -> str:
             f"max dissipation integral = {max(dis):.6g}, "
             f"bound 1e3*(J0+1) = {1e3 * (max(j0) + 1.0):.6g}"
         )
-        if all("newton_per_step" in s for s in summaries):  # older runs lack them
+        if all("roundoff_per_step" in s for s in summaries):  # older runs lack them
             lines.append(_solver_line(summaries))
     agg = os.path.join(run_dir, "aggregate_norms.csv")
     if os.path.exists(agg):
@@ -300,7 +300,7 @@ def _solver_line(summaries) -> str:
     steps = sum(s["steps_completed"] for s in summaries)
     per_step = {
         key: sum(s[key] * s["steps_completed"] for s in summaries) / max(steps, 1)
-        for key in ("newton_per_step", "cg_per_step", "backtracks_per_step")
+        for key in ("newton_per_step", "cg_per_step", "backtracks_per_step", "roundoff_per_step")
     }
     phases = ", ".join(
         f"{name} {sum(s[f'{name}_s'] for s in summaries):.3g} s"
@@ -310,6 +310,7 @@ def _solver_line(summaries) -> str:
     return (
         f"solver: {per_step['newton_per_step']:.3f} Newton, "
         f"{per_step['cg_per_step']:.3f} CG, "
-        f"{per_step['backtracks_per_step']:.3f} backtracks per step; "
+        f"{per_step['backtracks_per_step']:.3f} backtracks, "
+        f"{per_step['roundoff_per_step']:.3f} round-off steps per step; "
         f"{ms:.3g} ms per step over {steps} steps ({phases})"
     )

@@ -118,11 +118,16 @@ def _path_worker(args):
     rng = PathRng(cfg.master_seed, index)
     started = time.perf_counter()
     traj = stepper.run_path(u0, rng)
+    status = "ok" if traj.completed else f"failed: {traj.error}"
     written = time.perf_counter()
-    _write_trajectory(run_dir, index, traj, stepper.grid)
+    try:
+        _write_trajectory(run_dir, index, traj, stepper.grid)
+    except Exception as exc:  # a failed write ends this path only
+        _remove_path_files(run_dir, index)
+        status = f"failed: writing files: {type(exc).__name__}: {exc}"
     finished = time.perf_counter()
     dt = cfg.dt
-    steps = traj.times.size - 1
+    steps = max(traj.times.size - 1, 0)
     phases = {f"{name}_s": secs for name, secs in traj.phase_seconds.items()}
     summary = {
         "sup_energy": float(traj.energy.max(initial=0.0)),
@@ -138,12 +143,20 @@ def _path_worker(args):
         "newton_per_step": _per_step(traj.newton_iterations, steps),
         "cg_per_step": _per_step(traj.cg_iterations, steps),
         "backtracks_per_step": _per_step(traj.backtracks, steps),
+        "roundoff_per_step": _per_step(traj.roundoff_steps, steps),
         "ms_per_step": 1e3 * (finished - started) / steps if steps else 0.0,
         **phases,
         "write_s": finished - written,
     }
-    status = "ok" if traj.completed else f"failed: {traj.error}"
     return index, status, summary
+
+
+def _remove_path_files(run_dir: str, index: int):
+    """Delete every file of one path, so no partial file reaches the manifest."""
+    prefix = f"path_{index:04d}_"
+    for name in os.listdir(run_dir):
+        if name.startswith(prefix):
+            os.remove(os.path.join(run_dir, name))
 
 
 def _remove_run_outputs(run_dir: str):

@@ -380,6 +380,36 @@ def test_path_summary_solver_health_and_report(tmp_path, monkeypatch):
     assert "failed path 1: step 5: stopped" in lines
 
 
+def test_roundoff_steps_reach_path_summary_and_report(tmp_path, monkeypatch):
+    # the steps the round-off rule took without the Armijo test, per path
+    # and per step in the trajectory, summed into path_summary and report
+    sums = {}
+
+    class CountsRoundoff(Stepper):
+        def run_path(self, u0, rng):
+            self.path = rng.path_index
+            sums[self.path] = 0
+            traj = super().run_path(u0, rng)
+            assert traj.roundoff_steps[1:].sum() == sums[self.path]
+            return traj
+
+        def step(self, u_n, dW):
+            u, rep = super().step(u_n, dW)
+            sums[self.path] += rep.roundoff_steps
+            return u, rep
+
+    monkeypatch.setattr(runner, "Stepper", CountsRoundoff)
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    out = str(tmp_path / "roundoff")
+    manifest = run_experiment(small_config(out, paths=2))
+    assert all(total > 0 for total in sums.values())
+    for index, summary in manifest.path_summary.items():
+        assert summary["roundoff_per_step"] == sums[int(index)] / 64
+    mean = sum(sums.values()) / 128
+    solver = [ln for ln in report_command(out).splitlines() if ln.startswith("solver: ")]
+    assert len(solver) == 1 and f"{mean:.3f} round-off steps per step" in solver[0]
+
+
 def test_path_exception_other_than_step_error_fails_that_path_only(tmp_path, monkeypatch):
     # a ValueError inside path 1's step (as potential.energy raises on a
     # non-finite candidate) fails that path alone; the run finishes
@@ -431,6 +461,63 @@ def test_exception_while_recording_fails_that_path_only(tmp_path, monkeypatch):
         assert len(fh.readlines()) == 1 + 3  # header and steps 0..2
     with open(os.path.join(out, "path_0000_series.csv")) as fh:
         assert len(fh.readlines()) == 1 + 65
+
+
+def test_exception_while_recording_the_initial_state_fails_that_path_only(
+    tmp_path, monkeypatch
+):
+    # record() of step 0 raises in path 1 (its first stress evaluation):
+    # that path records nothing and fails alone, the run finishes
+    class InitialRecordFails(Stepper):
+        def run_path(self, u0, rng):
+            self.fail, self.calls = rng.path_index == 1, 0
+            return super().run_path(u0, rng)
+
+        def _stress_terms(self, eps):
+            self.calls += 1
+            if self.fail and self.calls == 1:
+                raise FloatingPointError("overflow in the stress")
+            return super()._stress_terms(eps)
+
+    monkeypatch.setattr(runner, "Stepper", InitialRecordFails)
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    out = str(tmp_path / "initial_record_error")
+    manifest = run_experiment(small_config(out, paths=3))
+    assert manifest.status == "1 paths failed"
+    assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
+    assert manifest.path_status["1"] == "failed: step 0: FloatingPointError: overflow in the stress"
+    summary = manifest.path_summary["1"]
+    assert summary["steps_completed"] == 0
+    assert summary["newton_per_step"] == summary["ms_per_step"] == 0.0
+    with open(os.path.join(out, "path_0001_series.csv")) as fh:
+        assert len(fh.readlines()) == 1  # header only
+    assert "failed path 1: step 0: FloatingPointError: overflow in the stress" in (
+        report_command(out).splitlines()
+    )
+
+
+def test_exception_while_writing_fails_that_path_only(tmp_path, monkeypatch):
+    # path 1's diffs file cannot be opened after its series file was
+    # written: the path fails alone and leaves no partial file behind
+    diffs_path = runner.diffs_path
+
+    def unwritable_for_path_one(run_dir, index):
+        if index == 1:
+            return os.path.join(run_dir, "missing_dir", "diffs.csv")
+        return diffs_path(run_dir, index)
+
+    monkeypatch.setattr(runner, "diffs_path", unwritable_for_path_one)
+    out = str(tmp_path / "write_error")
+    manifest = run_experiment(small_config(out, paths=3))
+    assert manifest.status == "1 paths failed"
+    assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
+    assert manifest.path_status["1"].startswith("failed: writing files: FileNotFoundError")
+    assert manifest.path_summary["1"]["steps_completed"] == 64
+    assert not [name for name in os.listdir(out) if name.startswith("path_0001_")]
+    assert not [name for name in manifest.files if name.startswith("path_0001_")]
+    assert "path_0000_diffs.csv" in manifest.files and "path_0002_series.csv" in manifest.files
+    rows = norms_command(out, [0.5], [OrliczSpec.power(2)])
+    assert rows and all(r.n_paths == 2 for r in rows)
 
 
 def test_norms_missing_dir(tmp_path):
