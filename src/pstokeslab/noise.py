@@ -34,8 +34,6 @@ __all__ = [
     "PathRng",
     "sample_increment",
     "apply_G",
-    "ito_isometry_check",
-    "ItoIsometryReport",
 ]
 
 _RHO_PROFILES = {
@@ -145,18 +143,6 @@ class NoiseSpec:
     def rho_values(self, u_values: np.ndarray) -> np.ndarray:
         return _RHO_PROFILES[self.rho](magnitude(u_values))
 
-    def hilbert_schmidt_constant(self) -> float:
-        """sum_j lambda_j^2 ||psi_j||^2 (trace of the covariance)."""
-        if self.mode_count == 0:
-            return 0.0
-        sq = self.grid.cell_area * np.sum(self.modes**2, axis=(1, 2, 3))
-        return float(np.sum(self.lambdas**2 * sq))
-
-    def gram(self) -> np.ndarray:
-        """Gram matrix of the weighted modes lambda_j psi_j in L^2."""
-        J = self.mode_count
-        flat = (self.lambdas[:, None] * self.modes.reshape(J, -1)) if J else np.zeros((0, 0))
-        return self.grid.cell_area * flat @ flat.T
 
 def sample_increment(rng: PathRng, dt: float, mode_count: int) -> WienerIncrement:
     """J independent N(0, dt) draws; deterministic given the stream state."""
@@ -178,67 +164,3 @@ def apply_G(spec: NoiseSpec, u: VectorField, dW: WienerIncrement) -> VectorField
     if spec.rho != "one":
         out = out * spec.rho_values(u.values)[None, :, :]
     return VectorField(spec.grid, out)
-
-
-@dataclass
-class ItoIsometryReport:
-    terminal_mean: float
-    exact_second_moment: float
-    stderr: float
-    zscore: float
-    sup_mean: float
-    integral_value: float
-    sup_to_integral: float
-
-
-def ito_isometry_check(
-    spec: NoiseSpec,
-    u_frozen: VectorField,
-    dt: float,
-    steps: int,
-    paths: int,
-    rng_seed: int = 0,
-) -> ItoIsometryReport:
-    """Monte Carlo check of the stochastic-integral second-moment identity.
-
-    Requires an additive coefficient (rho = one) so the integrand is
-    frozen and E ||I_W(T)||^2 = T sum_j lambda_j^2 ||psi_j||^2 holds
-    exactly.  Uses the Gram matrix of the weighted modes, so the L^2
-    norms are evaluated without assembling fields per sample.
-    """
-    if spec.rho != "one":
-        raise ValueError("isometry check requires the additive profile rho = one")
-    gram = spec.gram()
-    T = dt * steps
-    exact = T * float(np.trace(gram))
-    if spec.mode_count == 0:
-        return ItoIsometryReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.nan)
-    rng = np.random.default_rng(rng_seed)
-    J = spec.mode_count
-    sup_sq = np.zeros(paths)
-    term_sq = np.zeros(paths)
-    block = max(1, int(2e7 // (steps * J)))
-    done = 0
-    while done < paths:
-        b = min(block, paths - done)
-        incr = rng.standard_normal((b, steps, J)) * np.sqrt(dt)
-        B = np.cumsum(incr, axis=1)  # (b, steps, J)
-        quad = np.einsum("bsj,jk,bsk->bs", B, gram, B)
-        sup_sq[done : done + b] = quad.max(axis=1)
-        term_sq[done : done + b] = quad[:, -1]
-        done += b
-    term_mean = float(term_sq.mean())
-    stderr = float(term_sq.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
-    z = (term_mean - exact) / stderr if stderr > 0 else 0.0
-    integral = exact  # frozen integrand: integral of the HS norm is exact
-    sup_mean = float(sup_sq.mean())
-    ratio = sup_mean / integral if integral > 0 else np.nan
-    return ItoIsometryReport(
-        terminal_mean=term_mean,
-        exact_second_moment=exact,
-        stderr=stderr,
-        zscore=float(z),
-        sup_mean=sup_mean,
-        integral_value=integral,
-        sup_to_integral=ratio,
-    )

@@ -27,21 +27,17 @@ the matrix.  These kernels are the ones the stepper runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PotentialParams",
     "phi",
-    "phi_prime",
-    "phi_second",
     "s_tensor",
     "v_tensor",
     "hessian_coeffs",
     "energy",
-    "inequality_report",
-    "InequalityReport",
 ]
 
 
@@ -154,29 +150,6 @@ def _curvatures(params: PotentialParams, t):
     return a2, (p - 1.0) * a2
 
 
-def phi_prime(params: PotentialParams, t):
-    """Derivative phi'(t) = (kappa+t)^(p-2) t."""
-    _check_nonnegative(t)
-    t = np.asarray(t, dtype=float)
-    out = _radial_scale(params, t, params.p - 2.0) * t
-    return out if out.ndim else float(out)
-
-
-def phi_second(params: PotentialParams, t):
-    """Second derivative phi''(t) = (kappa+t)^(p-2) (1 + (p-2) t/(kappa+t)).
-
-    Singular for kappa = 0, p < 2 at t = 0; that combination raises.
-    """
-    _check_nonnegative(t)
-    t = np.asarray(t, dtype=float)
-    if params.kappa == 0.0 and params.p < 2.0 and np.any(t == 0.0):
-        raise ZeroDivisionError(
-            "phi'' is singular at t = 0 for kappa = 0 and p < 2"
-        )
-    out = _curvatures(params, t)[1]
-    return out if out.ndim else float(out)
-
-
 def s_tensor(params: PotentialParams, xi):
     """Stress tensor S(xi) = (kappa+|xi|)^(p-2) xi, |.| Frobenius.
 
@@ -222,109 +195,3 @@ def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
     if not np.all(np.isfinite(values)):
         raise ValueError("strain field contains non-finite entries")
     return float(cell_area * np.add.reduce(phi(params, _frobenius(values)), axis=None))
-
-
-def _tensor_dot(a, b):
-    return np.sum(a * b, axis=(0, 1))
-
-
-def _smallest_pow2_at_least(x: float) -> float:
-    c = 1.0
-    while c < x:
-        c *= 2.0
-    return c
-
-
-@dataclass
-class InequalityReport:
-    """Sampled verification of the monotonicity inequalities."""
-
-    params: PotentialParams
-    n_samples: int
-    ratio_min: float
-    ratio_max: float
-    n_degenerate: int
-    young: dict = field(default_factory=dict)       # delta -> (C, min margin)
-    shift_change: tuple = (np.nan, np.nan)          # (C, min margin) at delta=0.5
-    norm_convention: str = "frobenius"
-
-
-def inequality_report(
-    params: PotentialParams, n_samples: int, rng_seed: int
-) -> InequalityReport:
-    """Sample random matrix pairs/triples and measure inequality constants.
-
-    Reports the observed bracket of the ratio
-
-        (S(P)-S(Q)):(P-Q) / |V(P)-V(Q)|^2
-
-    over random 2x2 pairs spanning several magnitude decades, the smallest
-    power-of-two constants C_delta for which the Young-type bound
-
-        (S(P)-S(Q)):(R-Q) <= delta |V(P)-V(Q)|^2 + C_delta |V(R)-V(Q)|^2
-
-    holds on every sampled triple (delta in {0.1, 0.5, 1}), and likewise
-    the shift-change bound
-
-        phi_{|P|}(t) <= C phi_{|Q|}(t) + 0.5 |V(P)-V(Q)|^2.
-
-    Degenerate pairs (vanishing denominators) are excluded and counted.
-    Brackets are measured, never asserted against theoretical constants.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-
-    def sample_mats(count):
-        mats = rng.standard_normal((count, 2, 2))
-        scale = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
-        return np.moveaxis(mats * scale[:, None, None], 0, -1)
-
-    P = sample_mats(n_samples)
-    Q = sample_mats(n_samples)
-    dS = s_tensor(params, P) - s_tensor(params, Q)
-    dV = v_tensor(params, P) - v_tensor(params, Q)
-    num = _tensor_dot(dS, P - Q)
-    den = _tensor_dot(dV, dV)
-    scale2 = _tensor_dot(P - Q, P - Q)
-    keep = den > 1e-30 * np.maximum(scale2, 1e-300)
-    n_deg = int(n_samples - keep.sum())
-    ratios = num[keep] / den[keep]
-    ratio_min = float(ratios.min()) if ratios.size else np.nan
-    ratio_max = float(ratios.max()) if ratios.size else np.nan
-
-    # Young-type inequality on fresh triples
-    R = sample_mats(n_samples)
-    a = den
-    dVR = v_tensor(params, R) - v_tensor(params, Q)
-    b = _tensor_dot(dVR, dVR)
-    lhs = _tensor_dot(dS, R - Q)
-    ok = b > 1e-30
-    young = {}
-    for delta in (0.1, 0.5, 1.0):
-        need = (lhs[ok] - delta * a[ok]) / b[ok]
-        c_delta = _smallest_pow2_at_least(max(float(need.max(initial=0.0)), 1.0))
-        margin = delta * a[ok] + c_delta * b[ok] - lhs[ok]
-        young[delta] = (c_delta, float(margin.min()))
-
-    # change of shift at delta = 0.5
-    t = np.abs(rng.standard_normal(n_samples)) * 10.0 ** rng.uniform(
-        -2.0, 2.0, size=n_samples
-    )
-    shifts = params.kappa + np.concatenate([_frobenius(P), _frobenius(Q)])
-    lhs_cs, rhs_q = np.split(_phi(params.p, shifts, np.concatenate([t, t])), 2)
-    ok = rhs_q > 1e-300
-    need = (lhs_cs[ok] - 0.5 * a[ok]) / rhs_q[ok]
-    c_cs = _smallest_pow2_at_least(max(float(need.max(initial=0.0)), 1.0))
-    margin = c_cs * rhs_q[ok] + 0.5 * a[ok] - lhs_cs[ok]
-    shift_change = (c_cs, float(margin.min()))
-
-    return InequalityReport(
-        params=params,
-        n_samples=n_samples,
-        ratio_min=ratio_min,
-        ratio_max=ratio_max,
-        n_degenerate=n_deg,
-        young=young,
-        shift_change=shift_change,
-    )

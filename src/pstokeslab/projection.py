@@ -45,9 +45,7 @@ import scipy.sparse.linalg as spla
 from .grid import (
     Grid,
     ScalarField,
-    TensorField,
     VectorField,
-    div_tensor,
     div_vec_values,
     grad_scalar_values,
     lp_norm,
@@ -129,10 +127,6 @@ class HelmholtzProjector:
 
     def project(self, v: VectorField) -> VectorField:
         return self.leray_project(v).div_free
-
-    def project_div_S(self, S_field: TensorField) -> VectorField:
-        """Divergence-free part of the tensor divergence (strong residual)."""
-        return self.project(div_tensor(S_field))
 
 
 class BogovskiiOperator:

@@ -47,13 +47,13 @@ def initial_velocity(grid: Grid, kind: str, scale: float) -> VectorField:
 
 
 def _build_stepper(cfg: ExperimentConfig) -> Stepper:
-    key = (
-        cfg.grid_n, cfg.p, cfg.kappa, cfg.dt, cfg.T, cfg.noise_modes,
-        cfg.noise_decay, cfg.noise_rho, cfg.noise_flavor, cfg.newton_tol,
-        cfg.newton_max_iter, cfg.kappa_reg, cfg.cg_tol, cfg.store_every,
-    )
+    """The worker's stepper for cfg, built once per worker and config.
+
+    Keyed on the whole config, so no field that shapes the stepper can be
+    left out of the key; every job of one run carries an equal config.
+    """
     cached = _WORKER_CACHE.get("stepper")
-    if cached is not None and cached[0] == key:
+    if cached is not None and cached[0] == cfg:
         return cached[1]
     grid = Grid(cfg.grid_n)
     spec = NoiseSpec(
@@ -66,7 +66,7 @@ def _build_stepper(cfg: ExperimentConfig) -> Stepper:
         store_every=cfg.store_every, cg_tol=cfg.cg_tol,
     )
     stepper = Stepper(grid, PotentialParams(cfg.p, cfg.kappa), solver, spec=spec)
-    _WORKER_CACHE["stepper"] = (key, stepper)
+    _WORKER_CACHE["stepper"] = (cfg, stepper)
     return stepper
 
 
@@ -277,19 +277,3 @@ def _write_wiener_table(run_dir: str, rows):
         for index, dt, sup, quan in rows:
             fh.write(f"{index},{dt:.10e},{sup:.10e},{quan:.10e}\n")
 
-
-def wiener_refinement_ratios(rows, paths: int):
-    """Median per-path ratios between consecutive 4x refinements."""
-    by_path: dict = {}
-    for index, dt, sup, quan in rows:
-        by_path.setdefault(index, []).append((dt, sup, quan))
-    per_level_sup: dict = {}
-    per_level_quan: dict = {}
-    for entries in by_path.values():
-        entries.sort(reverse=True)  # coarse -> fine
-        for level, ((_, s0, q0), (_, s1, q1)) in enumerate(zip(entries, entries[1:])):
-            per_level_sup.setdefault(level, []).append(s1 / s0)
-            per_level_quan.setdefault(level, []).append(q1 / q0)
-    med_sup = [float(np.median(per_level_sup[k])) for k in sorted(per_level_sup)]
-    med_quan = [float(np.median(per_level_quan[k])) for k in sorted(per_level_quan)]
-    return med_sup, med_quan

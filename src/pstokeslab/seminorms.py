@@ -9,9 +9,11 @@ increments
 decays with the lag h.  The Nikolskii (fine index infinity) seminorm is
 sup_h h^(-alpha) n(h), approximated on a dyadic lag grid restricted to
 [4 dt, T/8]: below four steps the increments measure scheme noise, above
-T/8 the truncated time window gets too short.  For finite fine index r
-the seminorm integral over h is approximated by the same dyadic grid,
-each level contributing (h^(-alpha) n(h))^r * ln 2.
+T/8 the truncated time window gets too short.  `window_lags` alone
+applies this window, to the `dyadic_lags` at which runs store
+increments, and `seminorm_report` builds every report.  For finite fine
+index r the seminorm integral over h is approximated by the same dyadic
+grid, each level contributing (h^(-alpha) n(h))^r * ln 2.
 
 Luxemburg norms inf{lambda : integral Phi(|x|/lambda) <= 1} are computed
 by Newton's method in s = 1/lambda.  The modular m(s) = integral Phi(s|x|)
@@ -27,7 +29,7 @@ the closed forms exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +40,10 @@ __all__ = [
     "FitResult",
     "luxemburg_norm",
     "difference_path",
+    "dyadic_lags",
+    "window_lags",
+    "seminorm_report",
     "besov_seminorm",
-    "default_lag_grid",
     "fit_exponent",
 ]
 
@@ -57,10 +61,6 @@ class SampledPath:
             raise ValueError("a path needs at least 4 uniformly spaced samples")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-
-    @property
-    def duration(self) -> float:
-        return self.dt * (self.values.size - 1)
 
 
 @dataclass(frozen=True)
@@ -178,16 +178,22 @@ def difference_path(path: SampledPath, m: int) -> SampledPath:
     return SampledPath(path.values[m:] - path.values[:-m], path.dt)
 
 
-def default_lag_grid(path: SampledPath) -> list:
-    """Dyadic lags m with 4 dt <= m dt <= T/8 (clipped to valid range)."""
-    n = path.values.size - 1
-    lags, m = [], 4
-    while m <= max(n // 8, 1) and m < path.values.size - 3:
+def dyadic_lags(n_steps: int) -> list:
+    """Dyadic step lags from 1 up to n_steps // 8 (at least lag 1)."""
+    lags, m = [], 1
+    while m <= max(n_steps // 8, 1):
         lags.append(m)
         m *= 2
-    if not lags:
-        lags = [1]
     return lags
+
+
+def window_lags(lags, n_steps: int) -> list:
+    """The lags m in the fit window 4 <= m <= n_steps // 8, sorted.
+
+    When no lag lies there (fewer than 32 steps) every lag is kept.
+    """
+    lags = sorted(lags)
+    return [m for m in lags if 4 <= m <= n_steps // 8] or lags
 
 
 @dataclass
@@ -198,23 +204,41 @@ class SeminormReport:
     spec_label: str
     h_values: np.ndarray
     norms: np.ndarray
-    sup_terms: np.ndarray = field(default=None)
-    sup_approx: float = np.nan
-    quantity_r: float = np.nan           # r < inf: sum (h^-a n_h)^r ln 2
-    fine_index: float = np.inf
-    dt: float = np.nan
-    duration: float = np.nan
-    degenerate: bool = False
+    sup_terms: np.ndarray            # h^-a n_h
+    sup_approx: float
+    quantity_r: float                # r < inf: sum (h^-a n_h)^r ln 2; nan for r = inf
+    degenerate: bool                 # every norm is zero
 
-    def __post_init__(self):
-        self.h_values = np.asarray(self.h_values, dtype=float)
-        self.norms = np.asarray(self.norms, dtype=float)
-        if self.sup_terms is None:
-            with np.errstate(divide="ignore"):
-                self.sup_terms = self.h_values ** (-self.alpha) * self.norms
-        if np.isnan(self.sup_approx):
-            self.sup_approx = float(self.sup_terms.max(initial=0.0))
-        self.degenerate = bool(np.all(self.norms == 0.0))
+
+def seminorm_report(
+    increments, dt: float, alpha: float, spec: OrliczSpec, fine_index: float = np.inf
+) -> SeminormReport:
+    """Report from (lag in steps, increment series) pairs over one path.
+
+    The pairs are consumed one at a time, so a generator keeps a single
+    increment alive.  A series with fewer than 4 samples has norm 0.
+    """
+    lags, norms = [], []
+    for m, series in increments:
+        lags.append(m)
+        norms.append(luxemburg_norm(SampledPath(series, dt), spec) if series.size >= 4 else 0.0)
+    h_values = np.array(lags, dtype=float) * dt
+    norms = np.array(norms, dtype=float)
+    with np.errstate(divide="ignore"):
+        sup_terms = h_values ** (-alpha) * norms
+    quantity_r = np.nan
+    if np.isfinite(fine_index):
+        quantity_r = float(np.sum(sup_terms**fine_index * math.log(2.0)))
+    return SeminormReport(
+        alpha=alpha,
+        spec_label=spec.label,
+        h_values=h_values,
+        norms=norms,
+        sup_terms=sup_terms,
+        sup_approx=float(sup_terms.max(initial=0.0)),
+        quantity_r=quantity_r,
+        degenerate=bool(np.all(norms == 0.0)),
+    )
 
 
 def besov_seminorm(
@@ -225,30 +249,16 @@ def besov_seminorm(
     fine_index: float = np.inf,
 ) -> SeminormReport:
     """Per-lag increment norms with sup (fine index infinity) or quadrature
-    (finite fine index) aggregation over a dyadic lag grid.
+    (finite fine index) aggregation over the windowed dyadic lag grid.
 
     Enlarging h_set can only increase the sup approximation.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    lags = default_lag_grid(path) if h_set is None else sorted(int(m) for m in h_set)
-    norms = np.array(
-        [luxemburg_norm(difference_path(path, m), spec) for m in lags]
-    )
-    h_values = np.array(lags, dtype=float) * path.dt
-    report = SeminormReport(
-        alpha=alpha,
-        spec_label=spec.label,
-        h_values=h_values,
-        norms=norms,
-        fine_index=fine_index,
-        dt=path.dt,
-        duration=path.duration,
-    )
-    if np.isfinite(fine_index):
-        terms = report.sup_terms**fine_index * math.log(2.0)
-        report.quantity_r = float(np.sum(terms))
-    return report
+    n = path.values.size - 1
+    lags = window_lags(dyadic_lags(n), n) if h_set is None else sorted(int(m) for m in h_set)
+    increments = ((m, difference_path(path, m).values) for m in lags)
+    return seminorm_report(increments, path.dt, alpha, spec, fine_index)
 
 
 @dataclass
@@ -262,18 +272,13 @@ class FitResult:
 
 
 def fit_exponent(report: SeminormReport) -> FitResult:
-    """Least-squares slope of log2(norm) against log2(h) on the fit window.
+    """Least-squares slope of log2(norm) against log2(h) over every positive lag.
 
-    The window [4 dt, T/8] drops lags dominated by scheme noise and lags
-    whose truncated domain is too short.  The half width is twice the
-    standard error of the fitted slope.  All-zero reports are flagged
-    degenerate with an undefined slope.
+    The report's lags are already those of the fit window (`window_lags`).
+    The half width is twice the standard error of the fitted slope.
+    All-zero reports are flagged degenerate with an undefined slope.
     """
-    h_lo = 4.0 * report.dt if np.isfinite(report.dt) else -np.inf
-    h_hi = report.duration / 8.0 if np.isfinite(report.duration) else np.inf
-    keep = (report.norms > 0.0) & (report.h_values >= h_lo) & (report.h_values <= h_hi + 1e-12)
-    if keep.sum() < 4:
-        keep = report.norms > 0.0  # fall back to every positive lag
+    keep = report.norms > 0.0
     if keep.sum() < 2 or report.degenerate:
         return FitResult(np.nan, np.nan, np.nan, np.nan, int(keep.sum()), True)
     x = np.log2(report.h_values[keep])

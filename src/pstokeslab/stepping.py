@@ -86,6 +86,7 @@ from .grid import (
 )
 from .noise import NoiseSpec, PathRng, WienerIncrement, apply_G, sample_increment
 from .projection import BogovskiiOperator, HelmholtzProjector
+from .seminorms import dyadic_lags
 
 __all__ = [
     "SolverConfig",
@@ -182,15 +183,6 @@ class PathTrajectory:
     sup_stress_lpprime: float = 0.0  # max over recorded steps of ||S(eps u)||_{L^{p'}}
     error: str | None = None
     completed: bool = True
-
-
-def dyadic_lags(n_steps: int) -> list:
-    """Dyadic step lags from 1 up to n_steps // 8 (at least lag 1)."""
-    lags, m = [], 1
-    while m <= max(n_steps // 8, 1):
-        lags.append(m)
-        m *= 2
-    return lags
 
 
 class Stepper:
@@ -409,20 +401,6 @@ class Stepper:
         stress = pot.s_tensor(self.params, eps)
         res, pi = self._grad_potential(div_tensor_values(self._D, stress))
         return stress, res, pi
-
-    def strong_residual(self, u: VectorField) -> VectorField:
-        """P div S(eps u): the divergence-free part of the stress divergence."""
-        res = self._stress_terms(sym_grad_values(self._D, u.values))[1]
-        return VectorField(self.grid, res)
-
-    def pressure_det(self, u: VectorField) -> ScalarField:
-        """Deterministic pressure -B*( (I-P) div S(eps u) ); mean-free.
-
-        Computed as the Helmholtz potential of div S, without a Bogovskii
-        solve (module docstring).
-        """
-        pi = self._stress_terms(sym_grad_values(self._D, u.values))[2]
-        return ScalarField(self.grid, pi)
 
     def accumulate_K_sto(
         self, K_prev: ScalarField, u_n: VectorField, dW: WienerIncrement

@@ -17,7 +17,6 @@ from pstokeslab.grid import (
     grad_vec,
     grad_vec_values,
     l2_inner,
-    load_field,
     lp_norm,
     save_field,
     sym_grad,
@@ -25,6 +24,8 @@ from pstokeslab.grid import (
     w12_norm,
     w12_norm_values,
 )
+
+from oracles import load_field
 
 
 def naive_sym_grad(grid, values):

@@ -281,6 +281,7 @@ def test_load_diffs_matches_line_parser(finished_run):
 @pytest.mark.parametrize("body", [
     "u,4,0,1.0\nu,8,0,2.0\nu,4,1,3.0\n",   # (u, 4) split in two blocks
     "u,4,0,1.0\nu,4,1\n",                   # truncated last row
+    "u,4,0,1.0\nX,4,0,2.0\n",               # quantity other than u, V, K
 ])
 def test_load_diffs_rejects_malformed_files(tmp_path, body):
     from pstokeslab.analysis import load_diffs
@@ -290,6 +291,54 @@ def test_load_diffs_rejects_malformed_files(tmp_path, body):
         fh.write("quantity,lag_steps,k,value\n" + body)
     with pytest.raises(ValueError):
         load_diffs(str(tmp_path), 0)
+
+
+def test_fit_writes_one_summary_row_per_alpha(finished_run):
+    summaries = fit_command(finished_run, alphas=[0.25, 0.5], specs=[OrliczSpec.power(2)])
+    with open(os.path.join(finished_run, "fits_u_power2.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "alpha,slope,half_width,h_min,h_max"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.5"]
+    for line in lines[1:]:
+        alpha = float(line.split(",")[0])
+        assert float(line.split(",")[1]) == pytest.approx(
+            summaries[("u", "power(2)", alpha)].slope, rel=1e-9
+        )
+
+
+def _append_unknown_quantity(run_dir):
+    with open(os.path.join(run_dir, "path_0000_diffs.csv"), "a") as fh:
+        fh.write("X,1,0,1.0\n")
+
+
+def _edit_manifest(edit):
+    def corrupt(run_dir):
+        path = RunManifest.manifest_path(run_dir)
+        with open(path) as fh:
+            data = json.load(fh)
+        edit(data)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    return corrupt
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    ("norms", _append_unknown_quantity),
+    ("norms", _edit_manifest(lambda data: data.update(stray=1))),
+    ("fit", _edit_manifest(lambda data: data["config"].pop("dt"))),
+    ("report", _edit_manifest(lambda data: data["path_summary"]["0"].pop("sup_energy"))),
+], ids=["unknown-quantity", "unknown-manifest-key", "config-without-dt", "summary-without-sup_energy"])
+def test_cli_malformed_run_files_are_runtime_errors(finished_run, tmp_path, capsys, command, corrupt):
+    # exit status 2 with one "runtime error:" line naming the file, not a traceback
+    import shutil
+
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(finished_run, run_dir)
+    corrupt(run_dir)
+    capsys.readouterr()
+    assert cli_main([command, "--dir", run_dir]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: ") and run_dir in err[0]
 
 
 def test_report_digest(finished_run):
@@ -542,7 +591,8 @@ def test_zero_noise_zero_initial_run_has_zero_seminorms(tmp_path):
 def test_diff_series_agrees_with_snapshot_recomputation(tmp_path):
     # the streamed difference-norm series must match differences taken
     # on stored full snapshots followed by the spatial reduction
-    from pstokeslab.grid import Grid, VectorField, load_field, lp_norm
+    from oracles import load_field
+    from pstokeslab.grid import Grid, VectorField, lp_norm
 
     out = str(tmp_path / "snap")
     cfg = small_config(out, paths=1, store_every=1, T=2.0**-8 * 32)

@@ -7,9 +7,10 @@ from pstokeslab.noise import (
     PathRng,
     WienerIncrement,
     apply_G,
-    ito_isometry_check,
     sample_increment,
 )
+
+from oracles import ito_isometry_check
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +135,7 @@ def test_ito_single_mode_exact_moment(grid16):
     spec = NoiseSpec(grid16, 1, rho="one")
     u = VectorField(grid16, np.zeros((2, 16, 16)))
     rep = ito_isometry_check(spec, u, dt=1.0 / 64, steps=64, paths=10000, rng_seed=7)
-    assert rep.exact_second_moment == pytest.approx(
-        spec.hilbert_schmidt_constant(), rel=1e-12
-    )
+    exact = spec.lambdas[0] ** 2 * grid16.cell_area * np.sum(spec.modes[0] ** 2)
+    assert rep.exact_second_moment == pytest.approx(exact, rel=1e-12)
     assert abs(rep.zscore) <= 3.0
     assert 1.0 <= rep.sup_to_integral <= 4.5  # Doob bracket plus slack

@@ -6,13 +6,12 @@ from pstokeslab import potential
 from pstokeslab.potential import (
     PotentialParams,
     energy,
-    inequality_report,
     phi,
-    phi_prime,
-    phi_second,
     s_tensor,
     v_tensor,
 )
+
+from oracles import inequality_report, phi_prime, phi_second
 
 
 def quad_phi(p, kappa, t):

@@ -9,12 +9,12 @@ from pstokeslab.grid import (
     TensorField,
     VectorField,
     curl_values,
+    div_tensor,
     div_vec,
     grad_scalar,
     grad_vec,
     l2_inner,
     lp_norm,
-    w12_norm,
 )
 from pstokeslab.projection import BogovskiiOperator, HelmholtzProjector, MeanFreeError
 
@@ -154,12 +154,12 @@ def test_projection_matches_dense_nullspace_oracle(grid16, proj16):
 
 def test_project_div_s_annihilates_pressure_tensors(grid16, proj16):
     rng = np.random.default_rng(4)
-    assert lp_norm(proj16.project_div_S(grid16.tensor()), 2) == 0.0
+    assert lp_norm(proj16.project(div_tensor(grid16.tensor())), 2) == 0.0
     q = rng.standard_normal((16, 16))
     T = np.zeros((2, 2, 16, 16))
     T[0, 0] = q
     T[1, 1] = q
-    out = proj16.project_div_S(TensorField(grid16, T))
+    out = proj16.project(div_tensor(TensorField(grid16, T)))
     scale = lp_norm(grad_scalar(ScalarField(grid16, q)), 2)
     assert lp_norm(out, 2) < 1e-10 * scale
 
@@ -169,7 +169,7 @@ def test_project_div_s_duality(grid16, proj16):
     S_vals = rng.standard_normal((2, 2, 16, 16))
     S_vals = 0.5 * (S_vals + S_vals.transpose(1, 0, 2, 3))
     S = TensorField(grid16, S_vals)
-    R = proj16.project_div_S(S)
+    R = proj16.project(div_tensor(S))
     for _ in range(50):
         xi = VectorField(grid16, rng.standard_normal((2, 16, 16)))
         lhs = l2_inner(R, xi)
@@ -215,7 +215,8 @@ def test_bogovskii_random_meanfree(bog16, grid16):
     w = bog16.apply(gf)
     assert lp_norm(div_vec(w) - gf, 2) < 1e-8 * lp_norm(gf, 2)
     # measured W^{1,2} stability constant is finite and reported
-    c_meas = w12_norm(w) / lp_norm(gf, 2)
+    w12 = np.sqrt(lp_norm(w, 2) ** 2 + lp_norm(grad_vec(w), 2) ** 2)
+    c_meas = w12 / lp_norm(gf, 2)
     assert np.isfinite(c_meas)
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from pstokeslab.analysis import report_for_quantity
 from pstokeslab.seminorms import (
     OrliczSpec,
     SampledPath,
     besov_seminorm,
     difference_path,
+    dyadic_lags,
     fit_exponent,
     luxemburg_norm,
 )
@@ -121,6 +123,23 @@ def test_besov_matches_brute_force_oracle():
     rep = besov_seminorm(path, 0.5, OrliczSpec.power(2), h_set=lags)
     oracle = brute_force_besov_sup(vals, 1 / 256, 0.5, 2.0, lags)
     assert rep.sup_approx == pytest.approx(oracle, rel=1e-10)
+
+
+def test_dyadic_lags():
+    assert dyadic_lags(4096) == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+    assert dyadic_lags(8) == [1]
+
+
+@pytest.mark.parametrize("n", [8, 24, 32, 512])
+def test_besov_default_lags_match_a_stored_run(n):
+    # a path of n steps gets the lags and norms that norms/fit report for
+    # a run of n steps, which stores the increments at dyadic_lags(n)
+    path = SampledPath(np.cumsum(np.random.default_rng(n).standard_normal(n + 1)), 1.0 / n)
+    stored = {m: difference_path(path, m).values for m in dyadic_lags(n)}
+    direct = besov_seminorm(path, 0.5, OrliczSpec.power(2))
+    from_run = report_for_quantity(stored, path.dt, n, 0.5, OrliczSpec.power(2))
+    assert direct.h_values.tolist() == from_run.h_values.tolist()
+    assert direct.norms.tolist() == from_run.norms.tolist()
 
 
 def test_besov_ordering_identity():

@@ -20,7 +20,7 @@ from pstokeslab.noise import NoiseSpec, PathRng, WienerIncrement, apply_G, sampl
 from pstokeslab.potential import PotentialParams, energy, hessian_coeffs, s_tensor, v_tensor
 from pstokeslab.projection import BogovskiiOperator, HelmholtzProjector
 from pstokeslab.runner import initial_velocity
-from pstokeslab.stepping import SolverConfig, StepError, Stepper, dyadic_lags
+from pstokeslab.stepping import SolverConfig, StepError, Stepper
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,12 @@ def grid16():
 def make_stepper(grid, p=2.0, kappa=0.0, dt=1e-3, T=None, spec=None, **kw):
     cfg = SolverConfig(dt=dt, T=T if T is not None else dt * 8, **kw)
     return Stepper(grid, PotentialParams(p, kappa), cfg, spec=spec)
+
+
+def residual_and_pressure(stepper, u):
+    """P div S(eps u) and pi_det of u, as run_path records them."""
+    _, res, pi = stepper._stress_terms(sym_grad_values(stepper.grid.diff_1d, u.values))
+    return VectorField(stepper.grid, res), ScalarField(stepper.grid, pi)
 
 
 def dense_operator(stepper, fn):
@@ -106,7 +112,7 @@ def test_p2_step_matches_dense_oracle(grid8):
 
 def test_strong_residual_zero(grid8):
     stepper = make_stepper(grid8, p=2.5, kappa=0.01)
-    assert lp_norm(stepper.strong_residual(grid8.vector()), 2) == 0.0
+    assert lp_norm(residual_and_pressure(stepper, grid8.vector())[0], 2) == 0.0
 
 
 def test_strong_residual_eigenmode_collinearity(grid8):
@@ -121,7 +127,7 @@ def test_strong_residual_eigenmode_collinearity(grid8):
     lam, vecs = np.linalg.eigh(PAP)
     idx = np.argmax(lam)  # well-separated top eigenpair
     mode = vecs[:, idx]
-    res = stepper.strong_residual(VectorField(grid8, mode.reshape(2, 8, 8)))
+    res = residual_and_pressure(stepper, VectorField(grid8, mode.reshape(2, 8, 8)))[0]
     expect = -lam[idx] * mode
     defect = np.linalg.norm(res.values.ravel() - expect) / np.linalg.norm(expect)
     assert defect < 1e-6
@@ -131,8 +137,7 @@ def test_strong_residual_duality(grid16):
     stepper = make_stepper(grid16, p=2.5, kappa=0.01)
     rng = np.random.default_rng(0)
     u = VectorField(grid16, rng.standard_normal((2, 16, 16)))
-    res = stepper.strong_residual(u)
-    from pstokeslab.grid import sym_grad_values
+    res = residual_and_pressure(stepper, u)[0]
     from pstokeslab.grid import TensorField
 
     stress = TensorField(grid16, s_tensor(stepper.params, sym_grad_values(grid16.diff_1d, u.values)))
@@ -147,7 +152,7 @@ def test_strong_residual_duality(grid16):
 
 def test_pressure_det_zero(grid8):
     stepper = make_stepper(grid8, p=2.5, kappa=0.01)
-    out = stepper.pressure_det(grid8.vector())
+    out = residual_and_pressure(stepper, grid8.vector())[1]
     assert np.all(out.values == 0.0)
 
 
@@ -156,9 +161,9 @@ def test_pressure_det_defining_identity(grid16):
     stepper = make_stepper(grid16, p=2.5, kappa=0.01)
     rng = np.random.default_rng(1)
     u = VectorField(grid16, 0.5 * rng.standard_normal((2, 16, 16)))
-    pi = stepper.pressure_det(u)
+    pi = residual_and_pressure(stepper, u)[1]
     assert abs(pi.values.mean()) < 1e-12
-    from pstokeslab.grid import TensorField, sym_grad_values
+    from pstokeslab.grid import TensorField
 
     stress = TensorField(grid16, s_tensor(stepper.params, sym_grad_values(grid16.diff_1d, u.values)))
     for _ in range(20):
@@ -271,7 +276,7 @@ def test_pressures_equal_bogovskii_adjoint_oracle(n):
     u = VectorField(grid, rng.standard_normal((2, n, n)))
     stress = s_tensor(stepper.params, sym_grad_values(grid.diff_1d, u.values))
     expected = oracle(div_tensor_values(grid.diff_1d, stress))
-    assert rel(stepper.pressure_det(u).values, expected) < 1e-12
+    assert rel(residual_and_pressure(stepper, u)[1].values, expected) < 1e-12
     dW = sample_increment(PathRng(n, 0), 1e-3, 8)
     K1 = stepper.accumulate_K_sto(grid.scalar(), u, dW)
     assert rel(K1.values, oracle(apply_G(spec, u, dW).values)) < 1e-12
@@ -385,11 +390,6 @@ def test_gradient_matches_finite_differences(grid16):
         fd = (objective(v + eps_fd * d) - objective(v - eps_fd * d)) / (2 * eps_fd)
         exact = stepper._inner(grad_full, d)
         assert abs(fd - exact) <= 1e-5 * max(abs(exact), 1e-8)
-
-
-def test_dyadic_lags():
-    assert dyadic_lags(4096) == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
-    assert dyadic_lags(8) == [1]
 
 
 @pytest.mark.parametrize("n, p, kappa, rho, u0_kind", [

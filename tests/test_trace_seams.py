@@ -3,8 +3,8 @@
 bench/tracing.py counts calls by swapping module attributes and
 subclassing the stepper and projector.  A refactor that routes around
 one of those seams leaves the run correct but zeroes its per-layer
-metric without a word; this test runs a tiny traced run and fails then.
-bench/ is only imported, never changed.
+metric without a word; this test runs a tiny traced run and its norms
+and fit, and fails then.  bench/ is only imported, never changed.
 """
 
 import importlib.util
@@ -12,8 +12,9 @@ import os
 
 import pytest
 
-from pstokeslab import runner
+from pstokeslab import analysis, runner
 from pstokeslab.config import ExperimentConfig
+from pstokeslab.seminorms import OrliczSpec
 from pstokeslab.runner import run_experiment
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -26,6 +27,10 @@ SEAMS = (
     "projection.helmholtz",
     "potential.phi",
     "noise.apply_G",
+    "seminorms.luxemburg.power",
+    "seminorms.luxemburg.phi2",
+    "seminorms.modular_evals",
+    "analysis.load_diffs",
 )
 
 
@@ -52,8 +57,11 @@ def test_traced_run_counts_every_seam(tmp_path, monkeypatch, rho, apply_g_per_st
     span_dir = tmp_path / "spans"
     span_dir.mkdir()
     tracer = tracing.Tracer()
+    specs = [OrliczSpec.power(2), OrliczSpec.phi2()]
     with tracing.installed(tracer, str(span_dir)):
         manifest = run_experiment(cfg)
+        analysis.norms_command(cfg.out_dir, [0.5], specs)
+        analysis.fit_command(cfg.out_dir, [0.5], specs)
     assert manifest.status == "ok"
     _, counts = tracing.collect(tracer, str(span_dir))
     missing = [name for name in SEAMS if counts.get(name, 0) == 0]
@@ -61,3 +69,4 @@ def test_traced_run_counts_every_seam(tmp_path, monkeypatch, rho, apply_g_per_st
     assert counts["stepping.run_path"] == 1
     assert counts["stepping.step"] == counts["stepping.accumulate_K_sto"] == steps
     assert counts["noise.apply_G"] == apply_g_per_step * steps
+    assert counts["analysis.load_diffs"] == 2  # one path, read by norms and by fit
