@@ -20,6 +20,8 @@ from .seminorms import (
     OrliczSpec,
     SeminormReport,
     fit_exponent,
+    lag_norms,
+    report_from_norms,
     seminorm_report,
     window_lags,
 )
@@ -123,8 +125,9 @@ def _path_fits(run_dir: str, alphas, specs):
     """Per path and quantity: (spec, alpha, report, fit) for every pair.
 
     Yields (index, quantity, results) in path order; the loop shared by
-    norms_command and fit_command.  Paths whose manifest status is not
-    "ok" are truncated and stay out of the reports and medians.
+    norms_command and fit_command.  Each spec's Luxemburg norms are taken
+    once and weighed with every alpha.  Paths whose manifest status is
+    not "ok" are truncated and stay out of the reports and medians.
     """
     manifest = RunManifest.read(run_dir)
     dt = float(manifest.config["dt"])
@@ -138,10 +141,13 @@ def _path_fits(run_dir: str, alphas, specs):
         for quantity in QUANTITIES:
             if not diffs[quantity]:
                 continue
+            series = diffs[quantity]
+            lags = window_lags(series, n_steps)
             results = []
             for spec in specs:
+                norms = lag_norms(((m, series[m]) for m in lags), dt, spec)
                 for alpha in alphas:
-                    rep = report_for_quantity(diffs[quantity], dt, n_steps, alpha, spec)
+                    rep = report_from_norms(*norms, alpha, spec)
                     results.append((spec, alpha, rep, fit_exponent(rep)))
             yield index, quantity, results
 
@@ -283,7 +289,8 @@ def report_command(run_dir: str) -> str:
 
 
 def _solver_line(summaries) -> str:
-    """Step-weighted solver means, throughput and phase times over all paths."""
+    """Step-weighted solver means, throughput, phase times and batch sizes
+    over all paths."""
     steps = sum(s["steps_completed"] for s in summaries)
     per_step = {
         key: sum(s[key] * s["steps_completed"] for s in summaries) / max(steps, 1)
@@ -294,10 +301,13 @@ def _solver_line(summaries) -> str:
         for name in ("step", "record", "K", "write")
     )
     ms = 1e3 * sum(s["seconds"] for s in summaries) / max(steps, 1)
+    # a path's seconds are its share of its batch's time (README)
+    batches = sorted({s["batch_paths"] for s in summaries if "batch_paths" in s})
+    batched = f"; batches of {', '.join(map(str, batches))} paths" if batches else ""
     return (
         f"solver: {per_step['newton_per_step']:.3f} Newton, "
         f"{per_step['cg_per_step']:.3f} CG, "
         f"{per_step['backtracks_per_step']:.3f} backtracks, "
         f"{per_step['roundoff_per_step']:.3f} round-off steps per step; "
-        f"{ms:.3g} ms per step over {steps} steps ({phases})"
+        f"{ms:.3g} ms per step over {steps} steps ({phases}){batched}"
     )

@@ -91,7 +91,7 @@ def _phi(p, k, t):
             x = t / k  # k = 0 entries give inf or nan and keep the closed form
     else:
         x = t / k
-    small = x < 0.5
+    small = x < SERIES_BELOW
     if small.all():
         out = _phi_series(p, k, x)
     else:
@@ -101,6 +101,10 @@ def _phi(p, k, t):
         if small.any():
             out[small] = _phi_series(p, k[small] if per_entry else k, x[small])
     return float(out[0]) if scalar else out
+
+
+# phi sums its binomial series on the entries with t/kappa below this
+SERIES_BELOW = 0.5
 
 
 def _phi_series(p, k, xs):
@@ -113,7 +117,7 @@ def _phi_series(p, k, xs):
     for j in range(120):
         term = c * xs * xs / (j + 2.0)
         total += term
-        if np.max(np.abs(term)) <= 1e-18 * max(np.max(total), 1e-300):
+        if np.abs(term).max() <= 1e-18 * max(total.max(), 1e-300):
             break
         c = c * xs * ((p - 2.0 - j) / (j + 1.0))
     return k**p * total
@@ -183,7 +187,12 @@ def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
 
     eps_field is either a TensorField (cell_area inferred from its grid)
     or a raw array whose two leading axes are the 2x2 matrix components,
-    in which case cell_area must be given.
+    in which case cell_area must be given.  A raw (2, 2, B, n, n) array
+    is a batch of B strain fields and gives one energy per field, each
+    with the bits of its own call: phi's series stops on the largest
+    term of its call, so it is summed once per field on that field's
+    small entries, and the closed form, which is nodewise, once over the
+    other entries of the whole batch.
     """
     values = getattr(eps_field, "values", eps_field)
     if cell_area is None:
@@ -194,4 +203,17 @@ def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("strain field contains non-finite entries")
-    return float(cell_area * np.add.reduce(phi(params, _frobenius(values)), axis=None))
+    t = _frobenius(values)
+    if values.ndim != 5:
+        return float(cell_area * np.add.reduce(phi(params, t), axis=None))
+    k = params.kappa
+    small = t / k < SERIES_BELOW if k > 0.0 else np.zeros(t.shape, dtype=bool)
+    if not small.any():
+        vals = phi(params, t)
+    else:
+        vals = np.empty_like(t)
+        if not small.all():
+            vals[~small] = phi(params, t[~small])
+        for b in np.flatnonzero(small.any(axis=(1, 2))):
+            vals[b][small[b]] = phi(params, t[b][small[b]])
+    return cell_area * np.add.reduce(vals.reshape(len(vals), -1), axis=1)

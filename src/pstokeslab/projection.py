@@ -92,14 +92,19 @@ class HelmholtzProjector:
 
     # -- array-level core ---------------------------------------------
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (A G + G A) = rhs with zero-mean gauge; rhs mean-free."""
+        """Solve (A G + G A) = rhs with zero-mean gauge; rhs mean-free.
+
+        Leading axes of rhs are a batch of independent right-hand sides.
+        """
         U = self._U
         c = U.T @ rhs @ U
         c /= self._den
-        c[0, 0] = 0.0
+        c[..., 0, 0] = 0.0
         return U @ c @ U.T
 
     def project_values(self, v: np.ndarray):
+        """(P v, (I-P) v, potential) of v, shaped (2, ...) with any batch
+        axes between the component axis and the grid axes."""
         D = self.grid.diff_1d
         G = self.solve_neumann(-div_vec_values(D, v))
         v_grad = grad_scalar_values(D, G)

@@ -3,8 +3,16 @@
 Paths are embarrassingly parallel: each worker owns its stepper and its
 output files (single writer per file), and every path's randomness is a
 function of (master_seed, path_index) alone, so outputs are independent
-of worker count and scheduling.  The manifest is written up front in
-pending state and atomically finalised with content digests.
+of worker count and scheduling.  The paths are split into one contiguous
+part per worker, and each part into blocks of at most
+max(1, BATCH_CELLS // n^2) paths; a worker steps each block in lockstep
+(stepping module docstring), which gives every path the bits of its own
+run.  A path's `seconds` is its share of its block's stepping time, in
+proportion to the steps it completed, plus its own write time, so the
+seconds of all paths add up to the workers' busy time.  An exception
+while a block is set up fails that block's paths and no other.  The
+manifest is written up front in pending state and atomically finalised
+with content digests.
 """
 
 from __future__ import annotations
@@ -70,6 +78,33 @@ def _build_stepper(cfg: ExperimentConfig) -> Stepper:
     return stepper
 
 
+# Largest batch a worker steps in lockstep, in paths times grid cells: a
+# block holds at most max(1, BATCH_CELLS // n^2) paths.  Speed-up per
+# path-step over one path at a time (one process, BLAS at one thread,
+# 256 steps of 16 additive modes from rest, p = 2.5):
+#
+#   B       2     4     8     16    32
+#   n = 8   1.26  1.95  2.80  3.80  4.37
+#   n = 16  1.16  1.50  1.75  2.14  2.23
+#   n = 32  1.09  1.21  1.27  1.28  1.23
+#   n = 64  0.94  0.99  0.97
+#
+# Past B n^2 = 4096 the gain flattens, and at n = 64 a batch is slower.
+BATCH_CELLS = 4096
+
+
+def path_blocks(paths: int, workers: int, n: int) -> list:
+    """(first path, path count) of each block: the paths split into one
+    contiguous part per worker, each part split evenly into batches of at
+    most max(1, BATCH_CELLS // n^2) paths."""
+    cap = max(1, BATCH_CELLS // (n * n))
+    blocks = []
+    for part in np.array_split(np.arange(paths), min(workers, paths)):
+        for chunk in np.array_split(part, -(-part.size // cap)):
+            blocks.append((int(chunk[0]), int(chunk.size)))
+    return blocks
+
+
 def series_path(run_dir: str, index: int) -> str:
     return os.path.join(run_dir, f"path_{index:04d}_series.csv")
 
@@ -110,26 +145,16 @@ def _per_step(counts, steps: int) -> float:
     return float(counts[1:].sum() / steps) if steps else 0.0
 
 
-def _path_worker(args):
-    cfg_dict, index, run_dir = args
-    cfg = ExperimentConfig(**cfg_dict)
-    stepper = _build_stepper(cfg)
-    u0 = initial_velocity(stepper.grid, cfg.u0_kind, cfg.u0_scale)
-    rng = PathRng(cfg.master_seed, index)
-    started = time.perf_counter()
-    traj = stepper.run_path(u0, rng)
-    status = "ok" if traj.completed else f"failed: {traj.error}"
-    written = time.perf_counter()
-    try:
-        _write_trajectory(run_dir, index, traj, stepper.grid)
-    except Exception as exc:  # a failed write ends this path only
-        _remove_path_files(run_dir, index)
-        status = f"failed: writing files: {type(exc).__name__}: {exc}"
-    finished = time.perf_counter()
-    dt = cfg.dt
+def _path_summary(traj, dt: float, seconds: float, write_s: float, batch: int) -> dict:
+    """Monitors, solver health and time shares of one path.
+
+    seconds is the path's share of its block's stepping time plus its own
+    write time, so the seconds of all paths add up to the workers' busy
+    time.
+    """
     steps = max(traj.times.size - 1, 0)
     phases = {f"{name}_s": secs for name, secs in traj.phase_seconds.items()}
-    summary = {
+    return {
         "sup_energy": float(traj.energy.max(initial=0.0)),
         "initial_energy": float(traj.energy[0]) if traj.energy.size else 0.0,
         "dissipation_integral": float(dt * np.sum(traj.residual_l2**2)),
@@ -138,17 +163,64 @@ def _path_worker(args):
         "sup_pressure_det_lpprime": float(traj.pressure_det_lp.max(initial=0.0)),
         "sup_k_sto_w12": float(traj.k_sto_w12.max(initial=0.0)),
         "steps_completed": int(steps),
-        "seconds": finished - started,
+        "seconds": seconds,
         # solver health and throughput, per completed step
         "newton_per_step": _per_step(traj.newton_iterations, steps),
         "cg_per_step": _per_step(traj.cg_iterations, steps),
         "backtracks_per_step": _per_step(traj.backtracks, steps),
         "roundoff_per_step": _per_step(traj.roundoff_steps, steps),
-        "ms_per_step": 1e3 * (finished - started) / steps if steps else 0.0,
+        "ms_per_step": 1e3 * seconds / steps if steps else 0.0,
         **phases,
-        "write_s": finished - written,
+        "write_s": write_s,
+        "batch_paths": batch,
     }
-    return index, status, summary
+
+
+def _setup_failure_summary(batch: int) -> dict:
+    """A path summary with zero in every field: the path never started."""
+    zeros = (
+        "sup_energy", "initial_energy", "dissipation_integral", "sup_velocity_l2",
+        "sup_stress_lpprime", "sup_pressure_det_lpprime", "sup_k_sto_w12", "seconds",
+        "newton_per_step", "cg_per_step", "backtracks_per_step", "roundoff_per_step",
+        "ms_per_step", "step_s", "record_s", "K_s", "write_s",
+    )
+    return {**dict.fromkeys(zeros, 0.0), "steps_completed": 0, "batch_paths": batch}
+
+
+def _path_worker(args):
+    """One block of paths: set up, stepped in lockstep, then written path by path.
+
+    args is (config dict, first path index, run directory, path count);
+    returns (index, status, summary) per path in path order.  An
+    exception while setting up, before the first step, fails every path
+    of the block with a "setup:" status; the run goes on.
+    """
+    cfg_dict, first, run_dir, count = args
+    cfg = ExperimentConfig(**cfg_dict)
+    indices = range(first, first + count)
+    try:
+        stepper = _build_stepper(cfg)
+        u0 = initial_velocity(stepper.grid, cfg.u0_kind, cfg.u0_scale)
+        rngs = [PathRng(cfg.master_seed, index) for index in indices]
+        started = time.perf_counter()
+        trajs = stepper.run_path(u0, rngs)
+    except Exception as exc:  # set-up failure: this block's paths only
+        status = f"failed: setup: {type(exc).__name__}: {exc}"
+        return [(index, status, _setup_failure_summary(count)) for index in indices]
+    stepped = time.perf_counter() - started
+    results = []
+    for index, traj in zip(indices, trajs):
+        status = "ok" if traj.completed else f"failed: {traj.error}"
+        written = time.perf_counter()
+        try:
+            _write_trajectory(run_dir, index, traj, stepper.grid)
+        except Exception as exc:  # a failed write ends this path only
+            _remove_path_files(run_dir, index)
+            status = f"failed: writing files: {type(exc).__name__}: {exc}"
+        write_s = time.perf_counter() - written
+        seconds = stepped * traj.time_share + write_s
+        results.append((index, status, _path_summary(traj, cfg.dt, seconds, write_s, count)))
+    return results
 
 
 def _remove_path_files(run_dir: str, index: int):
@@ -213,16 +285,17 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | None = None) -> RunMani
         return manifest
 
     cfg_dict = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-    jobs = [(cfg_dict, i, run_dir) for i in range(cfg.paths)]
     failures = 0
     if cfg.paths:
         workers = cfg.workers or min(os.cpu_count() or 1, cfg.paths)
+        jobs = [(cfg_dict, first, run_dir, count)
+                for first, count in path_blocks(cfg.paths, workers, cfg.grid_n)]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_path_worker, jobs))
         else:
-            results = [ _path_worker(job) for job in jobs ]
-        for index, status, summary in results:
+            results = [_path_worker(job) for job in jobs]
+        for index, status, summary in (row for block in results for row in block):
             manifest.path_status[str(index)] = status
             manifest.path_summary[str(index)] = summary
             if status != "ok":

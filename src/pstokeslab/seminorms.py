@@ -11,7 +11,9 @@ sup_h h^(-alpha) n(h), approximated on a dyadic lag grid restricted to
 [4 dt, T/8]: below four steps the increments measure scheme noise, above
 T/8 the truncated time window gets too short.  `window_lags` alone
 applies this window, to the `dyadic_lags` at which runs store
-increments, and `seminorm_report` builds every report.  For finite fine
+increments, and `seminorm_report` builds every report: `lag_norms` takes
+the Luxemburg norm of each lag's increments, which does not depend on
+alpha, and `report_from_norms` weighs them with alpha.  For finite fine
 index r the seminorm integral over h is approximated by the same dyadic
 grid, each level contributing (h^(-alpha) n(h))^r * ln 2.
 
@@ -43,6 +45,8 @@ __all__ = [
     "dyadic_lags",
     "window_lags",
     "seminorm_report",
+    "lag_norms",
+    "report_from_norms",
     "besov_seminorm",
     "fit_exponent",
 ]
@@ -213,7 +217,12 @@ class SeminormReport:
 def seminorm_report(
     increments, dt: float, alpha: float, spec: OrliczSpec, fine_index: float = np.inf
 ) -> SeminormReport:
-    """Report from (lag in steps, increment series) pairs over one path.
+    """Report from (lag in steps, increment series) pairs over one path."""
+    return report_from_norms(*lag_norms(increments, dt, spec), alpha, spec, fine_index)
+
+
+def lag_norms(increments, dt: float, spec: OrliczSpec):
+    """(h values, Luxemburg norms) of (lag in steps, increment series) pairs.
 
     The pairs are consumed one at a time, so a generator keeps a single
     increment alive.  A series with fewer than 4 samples has norm 0.
@@ -222,8 +231,13 @@ def seminorm_report(
     for m, series in increments:
         lags.append(m)
         norms.append(luxemburg_norm(SampledPath(series, dt), spec) if series.size >= 4 else 0.0)
-    h_values = np.array(lags, dtype=float) * dt
-    norms = np.array(norms, dtype=float)
+    return np.array(lags, dtype=float) * dt, np.array(norms, dtype=float)
+
+
+def report_from_norms(
+    h_values, norms, alpha: float, spec: OrliczSpec, fine_index: float = np.inf
+) -> SeminormReport:
+    """Report of the per-lag norms at smoothness alpha."""
     with np.errstate(divide="ignore"):
         sup_terms = h_values ** (-alpha) * norms
     quantity_r = np.nan

@@ -62,6 +62,27 @@ differences come from one ring array per quantity holding the last
 max(lag) + 1 states; each step takes the norms of all its lags in one
 batched reduction per quantity.  The trajectory keeps the solver counts
 of every step and the time spent stepping, recording and accumulating K.
+
+A block of B paths is stepped in lockstep.  Its fields carry the
+component axes first and the batch axis next: (2, B, n, n) for
+velocities, (2, 2, B, n, n) for strains and (B, n, n) for scalars.
+`step` and `accumulate_K_sto` take such a batch with one increment per
+path, and `run_path` makes one of each call and one record per time
+step.  Newton, CG and the line search keep a path in the lockstep until
+its own loop would stop it, and gather the others to go on, so every
+path takes its own iterations and keeps the bits of its own run: the
+grid kernels, the projection and phi's closed form act on each member as
+on one path; inner products and norms sum each path over its own
+contiguous entries of a batch-first copy; phi's series, which stops on
+the largest term of its call, runs once per path on that path's small
+entries; and the noise products stay one dot per path, as a batched
+product would round differently.  A block of one path, or a batch whose
+other paths have failed, runs the single-path step and records without
+the batch axis, which the batch's per-path arrays would slow.  When a
+batched time step raises,
+it is redone one path at a time from the saved state with the increments
+already drawn, so a path fails alone.  Its paths share the block's time
+in proportion to the steps they completed.
 """
 
 from __future__ import annotations
@@ -146,6 +167,14 @@ class SolverConfig:
 
 @dataclass
 class StepReport:
+    """Solver results of one step.
+
+    For a batch every field holds one entry per path, except
+    `iterations`, which is the batch's total Newton iterations, so that
+    summed over calls it counts Newton iterations per path-step as for
+    one path; `path_iterations` then holds each path's own count.
+    """
+
     iterations: int
     v_distance_sq: float
     grad_norm: float
@@ -159,6 +188,7 @@ class StepReport:
     J: float
     strain: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
+    path_iterations: np.ndarray | None = None
 
 
 @dataclass
@@ -183,6 +213,37 @@ class PathTrajectory:
     sup_stress_lpprime: float = 0.0  # max over recorded steps of ||S(eps u)||_{L^{p'}}
     error: str | None = None
     completed: bool = True
+    # share of its block's time: its steps completed over the block's;
+    # phase_seconds are already scaled by it
+    time_share: float = 1.0
+
+
+# axis orders that put the batch axis of a batched vector or tensor field
+# first; a fixed transpose costs a fraction of np.moveaxis
+_BATCH_FIRST = {3: (0, 1, 2), 4: (1, 0, 2, 3), 5: (2, 0, 1, 3, 4)}
+
+
+def _batch_first(x):
+    """View of a batched field with its batch axis (third from last) first."""
+    return x.transpose(_BATCH_FIRST[x.ndim])
+
+
+def _take(x, idx):
+    """Members idx of a batched field; None takes all of them."""
+    return x if idx is None else x[..., idx, :, :]
+
+
+def _put(x, idx, values):
+    """x with its members idx set to values; None replaces x outright."""
+    if idx is None:
+        return values
+    x[..., idx, :, :] = values
+    return x
+
+
+def _members(keep, *arrays):
+    """The members where keep holds, of per-path arrays and batched fields."""
+    return [x[keep] if x.ndim == 1 else x[..., keep, :, :] for x in arrays]
 
 
 class Stepper:
@@ -230,12 +291,51 @@ class Stepper:
         return self.projector.project_values(v)[0]
 
     def _grad_potential(self, v):
-        """P v and the mean-free q with (I-P) v = grad q; B*((I-P) v) = -q."""
+        """P v and the mean-free q with (I-P) v = grad q; B*((I-P) v) = -q.
+
+        On a batch each path's q loses its own mean."""
         div_free, _, q = self.projector.project_values(v)
-        return div_free, q - q.mean()
+        if q.ndim == 2:
+            return div_free, q - q.mean()
+        means = np.add.reduce(q.reshape(len(q), -1), axis=1) / q[0].size
+        return div_free, q - means[:, None, None]
 
     def _inner(self, a, b):
         return self._area * float(np.add.reduce(a * b, axis=None))
+
+    def _inner_batch(self, a, b):
+        """_inner per path of two batched fields, with the bits of _inner.
+
+        Each path's products are summed over its own contiguous entries of
+        a batch-first copy, as np.add.reduce(..., axis=None) sums them.
+        """
+        prod = _batch_first(a * b)
+        return self._area * np.add.reduce(prod.reshape(len(prod), -1), axis=1)
+
+    def _lp_norms(self, mags, r):
+        """lp_norm per path of nodewise magnitudes (B, n, n), bit for bit.
+
+        The root is taken per path on a float64 scalar, as lp_norm takes
+        it: NumPy's array power may round differently.
+        """
+        sums = self._area * np.add.reduce((mags**r).reshape(len(mags), -1), axis=1)
+        return np.array([s ** (1.0 / r) for s in sums])
+
+    def _forcing(self, u, dW):
+        """G(u_b) dW_b of each path of a batch: one apply_G per path."""
+        out = np.empty_like(u)
+        for b, inc in enumerate(dW):
+            out[:, b] = apply_G(self.spec, VectorField(self.grid, u[:, b]), inc).values
+        return out
+
+    def _k_increment(self, dW):
+        """Additive K increment sum_j dW_j k_j of one path.
+
+        One dot per path, the one tensordot(z, k_modes, 1) makes: a batched
+        product would not give each path its bits.
+        """
+        n = self.grid.n
+        return np.dot(dW.z.reshape(1, -1), self._k_modes).reshape(n, n)
 
     def _grad_energy(self, eps):
         """Gradient of J in the weighted L^2 product at strain eps: -div S(eps)."""
@@ -254,8 +354,15 @@ class Stepper:
         return np.negative(out, out=out)
 
     # -- public operations ---------------------------------------------
-    def step(self, u_n: VectorField, dW: WienerIncrement | None):
-        """One implicit step; returns (u_next, StepReport)."""
+    def step(self, u_n: VectorField, dW):
+        """One implicit step; returns (u_next, StepReport).
+
+        u_n of shape (2, n, n) is one path with one increment dW (or
+        None); shape (2, B, n, n) is a batch of B paths with a sequence of
+        B increments, which _step_batch steps in lockstep.
+        """
+        if u_n.values.ndim == 4:
+            return self._step_batch(u_n, dW)
         cfg = self.config
         dt = cfg.dt
         u = u_n.values
@@ -392,6 +499,174 @@ class Stepper:
             rs = rs_new
         return self._project(x), iterations
 
+    def _step_batch(self, u_n: VectorField, dW):
+        """step() on a batch: Newton, CG and line search in lockstep.
+
+        Every path takes the iterations of its own step() and gets its
+        bits: the kernels act on each member as on one path, and a path
+        leaves the lockstep where its own loop stops, with the others
+        gathered to go on.  Raises StepError for the first path that fails.
+        """
+        cfg = self.config
+        dt = cfg.dt
+        u = u_n.values
+        B = u.shape[1]
+        if dW is not None and self.spec is not None and self.spec.mode_count > 0:
+            r = u + self._project(self._forcing(u, dW))
+        else:
+            r = u
+
+        def objective(v, r):
+            diff = v - r
+            eps = sym_grad_values(self._D, v)
+            J = pot.energy(self.params, eps, self._area)
+            return dt * J + 0.5 * self._inner_batch(diff, diff), eps, J
+
+        v = r.copy()
+        phi0, eps, J_v = objective(v, r)
+        phi_v = phi0.copy()
+        V_v = np.empty_like(eps)  # filled as each path moves, else at the end
+        vdist = np.full(B, np.inf)
+        grad_norm = np.full(B, np.inf)
+        converged = np.zeros(B, dtype=bool)
+        iterations, cg_iterations, backtracks, roundoff_steps = np.zeros((4, B), dtype=int)
+        failures = [f"Newton did not converge in {cfg.newton_max_iter} iterations"] * B
+        act = np.arange(B)  # paths still iterating
+        for it in range(cfg.newton_max_iter):
+            if not act.size:
+                break
+            idx = None if act.size == B else act
+            v_a, r_a, eps_a, phi_a = _take(v, idx), _take(r, idx), _take(eps, idx), phi_v[act]
+            g = self._project(dt * self._grad_energy(eps_a)) + (v_a - r_a)
+            gn = np.sqrt(self._inner_batch(g, g))
+            grad_norm[act] = gn
+            floor = 1e-14 * (1.0 + np.sqrt(self._inner_batch(v_a, v_a)))
+            go = ~(gn <= np.maximum(floor, 1e-14 * (1.0 + np.abs(phi_a))))
+            if not go.all():
+                converged[act[~go]] = True
+                act, g, gn, floor, v_a, r_a, eps_a, phi_a = _members(
+                    go, act, g, gn, floor, v_a, r_a, eps_a, phi_a)
+                if not act.size:
+                    break
+            a1, a2, unit = pot.hessian_coeffs(self._hess_params, eps_a)
+            forcing = max(FIRST_CG_TOL, cfg.cg_tol) if it == 0 else cfg.cg_tol
+            delta, cg_its = self._cg_solve_batch(a1, a2, unit, g, dt, floor, forcing)
+            cg_iterations[act] += cg_its
+            predicted = -self._inner_batch(g, delta)
+            go = ~(predicted <= floor * gn)
+            if not go.all():
+                converged[act[~go]] = True
+                act, delta, predicted, v_a, r_a, eps_a, phi_a = _members(
+                    go, act, delta, predicted, v_a, r_a, eps_a, phi_a)
+                if not act.size:
+                    break
+            cand = v_a + delta
+            phi_c, eps_c, J_c = objective(cand, r_a)
+            full = (predicted <= ROUNDOFF_RTOL * np.abs(phi_a)) & (phi_c <= phi0[act])
+            roundoff_steps[act[full]] += 1
+            alpha = np.ones(act.size)
+            search = ~full & ~(phi_c <= phi_a - 1e-4 * alpha * predicted)
+            stalled = np.zeros(act.size, dtype=bool)
+            while search.any():
+                alpha[search] *= 0.5
+                backtracks[act[search]] += 1
+                stalled |= search & (alpha <= 1e-14)
+                search &= ~stalled
+                s = np.flatnonzero(search)
+                if not s.size:
+                    break
+                cand_s = v_a[:, s] + alpha[s, None, None] * delta[:, s]
+                phi_c[s], eps_c[:, :, s], J_c[s] = objective(cand_s, r_a[:, s])
+                cand[:, s] = cand_s
+                search[s] = ~(phi_c[s] <= phi_a[s] - 1e-4 * alpha[s] * predicted[s])
+            if stalled.any():
+                for b in act[stalled]:
+                    failures[b] = f"line search stalled in Newton iteration {it + 1}"
+                act, cand, phi_c, eps_c, J_c, eps_a = _members(
+                    ~stalled, act, cand, phi_c, eps_c, J_c, eps_a)
+                if not act.size:
+                    break
+            idx = None if act.size == B else act
+            V_a = pot.v_tensor(self.params, eps_a) if it == 0 else _take(V_v, idx)
+            V_c = pot.v_tensor(self.params, eps_c)
+            dv = V_c - V_a
+            v, eps, V_v = _put(v, idx, cand), _put(eps, idx, eps_c), _put(V_v, idx, V_c)
+            phi_v[act], J_v[act] = phi_c, J_c
+            iterations[act] = it + 1
+            vdist[act] = self._inner_batch(dv, dv)
+            done = vdist[act] <= cfg.newton_tol
+            converged[act[done]] = True
+            act = act[~done]
+        still = iterations == 0
+        if still.any():
+            V_v[..., still, :, :] = pot.v_tensor(self.params, eps[..., still, :, :])
+        report = StepReport(
+            iterations=int(iterations.sum()),
+            v_distance_sq=np.where(np.isfinite(vdist), vdist, 0.0),
+            grad_norm=grad_norm,
+            phi_initial=phi0,
+            phi_final=phi_v,
+            converged=converged,
+            cg_iterations=cg_iterations,
+            backtracks=backtracks,
+            roundoff_steps=roundoff_steps,
+            J=J_v,
+            strain=eps,
+            V=V_v,
+            path_iterations=iterations,
+        )
+        if not converged.all():
+            b = int(np.flatnonzero(~converged)[0])
+            raise StepError(
+                f"path {b} of the batch: {failures[b]}; last V-distance^2 = "
+                f"{vdist[b]:.3e}, gradient norm = {grad_norm[b]:.3e}",
+                report,
+            )
+        return VectorField(self.grid, v), report
+
+    def _cg_solve_batch(self, a1, a2, unit, g, dt, floor, tol):
+        """_cg_solve on a batch, floor per path: each path iterates and
+        stops as in its own solve; the others go on gathered."""
+        x_out = np.zeros_like(g)
+        its = np.zeros(g.shape[1], dtype=int)
+        act = np.arange(g.shape[1])
+        x = np.zeros_like(g)
+        res = -g
+        p_dir = res.copy()
+        rs = self._inner_batch(res, res)
+        target = np.maximum(tol**2 * rs, floor**2)
+        go = rs > target
+        for _ in range(self.config.cg_max_iter):
+            if not go.all():
+                x_out[:, act[~go]] = x[:, ~go]
+                act, a1, a2, unit, x, res, p_dir, rs, target = _members(
+                    go, act, a1, a2, unit, x, res, p_dir, rs, target)
+            if not act.size:
+                break
+            hw = self._hessian_apply(a1, a2, unit, p_dir)
+            hw *= dt
+            hw += p_dir
+            Ap = self._project(hw)
+            denom = self._inner_batch(p_dir, Ap)
+            go = ~(denom <= 1e-12 * self._inner_batch(p_dir, p_dir))
+            if not go.all():
+                x_out[:, act[~go]] = x[:, ~go]
+                act, a1, a2, unit, x, res, p_dir, rs, target, Ap, denom = _members(
+                    go, act, a1, a2, unit, x, res, p_dir, rs, target, Ap, denom)
+                if not act.size:
+                    break
+            its[act] += 1
+            alpha = (rs / denom)[:, None, None]
+            x += alpha * p_dir
+            res -= alpha * Ap
+            rs_new = self._inner_batch(res, res)
+            p_dir *= (rs_new / rs)[:, None, None]
+            p_dir += res
+            rs = rs_new
+            go = rs > target
+        x_out[:, act] = x
+        return self._project(x_out), its
+
     def _stress_terms(self, eps):
         """S(eps), the strong residual P div S and pi_det.
 
@@ -402,31 +677,45 @@ class Stepper:
         res, pi = self._grad_potential(div_tensor_values(self._D, stress))
         return stress, res, pi
 
-    def accumulate_K_sto(
-        self, K_prev: ScalarField, u_n: VectorField, dW: WienerIncrement
-    ) -> ScalarField:
+    def accumulate_K_sto(self, K_prev: ScalarField, u_n: VectorField, dW) -> ScalarField:
         """K_next = K_prev - B*( (I-P) G(u_n) dW ); stays mean-free.
 
         The increment is the potential of the gradient part of G(u_n) dW
-        (module docstring).
+        (module docstring).  On a batch, K_prev (B, n, n) and u_n
+        (2, B, n, n) with a sequence of B increments, each path's
+        increment is formed as for one path.
         """
         if self.spec is None or self.spec.mode_count == 0:
             return K_prev
+        batch = u_n.values.ndim == 4
         if self._k_modes is not None:
-            # the one dot that tensordot(z, k_modes, 1) makes, without its wrapper
-            incr = np.dot(dW.z.reshape(1, -1), self._k_modes).reshape(self.grid.n, self.grid.n)
+            incr = np.array([self._k_increment(inc) for inc in dW]) if batch else self._k_increment(dW)
         else:
-            incr = self._grad_potential(apply_G(self.spec, u_n, dW).values)[1]
+            forcing = self._forcing(u_n.values, dW) if batch else apply_G(self.spec, u_n, dW).values
+            incr = self._grad_potential(forcing)[1]
         return ScalarField(self.grid, K_prev.values + incr)
 
-    def run_path(self, u0: VectorField, rng: PathRng) -> PathTrajectory:
-        """Integrate one sample path and collect all monitored series.
+    def run_path(self, u0: VectorField, rng):
+        """Integrate one sample path, or a block of paths in lockstep.
 
-        An exception raised while stepping or recording, the initial
-        state's record included, ends this path only: the trajectory keeps
-        the steps recorded so far, `completed` is False and `error` names
-        the step and the exception.
+        rng is one PathRng, which gives one PathTrajectory, or a sequence
+        of them, which gives a list of trajectories in the same order.  A
+        block of B > 1 paths makes one batched step() and
+        accumulate_K_sto() call and one batched record per time step, and
+        each path gets the bits of its own run.  An exception raised while
+        stepping or recording, the initial state's record included, ends
+        the failing path only: a batched time step that raises is redone
+        one path at a time with the single-path step, from the saved
+        state and with the increments already drawn.  A failed path's
+        trajectory keeps the steps recorded so far, `completed` is False
+        and `error` names the step and the exception.  An initial
+        velocity that fails its checks raises ValueError.
         """
+        block = isinstance(rng, (list, tuple))
+        trajs = self._run_block(u0, list(rng) if block else [rng])
+        return trajs if block else trajs[0]
+
+    def _run_block(self, u0: VectorField, rngs: list) -> list:
         cfg = self.config
         n_steps = cfg.n_steps
         lags = dyadic_lags(n_steps)
@@ -434,121 +723,213 @@ class Stepper:
         n = self.grid.n
         p = self.params.p
         p_conj = p / (p - 1.0)
+        B = len(rngs)
+        D, area = self._D, self._area
 
-        times = np.arange(n_steps + 1) * cfg.dt
-        energy = np.zeros(n_steps + 1)
-        res_l2 = np.zeros(n_steps + 1)
-        u_l2 = np.zeros(n_steps + 1)
-        pi_lp = np.zeros(n_steps + 1)
-        k_w12 = np.zeros(n_steps + 1)
-        newton_its = np.zeros(n_steps + 1)
-        cg_its = np.zeros(n_steps + 1)
-        backtracks = np.zeros(n_steps + 1)
-        roundoff_steps = np.zeros(n_steps + 1)
-        stress_lp = np.zeros(n_steps + 1)
-
-        # state k sits at k % depth; the lag-m difference of step k is entry k - m
-        rings = {
-            "u": np.zeros((depth, 2, n, n)),
-            "V": np.zeros((depth, 2, 2, n, n)),
-            "K": np.zeros((depth, n, n)),
-        }
-        # row i holds the lag-lags[i] differences; step k writes entry k - lags[i]
-        lag_steps = np.array(lags)
-        diffs = {q: np.zeros((len(lags), n_steps + 1)) for q in rings}
-
-        def record(k, u_vals, eps, Vt, J, K_field):
-            stress, res, pi = self._stress_terms(eps)
-            energy[k] = J
-            res_l2[k] = np.sqrt(self._inner(res, res))
-            u_l2[k] = np.sqrt(self._inner(u_vals, u_vals))
-            pi_lp[k] = lp_norm(ScalarField(self.grid, pi), p_conj)
-            k_w12[k] = w12_norm(K_field)
-            stress_lp[k] = lp_norm(TensorField(self.grid, stress), p_conj)
-            m = lag_steps[lag_steps <= k]
-            rows = np.arange(m.size)
-            for q, latest in (("u", u_vals), ("V", Vt), ("K", K_field.values)):
-                rings[q][k % depth] = latest
-                if not m.size:
-                    continue
-                d = latest - rings[q][(k - m) % depth]
-                if q == "K":
-                    diffs[q][rows, k - m] = w12_norm_values(self._D, self._area, d)
-                else:
-                    sq = np.add.reduce((d * d).reshape(m.size, -1), axis=1)
-                    diffs[q][rows, k - m] = np.sqrt(self._area * sq)
-
-        div_u0 = lp_norm(
-            ScalarField(self.grid, div_vec_values(self._D, u0.values)), 2
-        )
+        div_u0 = lp_norm(ScalarField(self.grid, div_vec_values(D, u0.values)), 2)
         if div_u0 > 1e-8 * (1.0 + lp_norm(u0, 2)):
             raise ValueError(f"initial velocity is not divergence-free: {div_u0:.3e}")
         if not np.all(np.isfinite(u0.values)):
             raise ValueError("initial velocity contains non-finite entries")
 
-        u = VectorField(self.grid, u0.values.copy())
-        K = self.grid.scalar()
-        snapshots = []
-        error = None
-        recorded = 0
+        # row b of each series is path b; entry k is step k
+        energy, res_l2, u_l2, pi_lp, k_w12, stress_lp = np.zeros((6, B, n_steps + 1))
+        newton_its, cg_its, backtracks, roundoff_steps = np.zeros((4, B, n_steps + 1))
+        # state k of path b sits at [k % depth, b]; the lag-m difference of step k
+        # is entry k - m
+        rings = {
+            "u": np.zeros((depth, B, 2, n, n)),
+            "V": np.zeros((depth, B, 2, 2, n, n)),
+            "K": np.zeros((depth, B, n, n)),
+        }
+        # [b, i] holds path b's lag-lags[i] differences
+        lag_steps = np.array(lags)
+        diffs = {q: np.zeros((B, len(lags), n_steps + 1)) for q in rings}
+
+        def record(k, idx, u_vals, eps, Vt, J, K_vals):
+            """Record step k of the paths idx (None: all B) from their batched
+            velocity, strain, V, energies and K."""
+            stress, res, pi = self._stress_terms(eps)
+            who = slice(None) if idx is None else idx
+            energy[who, k] = J
+            res_l2[who, k] = np.sqrt(self._inner_batch(res, res))
+            u_l2[who, k] = np.sqrt(self._inner_batch(u_vals, u_vals))
+            pi_lp[who, k] = self._lp_norms(np.abs(pi), p_conj)
+            k_w12[who, k] = w12_norm_values(D, area, K_vals)
+            stress_lp[who, k] = self._lp_norms(
+                np.sqrt(np.add.reduce(stress**2, axis=(0, 1))), p_conj
+            )
+            m = lag_steps[lag_steps <= k]
+            rows = np.arange(m.size)
+            one = len(J) == 1
+            for q, latest in (("u", u_vals), ("V", Vt), ("K", K_vals)):
+                if one:
+                    # one path works on its own ring rows without the batch
+                    # axis, which took 8 % longer per step at n = 32
+                    b = 0 if idx is None else idx[0]
+                    ring, cur = rings[q][:, b], latest[..., 0, :, :]
+                    ring[k % depth] = cur
+                    d = cur - ring[(k - m) % depth]
+                    dest = (b, rows, k - m)
+                else:
+                    slot = rings[q][k % depth]
+                    slot[who] = _batch_first(latest)
+                    prev = rings[q][(k - m) % depth]
+                    d = slot - prev if idx is None else slot[idx] - prev[:, idx]
+                    dest = (slice(None) if idx is None else idx[:, None], rows, k - m)
+                if not m.size:
+                    continue
+                if q == "K":
+                    norms = w12_norm_values(D, area, d)
+                else:
+                    lead = d.shape[: 1 if one else 2]
+                    norms = np.sqrt(area * np.add.reduce((d * d).reshape(lead + (-1,)), axis=-1))
+                diffs[q][dest] = norms if one else norms.T
+
+        def initial():
+            eps = sym_grad_values(D, u0.values)
+            return eps, pot.v_tensor(self.params, eps), pot.energy(self.params, eps, area)
+
+        u = np.repeat(u0.values[:, None], B, axis=1)
+        K = np.zeros((B, n, n))
         clock = time.perf_counter
         phases = {"step": 0.0, "record": 0.0, "K": 0.0}
-        modes = self.spec.mode_count if self.spec is not None else 0
-        for k in range(n_steps + 1):
-            dW = sample_increment(rng, cfg.dt, modes) if k and modes > 0 else None
-            try:
+
+        def batch_step(k, live, dW):
+            """Time step k of the paths live as one batch; returns the
+            failure message of each path whose velocity is not finite."""
+            idx = None if len(live) == B else np.array(live)
+            failed = {}
+            t0 = clock()
+            if k == 0:
+                eps, Vt, J = initial()
+                shape = (len(live), n, n)
+                u_new = np.broadcast_to(u0.values[:, None], (2,) + shape)
+                eps = np.broadcast_to(eps[:, :, None], (2, 2) + shape)
+                Vt = np.broadcast_to(Vt[:, :, None], (2, 2) + shape)
+                J = np.full(len(live), J)
+                K_new = _take(K, idx)
+            else:
+                u_n, K_new = _take(u, idx), _take(K, idx)
+                if dW is not None:
+                    K_new = self.accumulate_K_sto(
+                        ScalarField(self.grid, K_new), VectorField(self.grid, u_n), dW
+                    ).values
+                t1 = clock()
+                phases["K"] += t1 - t0
+                u_next, rep = self.step(VectorField(self.grid, u_n), dW)
                 t0 = clock()
-                if k == 0:
-                    eps = sym_grad_values(self._D, u.values)
-                    Vt = pot.v_tensor(self.params, eps)
-                    J = pot.energy(self.params, eps, self._area)
-                else:
-                    if dW is not None:
-                        K = self.accumulate_K_sto(K, u, dW)
-                    t1 = clock()
-                    phases["K"] += t1 - t0
-                    u, rep = self.step(u, dW)
-                    t0 = clock()
-                    phases["step"] += t0 - t1
-                    if not np.all(np.isfinite(u.values)):
-                        error = f"step {k}: non-finite velocity"
-                        break
-                    newton_its[k] = rep.iterations
-                    cg_its[k] = rep.cg_iterations
-                    backtracks[k] = rep.backtracks
-                    roundoff_steps[k] = rep.roundoff_steps
-                    eps, Vt, J = rep.strain, rep.V, rep.J
-                record(k, u.values, eps, Vt, J, K)
-                phases["record"] += clock() - t0
-            except Exception as exc:  # any failure ends this path only
-                kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
-                error = f"step {k}: {kind}{exc}"
+                phases["step"] += t0 - t1
+                u_new, eps, Vt, J = u_next.values, rep.strain, rep.V, rep.J
+                who = slice(None) if idx is None else idx
+                newton_its[who, k] = rep.path_iterations
+                cg_its[who, k] = rep.cg_iterations
+                backtracks[who, k] = rep.backtracks
+                roundoff_steps[who, k] = rep.roundoff_steps
+                finite = np.isfinite(u_new).all(axis=(0, 2, 3))
+                if not finite.all():
+                    failed = {b: "non-finite velocity" for b, f in zip(live, finite) if not f}
+                    idx = np.array([b for b, f in zip(live, finite) if f])
+                    u_new, eps, Vt, J, K_new = _members(finite, u_new, eps, Vt, J, K_new)
+            if idx is None or idx.size:
+                record(k, idx, u_new, eps, Vt, J, K_new)
+                u[:, slice(None) if idx is None else idx] = u_new
+                K[slice(None) if idx is None else idx] = K_new
+            phases["record"] += clock() - t0
+            return failed
+
+        def solo_step(k, b, dW):
+            """Time step k of path b alone with the single-path step; returns
+            a failure message, or None."""
+            t0 = clock()
+            K_b = K[b]
+            if k == 0:
+                u_b = u0.values
+                eps, Vt, J = initial()
+            else:
+                u_n = VectorField(self.grid, np.ascontiguousarray(u[:, b]))
+                if dW is not None:
+                    K_b = self.accumulate_K_sto(ScalarField(self.grid, K_b), u_n, dW).values
+                t1 = clock()
+                phases["K"] += t1 - t0
+                u_next, rep = self.step(u_n, dW)
+                t0 = clock()
+                phases["step"] += t0 - t1
+                u_b = u_next.values
+                if not np.all(np.isfinite(u_b)):
+                    return "non-finite velocity"
+                newton_its[b, k] = rep.iterations
+                cg_its[b, k] = rep.cg_iterations
+                backtracks[b, k] = rep.backtracks
+                roundoff_steps[b, k] = rep.roundoff_steps
+                eps, Vt, J = rep.strain, rep.V, rep.J
+            record(k, None if B == 1 else np.array([b]), u_b[:, None], eps[:, :, None],
+                   Vt[:, :, None], np.array([J]), K_b[None])
+            u[:, b] = u_b
+            K[b] = K_b
+            phases["record"] += clock() - t0
+            return None
+
+        snapshots = [[] for _ in range(B)]
+        errors = [None] * B
+        recorded = np.zeros(B, dtype=int)
+        modes = self.spec.mode_count if self.spec is not None else 0
+        live = list(range(B))
+        for k in range(n_steps + 1):
+            if not live:
                 break
-            recorded = k + 1
+            dW = [sample_increment(rngs[b], cfg.dt, modes) for b in live] if k and modes else None
+            solo, failed = live, {}
+            if len(live) > 1:
+                try:
+                    solo, failed = [], batch_step(k, live, dW)
+                except Exception:  # redone one path at a time below
+                    solo, failed = live, {}
+            for j, b in enumerate(solo):
+                try:
+                    reason = solo_step(k, b, None if dW is None else dW[j])
+                except Exception as exc:  # any failure ends this path only
+                    kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
+                    reason = f"{kind}{exc}"
+                if reason is not None:
+                    failed[b] = reason
+            for b, reason in failed.items():
+                errors[b] = f"step {k}: {reason}"
+            live = [b for b in live if errors[b] is None]
+            recorded[live] = k + 1
             if cfg.store_every > 0 and k % cfg.store_every == 0:
-                snapshots.append((k, u.values.copy()))
-        trim = recorded
-        return PathTrajectory(
-            times=times[:trim],
-            energy=energy[:trim],
-            residual_l2=res_l2[:trim],
-            velocity_l2=u_l2[:trim],
-            # ||V(eps u_k) - V(eps u_{k-1})|| is the lag-1 difference of V
-            v_increment=np.concatenate([[0.0], diffs["V"][0]])[:trim],
-            pressure_det_lp=pi_lp[:trim],
-            k_sto_w12=k_w12[:trim],
-            newton_iterations=newton_its[:trim],
-            cg_iterations=cg_its[:trim],
-            backtracks=backtracks[:trim],
-            roundoff_steps=roundoff_steps[:trim],
-            diff_lags=lags,
-            diffs={
-                q: {m: diffs[q][i, : max(trim - m, 0)] for i, m in enumerate(lags)}
-                for q in diffs
-            },
-            phase_seconds=phases,
-            snapshots=snapshots,
-            sup_stress_lpprime=float(stress_lp[:trim].max(initial=0.0)),
-            error=error,
-            completed=error is None,
-        )
+                for b in live:
+                    snapshots[b].append((k, u[:, b].copy()))
+
+        times = np.arange(n_steps + 1) * cfg.dt
+        steps = np.maximum(recorded - 1, 0)
+        trajs = []
+        for b in range(B):
+            trim = recorded[b]
+            share = float(steps[b] / steps.sum()) if steps.sum() else 1.0 / B
+            trajs.append(PathTrajectory(
+                times=times[:trim],
+                energy=energy[b, :trim],
+                residual_l2=res_l2[b, :trim],
+                velocity_l2=u_l2[b, :trim],
+                # ||V(eps u_k) - V(eps u_{k-1})|| is the lag-1 difference of V
+                v_increment=np.concatenate([[0.0], diffs["V"][b, 0]])[:trim],
+                pressure_det_lp=pi_lp[b, :trim],
+                k_sto_w12=k_w12[b, :trim],
+                newton_iterations=newton_its[b, :trim],
+                cg_iterations=cg_its[b, :trim],
+                backtracks=backtracks[b, :trim],
+                roundoff_steps=roundoff_steps[b, :trim],
+                diff_lags=lags,
+                diffs={
+                    q: {m: diffs[q][b, i, : max(trim - m, 0)] for i, m in enumerate(lags)}
+                    for q in diffs
+                },
+                phase_seconds={name: secs * share for name, secs in phases.items()},
+                snapshots=snapshots[b],
+                sup_stress_lpprime=float(stress_lp[b, :trim].max(initial=0.0)),
+                error=errors[b],
+                completed=errors[b] is None,
+                time_share=share,
+            ))
+        return trajs

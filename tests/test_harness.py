@@ -13,7 +13,8 @@ from pstokeslab.config import (
     parse_config_text,
     sha256_file,
 )
-from pstokeslab import runner
+from pstokeslab import runner, seminorms
+from pstokeslab.noise import PathRng, sample_increment
 from pstokeslab.runner import run_experiment
 from pstokeslab.seminorms import OrliczSpec
 from pstokeslab.stepping import StepError, Stepper
@@ -154,6 +155,21 @@ def test_selftest_kind_writes_report(tmp_path):
     manifest = run_experiment(cfg)
     assert manifest.status == "ok"
     assert os.path.exists(os.path.join(cfg.out_dir, "selftest.txt"))
+
+
+@pytest.mark.parametrize("paths, workers, n, blocks", [
+    (8, 2, 16, [(0, 4), (4, 4)]),
+    (32, 2, 16, [(0, 16), (16, 16)]),
+    (40, 1, 32, [(0, 4), (4, 4), (8, 4), (12, 4), (16, 4), (20, 4), (24, 4), (28, 4),
+                 (32, 4), (36, 4)]),
+    (5, 1, 32, [(0, 3), (3, 2)]),
+    (3, 2, 64, [(0, 1), (1, 1), (2, 1)]),
+    (3, 8, 8, [(0, 1), (1, 1), (2, 1)]),
+])
+def test_path_blocks_are_contiguous_and_capped(paths, workers, n, blocks):
+    # one part per worker, each split evenly into batches of at most
+    # BATCH_CELLS // n^2 paths
+    assert runner.path_blocks(paths, workers, n) == blocks
 
 
 def test_measured_budget_32_paths(tmp_path):
@@ -306,6 +322,18 @@ def test_fit_writes_one_summary_row_per_alpha(finished_run):
         )
 
 
+def test_each_luxemburg_norm_is_taken_once_for_all_alphas(finished_run, monkeypatch):
+    # 3 paths x 3 quantities x 1 spec x 4 window lags (4..32 of 256 steps):
+    # the norms do not depend on alpha, so two alphas take 36 norms, not 72
+    calls = []
+    norm = seminorms.luxemburg_norm
+    monkeypatch.setattr(seminorms, "luxemburg_norm", lambda *a: calls.append(1) or norm(*a))
+    for command in (norms_command, fit_command):
+        calls.clear()
+        command(finished_run, [0.25, 0.5], [OrliczSpec.power(2)])
+        assert len(calls) == 36, command.__name__
+
+
 def _append_unknown_quantity(run_dir):
     with open(os.path.join(run_dir, "path_0000_diffs.csv"), "a") as fh:
         fh.write("X,1,0,1.0\n")
@@ -347,24 +375,47 @@ def test_report_digest(finished_run):
     assert "status: ok" in text
 
 
+def increment_owners(cfg):
+    """(path, step) of every Wiener increment a run of cfg draws, keyed by
+    its bytes: each path draws one increment per step from its own stream."""
+    owners = {}
+    for index in range(cfg.paths):
+        rng = PathRng(cfg.master_seed, index)
+        for k in range(1, int(round(cfg.T / cfg.dt)) + 1):
+            owners[sample_increment(rng, cfg.dt, cfg.noise_modes).z.tobytes()] = (index, k)
+    return owners
+
+
+def served(owners, dW):
+    """(path, step) pairs that one step() call serves: runner steps a block
+    of paths as one batch with a list of increments, and redoes a batch
+    that raised one path at a time."""
+    return [owners[inc.z.tobytes()] for inc in (dW if isinstance(dW, list) else [dW])]
+
+
+def per_path(rep, name):
+    """One StepReport count per path served, for a batch or a single path."""
+    if rep.path_iterations is None:
+        return [getattr(rep, name)]
+    return getattr(rep, "path_iterations" if name == "iterations" else name)
+
+
 def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch, capsys):
     # path 1 stops at step 5 and keeps its truncated files; the reports,
     # medians and fits are those of paths 0 and 2 alone
-    class StopsPathOne(Stepper):
-        def run_path(self, u0, rng):
-            self.stop_at, self.steps = (5 if rng.path_index == 1 else None), 0
-            return super().run_path(u0, rng)
+    out = str(tmp_path / "one_failed")
+    cfg = small_config(out, paths=3)
+    owners = increment_owners(cfg)
 
+    class StopsPathOne(Stepper):
         def step(self, u_n, dW):
-            self.steps += 1
-            if self.steps == self.stop_at:
+            if (1, 5) in served(owners, dW):
                 raise StepError("stopped")
             return super().step(u_n, dW)
 
     monkeypatch.setattr(runner, "Stepper", StopsPathOne)
     monkeypatch.setattr(runner, "_WORKER_CACHE", {})
-    out = str(tmp_path / "one_failed")
-    manifest = run_experiment(small_config(out, paths=3))
+    manifest = run_experiment(cfg)
     assert manifest.path_status["1"].startswith("failed: step 5")
     assert os.path.exists(os.path.join(out, "path_0001_series.csv"))
     rows = norms_command(out, [0.5], [OrliczSpec.power(2)])
@@ -390,28 +441,25 @@ def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch, capsys):
 def test_path_summary_solver_health_and_report(tmp_path, monkeypatch):
     # per-step means of the StepReport counts, throughput and phase
     # times per path; report prints them and each failed path's reason
-    sums = {}
+    out = str(tmp_path / "health")
+    cfg = small_config(out, paths=3, p=2.0, kappa=0.0)
+    owners = increment_owners(cfg)
+    sums = {index: [0, 0, 0] for index in range(3)}
 
     class CountsReports(Stepper):
-        def run_path(self, u0, rng):
-            self.path = rng.path_index
-            self.stop_at, self.steps = (5 if rng.path_index == 1 else None), 0
-            sums[self.path] = [0, 0, 0]
-            return super().run_path(u0, rng)
-
         def step(self, u_n, dW):
-            self.steps += 1
-            if self.steps == self.stop_at:
+            paths = served(owners, dW)
+            if (1, 5) in paths:
                 raise StepError("stopped")
             u, rep = super().step(u_n, dW)
-            for i, count in enumerate((rep.iterations, rep.cg_iterations, rep.backtracks)):
-                sums[self.path][i] += count
+            for i, name in enumerate(("iterations", "cg_iterations", "backtracks")):
+                for (path, _), count in zip(paths, per_path(rep, name)):
+                    sums[path][i] += count
             return u, rep
 
     monkeypatch.setattr(runner, "Stepper", CountsReports)
     monkeypatch.setattr(runner, "_WORKER_CACHE", {})
-    out = str(tmp_path / "health")
-    manifest = run_experiment(small_config(out, paths=3, p=2.0, kappa=0.0))
+    manifest = run_experiment(cfg)
     for index, summary in manifest.path_summary.items():
         steps = summary["steps_completed"]
         assert steps == (4 if index == "1" else 64)
@@ -423,34 +471,40 @@ def test_path_summary_solver_health_and_report(tmp_path, monkeypatch):
         phases = [summary[f"{name}_s"] for name in ("step", "record", "K", "write")]
         assert all(t > 0.0 for t in phases)
         assert sum(phases) <= summary["seconds"]
+        assert summary["batch_paths"] == 3
     lines = report_command(out).splitlines()
     solver = [ln for ln in lines if ln.startswith("solver: ")]
     assert len(solver) == 1 and "ms per step over 132 steps" in solver[0]
+    # one worker steps the three paths as one batch; each path's seconds
+    # are its share of the batch's time
+    assert solver[0].endswith("; batches of 3 paths")
     assert "failed path 1: step 5: stopped" in lines
 
 
 def test_roundoff_steps_reach_path_summary_and_report(tmp_path, monkeypatch):
     # the steps the round-off rule took without the Armijo test, per path
     # and per step in the trajectory, summed into path_summary and report
-    sums = {}
+    out = str(tmp_path / "roundoff")
+    cfg = small_config(out, paths=2)
+    owners = increment_owners(cfg)
+    sums = {0: 0, 1: 0}
 
     class CountsRoundoff(Stepper):
-        def run_path(self, u0, rng):
-            self.path = rng.path_index
-            sums[self.path] = 0
-            traj = super().run_path(u0, rng)
-            assert traj.roundoff_steps[1:].sum() == sums[self.path]
-            return traj
+        def run_path(self, u0, rngs):
+            trajs = super().run_path(u0, rngs)
+            for rng, traj in zip(rngs, trajs):
+                assert traj.roundoff_steps[1:].sum() == sums[rng.path_index]
+            return trajs
 
         def step(self, u_n, dW):
             u, rep = super().step(u_n, dW)
-            sums[self.path] += rep.roundoff_steps
+            for (path, _), count in zip(served(owners, dW), per_path(rep, "roundoff_steps")):
+                sums[path] += count
             return u, rep
 
     monkeypatch.setattr(runner, "Stepper", CountsRoundoff)
     monkeypatch.setattr(runner, "_WORKER_CACHE", {})
-    out = str(tmp_path / "roundoff")
-    manifest = run_experiment(small_config(out, paths=2))
+    manifest = run_experiment(cfg)
     assert all(total > 0 for total in sums.values())
     for index, summary in manifest.path_summary.items():
         assert summary["roundoff_per_step"] == sums[int(index)] / 64
@@ -462,21 +516,19 @@ def test_roundoff_steps_reach_path_summary_and_report(tmp_path, monkeypatch):
 def test_path_exception_other_than_step_error_fails_that_path_only(tmp_path, monkeypatch):
     # a ValueError inside path 1's step (as potential.energy raises on a
     # non-finite candidate) fails that path alone; the run finishes
-    class RaisesOnPathOne(Stepper):
-        def run_path(self, u0, rng):
-            self.fail_at, self.steps = (3 if rng.path_index == 1 else None), 0
-            return super().run_path(u0, rng)
+    out = str(tmp_path / "value_error")
+    cfg = small_config(out, paths=3)
+    owners = increment_owners(cfg)
 
+    class RaisesOnPathOne(Stepper):
         def step(self, u_n, dW):
-            self.steps += 1
-            if self.steps == self.fail_at:
+            if (1, 3) in served(owners, dW):
                 raise ValueError("non-finite candidate")
             return super().step(u_n, dW)
 
     monkeypatch.setattr(runner, "Stepper", RaisesOnPathOne)
     monkeypatch.setattr(runner, "_WORKER_CACHE", {})
-    out = str(tmp_path / "value_error")
-    manifest = run_experiment(small_config(out, paths=3))
+    manifest = run_experiment(cfg)
     assert manifest.status == "1 paths failed"
     assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
     assert manifest.path_status["1"] == "failed: step 3: ValueError: non-finite candidate"
@@ -487,21 +539,26 @@ def test_path_exception_other_than_step_error_fails_that_path_only(tmp_path, mon
 def test_exception_while_recording_fails_that_path_only(tmp_path, monkeypatch):
     # record() of step 3 raises in path 1 (its fourth stress evaluation,
     # after steps 0..2); the trajectory keeps steps 0..2, the run finishes
+    out = str(tmp_path / "record_error")
+    cfg = small_config(out, paths=3)
+    owners = increment_owners(cfg)
+
     class RecordFailsOnPathOne(Stepper):
-        def run_path(self, u0, rng):
-            self.fail_at, self.calls = (4 if rng.path_index == 1 else None), 0
-            return super().run_path(u0, rng)
+        # the paths of the latest step, which the next record() records
+        latest = ()
+
+        def step(self, u_n, dW):
+            self.latest = served(owners, dW)
+            return super().step(u_n, dW)
 
         def _stress_terms(self, eps):
-            self.calls += 1
-            if self.calls == self.fail_at:
+            if (1, 3) in self.latest:
                 raise FloatingPointError("overflow in the stress")
             return super()._stress_terms(eps)
 
     monkeypatch.setattr(runner, "Stepper", RecordFailsOnPathOne)
     monkeypatch.setattr(runner, "_WORKER_CACHE", {})
-    out = str(tmp_path / "record_error")
-    manifest = run_experiment(small_config(out, paths=3))
+    manifest = run_experiment(cfg)
     assert manifest.status == "1 paths failed"
     assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
     assert manifest.path_status["1"] == "failed: step 3: FloatingPointError: overflow in the stress"
@@ -518,13 +575,14 @@ def test_exception_while_recording_the_initial_state_fails_that_path_only(
     # record() of step 0 raises in path 1 (its first stress evaluation):
     # that path records nothing and fails alone, the run finishes
     class InitialRecordFails(Stepper):
-        def run_path(self, u0, rng):
-            self.fail, self.calls = rng.path_index == 1, 0
-            return super().run_path(u0, rng)
+        def run_path(self, u0, rngs):
+            # the initial state is recorded once for the whole block and,
+            # as that raises, once per path in block order
+            self.order = [None] + [rng.path_index for rng in rngs]
+            return super().run_path(u0, rngs)
 
         def _stress_terms(self, eps):
-            self.calls += 1
-            if self.fail and self.calls == 1:
+            if self.order and self.order.pop(0) in (None, 1):
                 raise FloatingPointError("overflow in the stress")
             return super()._stress_terms(eps)
 
@@ -543,6 +601,53 @@ def test_exception_while_recording_the_initial_state_fails_that_path_only(
     assert "failed path 1: step 0: FloatingPointError: overflow in the stress" in (
         report_command(out).splitlines()
     )
+
+
+def test_setup_exception_fails_only_its_blocks_paths(tmp_path, monkeypatch):
+    # an exception before the first step (stepper, initial velocity,
+    # random streams) fails every path of its block with a "setup:"
+    # status; the run finishes and its manifest lists the other blocks'
+    # files
+    def broken_velocity(grid, kind, scale):
+        raise FloatingPointError("overflow in the initial velocity")
+
+    monkeypatch.setattr(runner, "initial_velocity", broken_velocity)
+    out = str(tmp_path / "setup_error")
+    manifest = run_experiment(small_config(out, paths=3))
+    assert manifest.status == "3 paths failed"
+    assert set(manifest.path_status.values()) == {
+        "failed: setup: FloatingPointError: overflow in the initial velocity"
+    }
+    assert all(s["steps_completed"] == 0 for s in manifest.path_summary.values())
+    assert not [name for name in os.listdir(out) if name.startswith("path_")]
+    assert "failed path 2: setup: FloatingPointError: overflow in the initial velocity" in (
+        report_command(out).splitlines()
+    )
+
+    # two workers step the blocks [0, 1] and [2, 3]; path 1's stream fails
+    monkeypatch.undo()
+    path_rng = runner.PathRng
+
+    def stream(master_seed, path_index=0):
+        if path_index == 1:
+            raise FloatingPointError("no stream")
+        return path_rng(master_seed, path_index)
+
+    monkeypatch.setattr(runner, "PathRng", stream)
+    out = str(tmp_path / "block_setup_error")
+    manifest = run_experiment(small_config(out, paths=4, workers=2))
+    assert manifest.status == "2 paths failed"
+    assert manifest.path_status == {
+        "0": "failed: setup: FloatingPointError: no stream",
+        "1": "failed: setup: FloatingPointError: no stream",
+        "2": "ok",
+        "3": "ok",
+    }
+    assert sorted({name[:9] for name in manifest.files if name.startswith("path_")}) == [
+        "path_0002", "path_0003"
+    ]
+    rows = norms_command(out, [0.5], [OrliczSpec.power(2)])
+    assert rows and all(r.n_paths == 2 for r in rows)
 
 
 def test_exception_while_writing_fails_that_path_only(tmp_path, monkeypatch):

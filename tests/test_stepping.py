@@ -635,3 +635,88 @@ def test_run_path_diffs_match_snapshot_recomputation(grid8, stop_at):
     assert traj.v_increment.size == recorded
     assert traj.v_increment[0] == 0.0
     np.testing.assert_allclose(traj.v_increment[1:], direct["V"][1], rtol=1e-12, atol=0.0)
+
+
+def _trajectory_arrays(traj):
+    """Every array and flag of a trajectory, the snapshots and lag series included."""
+    out = [
+        traj.times, traj.energy, traj.residual_l2, traj.velocity_l2, traj.v_increment,
+        traj.pressure_det_lp, traj.k_sto_w12, traj.newton_iterations, traj.cg_iterations,
+        traj.backtracks, traj.roundoff_steps, np.array([traj.sup_stress_lpprime]),
+    ]
+    out += [traj.diffs[q][m] for q in ("u", "V", "K") for m in traj.diff_lags]
+    out += [values for _, values in traj.snapshots]
+    return out, (traj.error, traj.completed, [k for k, _ in traj.snapshots])
+
+
+class FailsOnState(Stepper):
+    """Raises StepError in every step that starts from the velocity `bad`,
+    on its own or as a member of a batch; counts batched and single steps."""
+
+    bad = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = [0, 0]
+
+    def step(self, u_n, dW):
+        vals = u_n.values
+        self.calls[vals.ndim == 4] += 1
+        members = [vals[:, b] for b in range(vals.shape[1])] if vals.ndim == 4 else [vals]
+        if any(np.array_equal(m, self.bad) for m in members):
+            raise StepError("stopped")
+        return super().step(u_n, dW)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("rho", ["one", "inv_one_plus_s2"])
+def test_batched_run_path_is_bit_identical_to_single_paths(n, rho):
+    # a block of B paths stepped in lockstep gives each path the bits of
+    # its own run, also when path 1 fails at step 5 and leaves the batch
+    grid = Grid(n)
+    spec = NoiseSpec(grid, 8, rho=rho, flavor="mixed")
+    cfg = SolverConfig(dt=2.0**-10, T=32 * 2.0**-10, cg_tol=1e-10, store_every=8)
+    stepper = FailsOnState(grid, PotentialParams(2.5, 0.01), cfg, spec=spec)
+    u0 = initial_velocity(grid, "curl", 1.0)
+    rngs = lambda count: [PathRng(9, i) for i in range(count)]  # noqa: E731
+    for bad in (None, 1):
+        if bad is not None:
+            probe = FailsOnState(grid, PotentialParams(2.5, 0.01),
+                                 SolverConfig(dt=cfg.dt, T=cfg.T, cg_tol=1e-10, store_every=1),
+                                 spec=spec)
+            stepper.bad = probe.run_path(u0, PathRng(9, bad)).snapshots[4][1]
+        singles = [_trajectory_arrays(stepper.run_path(u0, rng)) for rng in rngs(8)]
+        assert [s[1][1] for s in singles] == [i != bad for i in range(8)]
+        if bad is not None:
+            assert singles[bad][1][0] == "step 5: stopped"
+        for B in (1, 2, 4, 8):
+            stepper.calls = [0, 0]
+            trajs = stepper.run_path(u0, rngs(B))
+            assert len(trajs) == B
+            if bad is None:  # no batched step fell back to single steps
+                assert stepper.calls == ([32, 0] if B == 1 else [0, 32])
+            for traj, (arrays, flags) in zip(trajs, singles):
+                got, got_flags = _trajectory_arrays(traj)
+                assert got_flags == flags
+                assert len(got) == len(arrays)
+                assert all(np.array_equal(a, b) for a, b in zip(got, arrays)), (B, bad)
+
+
+def test_batched_step_report_totals_and_per_path_counts(grid8):
+    # on a batch, iterations is the total Newton count and each path's
+    # counts equal those of its own step
+    spec = NoiseSpec(grid8, 4, flavor="mixed")
+    stepper = make_stepper(grid8, p=2.5, kappa=0.01, dt=2.0**-8, spec=spec, cg_tol=1e-10)
+    u0 = initial_velocity(grid8, "curl", 1.0).values
+    dWs = [sample_increment(PathRng(3, i), 2.0**-8, 4) for i in range(3)]
+    u, rep = stepper.step(VectorField(grid8, np.stack([u0] * 3, axis=1)), dWs)
+    assert isinstance(rep.iterations, int)
+    assert rep.iterations == rep.path_iterations.sum()
+    for b, dW in enumerate(dWs):
+        u_b, rep_b = stepper.step(VectorField(grid8, u0), dW)
+        assert np.array_equal(u.values[:, b], u_b.values)
+        assert rep_b.path_iterations is None
+        assert rep.path_iterations[b] == rep_b.iterations
+        assert rep.cg_iterations[b] == rep_b.cg_iterations
+        assert rep.J[b] == rep_b.J
+        assert np.array_equal(rep.V[:, :, b], rep_b.V)

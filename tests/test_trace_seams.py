@@ -70,3 +70,33 @@ def test_traced_run_counts_every_seam(tmp_path, monkeypatch, rho, apply_g_per_st
     assert counts["stepping.step"] == counts["stepping.accumulate_K_sto"] == steps
     assert counts["noise.apply_G"] == apply_g_per_step * steps
     assert counts["analysis.load_diffs"] == 2  # one path, read by norms and by fit
+
+
+@pytest.mark.parametrize("rho, apply_g_per_step", [("one", 1), ("inv_one_plus_s2", 2)])
+def test_traced_batched_run_counts_every_seam(tmp_path, monkeypatch, rho, apply_g_per_step):
+    # one worker steps its three paths as one block: one run_path, one
+    # step and one K call per time step for the batch, the batch's total
+    # Newton count per step, and one apply_G per path and use
+    tracing = _load_tracing()
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    steps, paths = 16, 3
+    cfg = ExperimentConfig(
+        grid_n=8, p=2.5, kappa=0.01, dt=2.0**-8, T=steps * 2.0**-8, paths=paths,
+        master_seed=3, noise_modes=4, noise_rho=rho, workers=1,
+        out_dir=str(tmp_path / "run"),
+    ).validate()
+    span_dir = tmp_path / "spans"
+    span_dir.mkdir()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, str(span_dir)):
+        manifest = run_experiment(cfg)
+    assert manifest.status == "ok"
+    assert {s["batch_paths"] for s in manifest.path_summary.values()} == {paths}
+    _, counts = tracing.collect(tracer, str(span_dir))
+    assert counts["stepping.run_path"] == 1
+    assert counts["stepping.step"] == counts["stepping.accumulate_K_sto"] == steps
+    newton = sum(s["newton_per_step"] * s["steps_completed"]
+                 for s in manifest.path_summary.values())
+    assert counts["stepping.newton_iterations"] == round(newton) > 0
+    assert counts["potential.phi"] > 0
+    assert counts["noise.apply_G"] == paths * apply_g_per_step * steps
