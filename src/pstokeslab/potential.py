@@ -27,6 +27,7 @@ the matrix.  These kernels are the ones the stepper runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,14 @@ def _check_nonnegative(t):
 
 
 def phi(params: PotentialParams, t):
-    """Potential value phi(t); vectorised over t >= 0.
+    """Potential value phi(t), entry by entry for t >= 0.
 
     The closed form loses all digits for t << kappa (three terms of
     size kappa^p cancel down to about kappa^(p-2) t^2 / 2), so below
     t = kappa/2 the defining integral is summed as a binomial series in
-    t/kappa instead; the branch switch keeps relative accuracy at a few
-    ulp everywhere and makes phi(0) exactly zero.
+    t/kappa instead, to a few ulp; just above the switch the closed form
+    still loses about one digit.  phi(0) is exactly zero, and an entry's
+    value has the same bits in any array.
     """
     return _phi(params.p, params.kappa, t)
 
@@ -75,22 +77,15 @@ def phi(params: PotentialParams, t):
 def _phi(p, k, t):
     """phi with shift k: one float, or an array of shifts shaped like t.
 
-    The closed form is evaluated once over the whole array and the
-    entries with t/k < 0.5 are then overwritten by the series; when every
-    entry is that small the series alone is evaluated.
+    The closed form (t^p / p for k = 0) runs over the whole array, then
+    the series overwrites the entries with t/k < 0.5; when all are that
+    small, only the series runs.
     """
     _check_nonnegative(t)
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    per_entry = np.ndim(k) > 0
-    if not per_entry and k == 0.0:
-        out = t**p / p
-        return float(out[0]) if scalar else out
-    if per_entry:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = t / k  # k = 0 entries give inf or nan and keep the closed form
-    else:
-        x = t / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = t / k  # k = 0 gives inf or nan and keeps the closed form
     small = x < SERIES_BELOW
     if small.all():
         out = _phi_series(p, k, x)
@@ -99,7 +94,7 @@ def _phi(p, k, t):
         out = kt**p / p - k * kt ** (p - 1.0) / (p - 1.0) + k**p / (p * (p - 1.0))
         np.maximum(out, 0.0, out=out)
         if small.any():
-            out[small] = _phi_series(p, k[small] if per_entry else k, x[small])
+            out[small] = _phi_series(p, k[small] if np.ndim(k) > 0 else k, x[small])
     return float(out[0]) if scalar else out
 
 
@@ -107,20 +102,34 @@ def _phi(p, k, t):
 SERIES_BELOW = 0.5
 
 
-def _phi_series(p, k, xs):
-    """k^p * integral_0^x (1+s)^(p-2) s ds expanded binomially, x = xs < 1/2.
+@functools.lru_cache(maxsize=16)
+def _series_coeffs(p: float) -> tuple:
+    """a_j = binom(p-2, j) / (j+2), highest j first, for Horner's rule.
 
-    The sum stops once the largest term over all of xs is negligible.
+    The last j is the first past p-2 whose term a_j x^(j+2) at x = 1/2 is
+    below 1e-17 of the leading x^2/2; past p-2 the terms alternate and
+    shrink, so that bounds the truncation error (none for integer p).
     """
-    total = np.zeros_like(xs)
-    c = np.ones_like(xs)  # binom(p-2, j) x^j
-    for j in range(120):
-        term = c * xs * xs / (j + 2.0)
-        total += term
-        if np.abs(term).max() <= 1e-18 * max(total.max(), 1e-300):
-            break
-        c = c * xs * ((p - 2.0 - j) / (j + 1.0))
-    return k**p * total
+    coeffs, c, j = [], 1.0, 0
+    while True:
+        coeffs.append(c / (j + 2.0))
+        if j > p - 2.0 and 2.0 * abs(coeffs[-1]) * SERIES_BELOW**j < 1e-17:
+            return tuple(reversed(coeffs))
+        c *= (p - 2.0 - j) / (j + 1.0)  # binom(p-2, j+1)
+        j += 1
+
+
+def _phi_series(p, k, xs):
+    """k^p * integral_0^x (1+s)^(p-2) s ds = k^p sum_j a_j x^(j+2), x = xs < 1/2.
+
+    Horner's rule of one fixed degree per p, entry by entry.
+    """
+    coeffs = _series_coeffs(p)
+    total = np.full_like(xs, coeffs[0])
+    for a in coeffs[1:]:
+        total *= xs
+        total += a
+    return k**p * total * xs * xs
 
 
 def _frobenius(xi):
@@ -188,11 +197,9 @@ def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
     eps_field is either a TensorField (cell_area inferred from its grid)
     or a raw array whose two leading axes are the 2x2 matrix components,
     in which case cell_area must be given.  A raw (2, 2, B, n, n) array
-    is a batch of B strain fields and gives one energy per field, each
-    with the bits of its own call: phi's series stops on the largest
-    term of its call, so it is summed once per field on that field's
-    small entries, and the closed form, which is nodewise, once over the
-    other entries of the whole batch.
+    is a batch of B strain fields and gives one energy per field; phi is
+    nodewise, so one call over the batch gives each field the bits of
+    its own call.
     """
     values = getattr(eps_field, "values", eps_field)
     if cell_area is None:
@@ -203,17 +210,7 @@ def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("strain field contains non-finite entries")
-    t = _frobenius(values)
+    vals = phi(params, _frobenius(values))
     if values.ndim != 5:
-        return float(cell_area * np.add.reduce(phi(params, t), axis=None))
-    k = params.kappa
-    small = t / k < SERIES_BELOW if k > 0.0 else np.zeros(t.shape, dtype=bool)
-    if not small.any():
-        vals = phi(params, t)
-    else:
-        vals = np.empty_like(t)
-        if not small.all():
-            vals[~small] = phi(params, t[~small])
-        for b in np.flatnonzero(small.any(axis=(1, 2))):
-            vals[b][small[b]] = phi(params, t[b][small[b]])
+        return float(cell_area * np.add.reduce(vals, axis=None))
     return cell_area * np.add.reduce(vals.reshape(len(vals), -1), axis=1)

@@ -81,15 +81,16 @@ def _build_stepper(cfg: ExperimentConfig) -> Stepper:
 # Largest batch a worker steps in lockstep, in paths times grid cells: a
 # block holds at most max(1, BATCH_CELLS // n^2) paths.  Speed-up per
 # path-step over one path at a time (one process, BLAS at one thread,
-# 256 steps of 16 additive modes from rest, p = 2.5):
+# 256 steps of 16 additive modes from rest, p = 2.5; median of three):
 #
 #   B       2     4     8     16    32
-#   n = 8   1.26  1.95  2.80  3.80  4.37
-#   n = 16  1.16  1.50  1.75  2.14  2.23
-#   n = 32  1.09  1.21  1.27  1.28  1.23
-#   n = 64  0.94  0.99  0.97
+#   n = 8   1.21  2.03  3.27  4.98  6.59
+#   n = 16  1.12  1.64  2.29  2.90  3.45
+#   n = 32  1.02  1.26  1.45  1.51  1.46
+#   n = 64  0.97  0.99  0.92
 #
-# Past B n^2 = 4096 the gain flattens, and at n = 64 a batch is slower.
+# At n = 32 the gain flattens past B n^2 = 8192, and at n = 64 a batch is
+# slower; 4096 stays until a benchmark workload runs larger blocks.
 BATCH_CELLS = 4096
 
 

@@ -62,6 +62,11 @@ def _potential_checks(rng):
         v_sq = np.sum(pot.v_tensor(params, xi) ** 2, axis=(0, 1))
         err = np.max(np.abs(s_dot - v_sq) / np.maximum(v_sq, 1e-300))
         out.append(CheckResult(f"S:xi equals |V|^2 p={p}", err < 1e-12, f"rel err {err:.2e}"))
+    x = np.array([0.5, 0.49, 0.25])  # phi's switch point t = kappa/2 and below
+    for p in (1.5, 2.5, 3.0, 4.2):
+        closed = (1.0 + x) ** p / p - (1.0 + x) ** (p - 1.0) / (p - 1.0) + 1.0 / (p * (p - 1.0))
+        err = np.max(np.abs(pot._phi_series(p, 1.0, x) / closed - 1.0))
+        out.append(CheckResult(f"phi series meets closed form p={p}", err < 1e-12, f"rel err {err:.2e}"))
     return out
 
 

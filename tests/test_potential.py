@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -46,46 +47,26 @@ def test_phi_against_quadrature_oracle():
         )
 
 
-def _masked_phi(p, k, t):
-    """phi as it was evaluated before the one-pass form: the closed form
-    and the series each on their own gathered subset of entries."""
-    scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    per_entry = np.ndim(k) > 0
-    if not per_entry and k == 0.0:
-        out = t**p / p
-        return float(out[0]) if scalar else out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = t / k
-    small = x < 0.5
-    out = np.empty_like(x)
-    if np.any(~small):
-        tb = t[~small]
-        kb = k[~small] if per_entry else k
-        kt = kb + tb
-        val = kt**p / p - kb * kt ** (p - 1.0) / (p - 1.0) + kb**p / (p * (p - 1.0))
-        out[~small] = np.maximum(val, 0.0)
-    if np.any(small):
-        xs = x[small]
-        total = np.zeros_like(xs)
-        c = np.ones_like(xs)
-        for j in range(120):
-            term = c * xs * xs / (j + 2.0)
-            total += term
-            if np.max(np.abs(term)) <= 1e-18 * max(np.max(total), 1e-300):
-                break
-            c = c * xs * ((p - 2.0 - j) / (j + 1.0))
-        out[small] = (k[small] if per_entry else k) ** p * total
-    return float(out[0]) if scalar else out
+def mp_phi(p, kappa, t):
+    """phi(t) in 40-digit mpmath: Euler's integral turns the defining one
+    into kappa^p x^2/2 2F1(2-p, 2; 3; -x), x = t/kappa; t^p/p for kappa = 0."""
+    with mpmath.workdps(40):
+        p, kappa, t = mpmath.mpf(p), mpmath.mpf(kappa), mpmath.mpf(t)
+        if kappa == 0:
+            return t**p / p
+        x = t / kappa
+        return kappa**p * x * x / 2 * mpmath.hyp2f1(2 - p, 2, 3, -x)
 
 
-def test_phi_bytes_match_masked_evaluation():
-    # the one-pass phi gives the masked evaluation's bytes in every branch
+def test_phi_matches_high_precision_reference():
+    # 4 ulp relative where the series runs (t < kappa/2) and for kappa = 0;
+    # above kappa/2 the closed form's three terms cancel, so its bound is
+    # 4 ulp of their absolute sum
     rng = np.random.default_rng(21)
     for p in (1.5, 2.5, 3.0, 4.2):
         k = 0.01
         closed = rng.uniform(0.006, 2.0, (16, 16))
-        series = rng.uniform(0.0, 0.0049, (32, 32))
+        series = rng.uniform(0.0, 0.0049, (64, 64))
         series[0, 0] = 0.0
         mixed = np.where(rng.uniform(size=(16, 16)) < 0.1, series[:16, :16], closed)
         cases = [(k, closed), (k, series), (k, mixed), (0.0, closed), (0.0, series),
@@ -94,8 +75,44 @@ def test_phi_bytes_match_masked_evaluation():
         shifts = rng.uniform(0.0, 1.0, 200) * (rng.uniform(size=200) < 0.8)
         cases.append((shifts, rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.uniform(-3, 1, 200)))
         for kk, t in cases:
-            got, want = potential._phi(p, kk, t), _masked_phi(p, kk, t)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (p, t)
+            got = np.ravel(potential._phi(p, kk, t))
+            for ki, ti, gi in zip(np.broadcast_to(kk, np.shape(t)).ravel(), np.ravel(t), got):
+                ref = mp_phi(p, ki, ti)
+                if ref == 0:
+                    assert gi == 0.0, (p, ki, ti)
+                    continue
+                scale = 1.0
+                if ti >= potential.SERIES_BELOW * ki:
+                    kt = ki + ti
+                    scale = (kt**p / p + ki * kt ** (p - 1) / (p - 1) + ki**p / (p * (p - 1))) / gi
+                ulps = float(abs((gi - ref) / ref)) / np.finfo(float).eps
+                assert ulps <= 4.0 * scale, (p, ki, ti, ulps, scale)
+
+
+def test_phi_is_per_entry_and_a_batch_energy_calls_phi_once(monkeypatch):
+    rng = np.random.default_rng(22)
+    for p in (1.5, 2.5, 3.0, 4.2):
+        # series and closed-form entries mixed, t/kappa from 1e-8 to 2
+        t = 0.02 * rng.uniform(size=300) * 10.0 ** rng.uniform(-6, 0, 300)
+        whole = potential._phi(p, 0.01, t)
+        for i in range(t.size):
+            assert np.float64(potential._phi(p, 0.01, t[i])).tobytes() == whole[i].tobytes()
+    calls = []
+
+    def counted_phi(params, t):
+        calls.append(np.shape(t))
+        return phi(params, t)
+
+    monkeypatch.setattr(potential, "phi", counted_phi)
+    params = PotentialParams(2.5, 0.01)
+    batch = rng.standard_normal((2, 2, 4, 8, 8)) * 10.0 ** rng.uniform(-5, -1, (4, 8, 8))
+    batch[:, :, 2] *= 1e3  # one field with no entry below kappa/2
+    energies = energy(params, batch, 0.25)
+    assert calls == [(4, 8, 8)]
+    small = potential._frobenius(batch) < potential.SERIES_BELOW * params.kappa
+    assert small.any(axis=(1, 2)).tolist() == [True, True, False, True]
+    for b in range(4):
+        assert np.float64(energy(params, batch[:, :, b], 0.25)).tobytes() == energies[b].tobytes()
 
 
 def test_phi_domain_error():
