@@ -7,8 +7,8 @@ completion; it lists every output file with a content digest.
 
 The PDE kinds velocity_regularity, vgrad_regularity and
 pressure_regularity run identical code: kind labels the run and names
-its default directory.  wiener_dichotomy ignores workers and analyses its
-scalar paths serially in the calling process.
+its default directory.  wiener_dichotomy analyses its scalar paths on
+`workers` threads in the calling process.
 """
 
 from __future__ import annotations

@@ -11,15 +11,17 @@ run.  A path's `seconds` is its share of its block's stepping time, in
 proportion to the steps it completed, plus its own write time, so the
 seconds of all paths add up to the workers' busy time.  An exception
 while a block is set up fails that block's paths and no other.  The
-manifest is written up front in pending state and atomically finalised
-with content digests.
+scalar Wiener study needs no stepper: it analyses its paths on
+`workers` threads of the calling process, with the same table for
+every worker count.  The manifest is written up front in pending state
+and atomically finalised with content digests.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -263,12 +265,14 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | None = None) -> RunMani
     with open(os.path.join(run_dir, "config.txt"), "w") as fh:
         fh.write(cfg.to_text())
 
+    workers = cfg.workers or min(os.cpu_count() or 1, cfg.paths)
     if cfg.kind == "wiener_dichotomy":
         table = wiener_dichotomy_study(
             paths=cfg.paths,
             master_seed=cfg.master_seed,
             coarsest_exp=cfg.wiener_coarsest_exp,
             finest_exp=cfg.wiener_finest_exp,
+            workers=workers,
         )
         _write_wiener_table(run_dir, table)
         manifest.path_status = {str(i): "ok" for i in range(cfg.paths)}
@@ -288,7 +292,6 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | None = None) -> RunMani
     cfg_dict = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
     failures = 0
     if cfg.paths:
-        workers = cfg.workers or min(os.cpu_count() or 1, cfg.paths)
         jobs = [(cfg_dict, first, run_dir, count)
                 for first, count in path_blocks(cfg.paths, workers, cfg.grid_n)]
         if workers > 1:
@@ -319,6 +322,7 @@ def wiener_dichotomy_study(
     coarsest_exp: int = 10,
     finest_exp: int = 16,
     T: float = 1.0,
+    workers: int = 1,
 ):
     """Per-path Nikolskii summaries of scalar Brownian paths under refinement.
 
@@ -327,14 +331,20 @@ def wiener_dichotomy_study(
     same underlying trajectory.  Reported per (path, dt): the
     exponential-scale sup-report (stable under refinement) and the
     squared 2,2-seminorm quadrature (divergent under refinement).
+
+    Paths are analysed on `workers` threads; NumPy releases the GIL on
+    arrays of this size, and threads add far less memory than processes.
+    A path's rows depend on (master_seed, path) alone and come back in
+    path order, so the table is the same for every worker count.
     """
     exps = list(range(coarsest_exp, finest_exp + 1, 2))
     n_fine = 2**finest_exp
-    rows = []
-    for index in range(paths):
+
+    def path_rows(index):
         rng = PathRng(master_seed, index)
         incr = rng.standard_normal(n_fine) * np.sqrt(T / n_fine)
         w_fine = np.concatenate([[0.0], np.cumsum(incr)])
+        rows = []
         for e in exps:
             stride = 2 ** (finest_exp - e)
             w = w_fine[::stride]
@@ -342,7 +352,10 @@ def wiener_dichotomy_study(
             phi2 = besov_seminorm(path, 0.5, OrliczSpec.phi2())
             b22 = besov_seminorm(path, 0.5, OrliczSpec.power(2), fine_index=2.0)
             rows.append((index, T / 2**e, phi2.sup_approx, b22.quantity_r))
-    return rows
+        return rows
+
+    with ThreadPoolExecutor(max_workers=max(1, min(workers, paths))) as pool:
+        return [row for rows in pool.map(path_rows, range(paths)) for row in rows]
 
 
 def _write_wiener_table(run_dir: str, rows):

@@ -17,13 +17,21 @@ alpha, and `report_from_norms` weighs them with alpha.  For finite fine
 index r the seminorm integral over h is approximated by the same dyadic
 grid, each level contributing (h^(-alpha) n(h))^r * ln 2.
 
-Luxemburg norms inf{lambda : integral Phi(|x|/lambda) <= 1} are computed
-by Newton's method in s = 1/lambda.  The modular m(s) = integral Phi(s|x|)
-is convex and increasing in s, and the start s0 = t0/max|x| with
-Phi(t0) >= 1/dt lies right of the root (the largest sample alone gives
-m >= 1), so the iterates decrease monotonically onto it without a
-bracket.  t0 is Phi^{-1}(1/dt) for power and phi2 and an upper point of
-it for Nq (`OrliczSpec.inverse`).  The left Riemann rule over the path's
+Luxemburg norms inf{lambda : integral Phi(|x|/lambda) <= 1} are found
+by Newton's method in s = 1/lambda from a start right of the root, on
+the modular m(s) = integral Phi(s|x|), which is increasing in s.  The
+start s0 = t0/max|x| with Phi(t0) >= 1/dt lies right of the root, since
+the largest sample alone gives m >= 1.  t0 is Phi^{-1}(1/dt) for phi2
+and an upper point of it for Nq (`OrliczSpec.inverse`).  For phi2 a
+second closed form, from the moments of r = |x|/max|x|, is often
+closer: e^u - 1 >= u + u^2/2 bounds m below by the quadratic
+a y + b y^2/2 in y = (s max|x|)^2, with a = dt sum r^2 and b = dt sum r^4,
+so its root y lies right of the modular's root too.  The step for Nq is
+Newton on m against s (m is convex there); for phi2 it is Newton on
+log m against log s, which is convex because every log Phi2(e^v) is
+(its slope 2z/(1 - e^-z), z = e^(2v), increases) and sums of log-convex
+functions are log-convex.  Either way the iterates fall monotonically
+onto the root without a bracket.  The left Riemann rule over the path's
 own time window provides the integral, so constants on [0,1] reproduce
 the closed forms exactly.
 """
@@ -144,12 +152,18 @@ def luxemburg_norm(path: SampledPath, spec: OrliczSpec) -> float:
     """Orlicz norm of the path over its own time window.
 
     Power kinds reduce to the plain Riemann L^q norm.  Otherwise Newton's
-    method in s = 1/lambda solves dt sum Phi(s |x_k|) = 1 from the right,
-    s <- s (1 - (m - 1)/E) with E = dt sum t Phi'(t), until the modular
-    reaches one or a step shrinks below 1e-14 relative.  Convergence is
-    quadratic near the root, so the norm is accurate to the rounding of
-    the modular sum (about 1e-15 relative).  Homogeneous of degree one in
-    the path.
+    method in s = 1/lambda solves m(s) = dt sum Phi(s |x_k|) = 1 from the
+    right, until the modular reaches one or a step shrinks below 1e-14
+    relative.  With E = dt sum t Phi'(t), the step is s <- s (1 - (m - 1)/E)
+    for Nq and s <- s exp(-m log m / E) for phi2, Newton on log m against
+    log s.  The start is min(Phi^{-1}(1/dt), sqrt(y)) / max|x|, the second
+    term for phi2 only: y = 2 / (a + sqrt(a^2 + 2 b)) solves
+    a y + b y^2 / 2 = 1 with a = dt sum r^2, b = dt sum r^4, r = |x|/max|x|,
+    and e^u - 1 >= u + u^2/2 makes m >= 1 there, so the start lies right
+    of the root.  Each iteration writes s|x| into one buffer and calls
+    `spec.evaluate` once.  Convergence is quadratic near the root, so the
+    norm is accurate to the rounding of the modular sum (about 1e-15
+    relative).  Homogeneous of degree one in the path.
     """
     vals = np.abs(path.values[:-1])  # left Riemann rule
     dt = path.dt
@@ -159,16 +173,31 @@ def luxemburg_norm(path: SampledPath, spec: OrliczSpec) -> float:
     if spec.kind == "power":
         return float((dt * np.sum(vals**spec.q)) ** (1.0 / spec.q))
 
-    # at s the largest sample alone brings the modular to at least one, so s >= root
-    s = spec.inverse(1.0 / dt) / vmax
+    phi2 = spec.kind == "phi2"
+    t = np.empty_like(vals)
+    # at t0 the largest sample alone brings the modular to at least one
+    t0 = spec.inverse(1.0 / dt)
+    if phi2:
+        # moments of r = |x|/max|x| <= 1, so no power of a sample overflows
+        r2 = np.square(np.divide(vals, vmax, out=t), out=t)
+        a = dt * float(np.sum(r2))
+        b = dt * float(np.sum(np.square(r2, out=t)))
+        t0 = min(t0, math.sqrt(2.0 / (a + math.hypot(a, math.sqrt(2.0 * b)))))
+    s = t0 / vmax
     for _ in range(200):
-        t = s * vals
-        phi = spec.evaluate(t)
-        excess = dt * float(np.sum(phi)) - 1.0
-        if not excess > 0.0:
+        phi = spec.evaluate(np.multiply(vals, s, out=t))
+        m = dt * float(np.sum(phi))
+        if not m > 1.0:
             break
-        step = excess / (dt * float(np.sum(spec.t_derivative(t, phi))))
-        s *= 1.0 - step
+        if phi2:
+            # t Phi'(t) = 2 t^2 (Phi + 1), summed without a temporary
+            t2 = np.square(t, out=t)
+            E = 2.0 * dt * (float(np.sum(np.multiply(t2, phi, out=phi))) + float(np.sum(t2)))
+            step = m * math.log(m) / E
+            s *= math.exp(-step)
+        else:
+            step = (m - 1.0) / (dt * float(np.sum(spec.t_derivative(t, phi))))
+            s *= 1.0 - step
         if not step > 1e-14:
             break
     return 1.0 / s

@@ -73,9 +73,9 @@ its own loop would stop it, and gather the others to go on, so every
 path takes its own iterations and keeps the bits of its own run: the
 grid kernels, the projection and phi's closed form act on each member as
 on one path; inner products and norms sum each path over its own
-contiguous entries of a batch-first copy; phi's series, which stops on
-the largest term of its call, runs once per path on that path's small
-entries; and the noise products stay one dot per path, as a batched
+contiguous entries of a batch-first copy; phi's series is a Horner sum
+of one fixed degree per p, entry by entry, so one call serves the whole
+batch; and the noise products stay one dot per path, as a batched
 product would round differently.  A block of one path, or a batch whose
 other paths have failed, runs the single-path step and records without
 the batch axis, which the batch's per-path arrays would slow.  When a

@@ -117,6 +117,21 @@ def test_output_independent_of_worker_count(tmp_path):
         assert files_a[name] == files_b[name], name
 
 
+def test_wiener_table_independent_of_worker_count(tmp_path):
+    study = dict(paths=5, master_seed=3, coarsest_exp=8, finest_exp=12)
+    serial = runner.wiener_dichotomy_study(**study, workers=1)
+    assert runner.wiener_dichotomy_study(**study, workers=2) == serial
+    tables = []
+    for workers in (1, 2):
+        cfg = small_config(
+            str(tmp_path / f"w{workers}"), kind="wiener_dichotomy", paths=5,
+            wiener_coarsest_exp=8, wiener_finest_exp=12, workers=workers,
+        )
+        assert run_experiment(cfg).status == "ok"
+        tables.append(open(os.path.join(cfg.out_dir, runner.WIENER_TABLE), "rb").read())
+    assert tables[0] == tables[1]
+
+
 def test_manifest_lists_every_file_with_digest(tmp_path):
     cfg = small_config(str(tmp_path / "digests"))
     manifest = run_experiment(cfg)

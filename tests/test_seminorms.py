@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -338,9 +340,53 @@ def test_phi2_norm_evaluation_budget(monkeypatch):
     rng = np.random.default_rng(3)
     dt = 2.0**-16
     increment = rng.standard_normal(65536) * np.sqrt(dt)
-    budgets = [(OrliczSpec.phi2(), 12)] + [(OrliczSpec.nq(q), 16) for q in (1.0, 2.0, 3.5)]
+    budgets = [(OrliczSpec.phi2(), 6)] + [(OrliczSpec.nq(q), 16) for q in (1.0, 2.0, 3.5)]
     for spec, budget in budgets:
         calls.clear()
         norm = luxemburg_norm(SampledPath(increment, dt), spec)
         assert norm > 0.0
         assert len(calls) <= budget, spec.label
+    # the analysis size: lag 4 of a 512-step Brownian path, 508 samples
+    dt = 2.0**-12
+    w = np.concatenate([[0.0], np.cumsum(rng.standard_normal(512)) * np.sqrt(dt)])
+    calls.clear()
+    assert luxemburg_norm(difference_path(SampledPath(w, dt), 4), OrliczSpec.phi2()) > 0.0
+    assert len(calls) <= 6
+
+
+def _root_find_paths(dt, rng):
+    n = 2048
+    spike = np.zeros(n)
+    spike[5] = -2.5
+    yield "brownian", rng.standard_normal(n) * np.sqrt(dt)
+    yield "cauchy", rng.standard_cauchy(n)
+    yield "spike", spike
+    yield "alternating", 0.7 * np.where(np.arange(n) % 2, 1.0, -1.0)
+    yield "wide", np.geomspace(1e-200, 1e200, 1001) * np.where(np.arange(1001) % 3, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("spec", ROOT_SPECS, ids=lambda s: s.label)
+def test_luxemburg_iterates_start_right_of_root_and_fall(spec, monkeypatch):
+    # the modular at the start is at least one, and every later modular is
+    # no larger than the one before it, both up to rounding.  A spike's
+    # start is its exact root, where phi2's modular rounds to within
+    # (1 + t^2) ulp-sized errors of one, t^2 <= ln(1 + 1/dt): expm1 scales
+    # the relative rounding of t^2 by t^2
+    sums = []
+    evaluate = OrliczSpec.evaluate
+
+    def recorded(self, t):
+        phi = evaluate(self, t)
+        sums.append(float(np.sum(phi)))
+        return phi
+
+    monkeypatch.setattr(OrliczSpec, "evaluate", recorded)
+    rng = np.random.default_rng(5)
+    for dt in [2.0**-e for e in range(10, 17)] + [100.0]:
+        for name, values in _root_find_paths(dt, rng):
+            sums.clear()
+            assert luxemburg_norm(SampledPath(values, dt), spec) > 0.0
+            modulars = [dt * total for total in sums]
+            assert modulars[0] >= 1.0 - 1e-15 * (1.0 + math.log1p(1.0 / dt)), (name, dt)
+            for before, after in zip(modulars, modulars[1:]):
+                assert after <= before * (1.0 + 1e-15), (name, dt, modulars)
