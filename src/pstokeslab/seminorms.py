@@ -110,12 +110,17 @@ class OrliczSpec:
             return np.expm1(np.minimum(phi, 700.0, out=phi), out=phi)
         return t**self.q * np.log1p(t) ** (self.q / 2.0)
 
-    def t_derivative(self, t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """t Phi'(t), given phi = Phi(t) from `evaluate`."""
+    def t_derivative(self, t: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
+        """t Phi'(t), given phi = Phi(t) from `evaluate`.
+
+        `out` may be `phi` itself: the Luxemburg iteration then overwrites
+        the modular's terms, which it has already summed, with no new array.
+        """
         if self.kind == "power":
-            return self.q * phi
+            return np.multiply(phi, self.q, out=out)
         if self.kind == "phi2":
-            out = phi + 1.0  # 2 t^2 exp(t^2), built in place like evaluate
+            # 2 t^2 exp(t^2) = 2 t^2 (Phi + 1)
+            out = np.add(phi, 1.0, out=out)
             out *= t
             out *= t
             out *= 2.0
@@ -123,7 +128,7 @@ class OrliczSpec:
         # q Phi + (q/2) Phi t/((1+t) ln(1+t)); the ratio tends to 1 as t -> 0
         log1p = np.log1p(t)
         ratio = np.divide(t, (1.0 + t) * log1p, out=np.ones_like(t), where=log1p > 0.0)
-        return phi * (self.q + 0.5 * self.q * ratio)
+        return np.multiply(phi, self.q + 0.5 * self.q * ratio, out=out)
 
     def inverse(self, s: float) -> float:
         """Phi^{-1}(s), or for Nq a point right of it (the Luxemburg Newton start).
@@ -160,8 +165,9 @@ def luxemburg_norm(path: SampledPath, spec: OrliczSpec) -> float:
     term for phi2 only: y = 2 / (a + sqrt(a^2 + 2 b)) solves
     a y + b y^2 / 2 = 1 with a = dt sum r^2, b = dt sum r^4, r = |x|/max|x|,
     and e^u - 1 >= u + u^2/2 makes m >= 1 there, so the start lies right
-    of the root.  Each iteration writes s|x| into one buffer and calls
-    `spec.evaluate` once.  Convergence is quadratic near the root, so the
+    of the root.  Each iteration writes s|x| into one buffer, calls
+    `spec.evaluate` once and `spec.t_derivative` into the buffer evaluate
+    returned.  Convergence is quadratic near the root, so the
     norm is accurate to the rounding of the modular sum (about 1e-15
     relative).  Homogeneous of degree one in the path.
     """
@@ -189,14 +195,13 @@ def luxemburg_norm(path: SampledPath, spec: OrliczSpec) -> float:
         m = dt * float(np.sum(phi))
         if not m > 1.0:
             break
+        # evaluate returns a fresh array, so t Phi'(t) may overwrite it
+        E = dt * float(np.sum(spec.t_derivative(t, phi, out=phi)))
         if phi2:
-            # t Phi'(t) = 2 t^2 (Phi + 1), summed without a temporary
-            t2 = np.square(t, out=t)
-            E = 2.0 * dt * (float(np.sum(np.multiply(t2, phi, out=phi))) + float(np.sum(t2)))
             step = m * math.log(m) / E
             s *= math.exp(-step)
         else:
-            step = (m - 1.0) / (dt * float(np.sum(spec.t_derivative(t, phi))))
+            step = (m - 1.0) / E
             s *= 1.0 - step
         if not step > 1e-14:
             break

@@ -285,6 +285,9 @@ def test_t_derivative_matches_central_difference(spec):
     slope = (spec.evaluate(t + h) - spec.evaluate(t - h)) / (2.0 * h)
     got = spec.t_derivative(t, spec.evaluate(t))
     np.testing.assert_allclose(got, t * slope, rtol=1e-7)
+    phi = spec.evaluate(t)
+    assert spec.t_derivative(t, phi, out=phi) is phi
+    np.testing.assert_array_equal(phi, got)
     assert spec.t_derivative(np.zeros(3), spec.evaluate(np.zeros(3))).tolist() == [0.0] * 3
 
 
