@@ -82,6 +82,8 @@ class ExperimentConfig:
         errors = []
         if self.kind not in KINDS:
             errors.append(f"unknown experiment kind {self.kind!r}")
+        if self.workers < 0:
+            errors.append("workers must be nonnegative")
         if self.kind == "wiener_dichotomy":
             if self.wiener_finest_exp < self.wiener_coarsest_exp:
                 errors.append("wiener_finest_exp must be >= wiener_coarsest_exp")
@@ -111,6 +113,10 @@ class ExperimentConfig:
                     errors.append("T must be an integral multiple of dt")
             if self.paths < 0:
                 errors.append("paths must be nonnegative")
+            if not self.newton_tol > 0.0:
+                errors.append("newton_tol must be positive")
+            if self.newton_max_iter < 1:
+                errors.append("newton_max_iter must be positive")
             if self.noise_modes < 0:
                 errors.append("noise_modes must be nonnegative")
             if self.noise_decay <= 1.0:

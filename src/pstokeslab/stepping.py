@@ -76,13 +76,13 @@ on one path; inner products and norms sum each path over its own
 contiguous entries of a batch-first copy; phi's series is a Horner sum
 of one fixed degree per p, entry by entry, so one call serves the whole
 batch; and the noise products stay one dot per path, as a batched
-product would round differently.  A block of one path, or a batch whose
-other paths have failed, runs the single-path step and records without
-the batch axis, which the batch's per-path arrays would slow.  When a
-batched time step raises,
-it is redone one path at a time from the saved state with the increments
-already drawn, so a path fails alone.  Its paths share the block's time
-in proportion to the steps they completed.
+product would round differently.  A block takes every time step as one
+batch, of one path too; `step` alone picks the loop and runs a batch of
+one in the one-path loop, which lacks the per-path bookkeeping.  A time
+step of two or more paths that raises is redone for each path as a batch
+of one, from the saved state with the increments already drawn, so a
+path fails alone.  Its paths share the block's time in proportion to the
+steps they completed.
 """
 
 from __future__ import annotations
@@ -189,6 +189,11 @@ class StepReport:
     strain: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
     path_iterations: np.ndarray | None = None
+
+
+# the StepReport fields that hold one entry per path of a batch
+_PER_PATH = ("v_distance_sq", "grad_norm", "phi_initial", "phi_final", "converged",
+             "cg_iterations", "backtracks", "roundoff_steps", "J")
 
 
 @dataclass
@@ -359,10 +364,24 @@ class Stepper:
 
         u_n of shape (2, n, n) is one path with one increment dW (or
         None); shape (2, B, n, n) is a batch of B paths with a sequence of
-        B increments, which _step_batch steps in lockstep.
+        B increments (or None), and the report takes the batch form.
+        Only B >= 2 runs _step_batch: one path and a batch of one run the
+        one-path loop, as the batched loop took 10-46 % longer at B = 1.
         """
-        if u_n.values.ndim == 4:
+        u = u_n.values
+        if u.ndim == 3:
+            return self._step_one(u_n, dW)
+        if u.shape[1] > 1:
             return self._step_batch(u_n, dW)
+        v, rep = self._step_one(VectorField(self.grid, u[:, 0]), None if dW is None else dW[0])
+        per_path = {name: np.array([getattr(rep, name)]) for name in _PER_PATH}
+        return VectorField(self.grid, v.values[:, None]), StepReport(
+            iterations=rep.iterations, **per_path, strain=rep.strain[:, :, None],
+            V=rep.V[:, :, None], path_iterations=np.array([rep.iterations]),
+        )
+
+    def _step_one(self, u_n: VectorField, dW):
+        """step() on one path: damped Newton with projected CG."""
         cfg = self.config
         dt = cfg.dt
         u = u_n.values
@@ -500,7 +519,7 @@ class Stepper:
         return self._project(x), iterations
 
     def _step_batch(self, u_n: VectorField, dW):
-        """step() on a batch: Newton, CG and line search in lockstep.
+        """step() on a batch of B >= 2: Newton, CG and line search in lockstep.
 
         Every path takes the iterations of its own step() and gets its
         bits: the kernels act on each member as on one path, and a path
@@ -700,12 +719,12 @@ class Stepper:
 
         rng is one PathRng, which gives one PathTrajectory, or a sequence
         of them, which gives a list of trajectories in the same order.  A
-        block of B > 1 paths makes one batched step() and
+        block of B paths, one path included, makes one batched step() and
         accumulate_K_sto() call and one batched record per time step, and
         each path gets the bits of its own run.  An exception raised while
         stepping or recording, the initial state's record included, ends
-        the failing path only: a batched time step that raises is redone
-        one path at a time with the single-path step, from the saved
+        the failing path only: a time step of two or more paths that
+        raises is redone for each path as a batch of one, from the saved
         state and with the increments already drawn.  A failed path's
         trajectory keeps the steps recorded so far, `completed` is False
         and `error` names the step and the exception.  An initial
@@ -760,35 +779,23 @@ class Stepper:
                 np.sqrt(np.add.reduce(stress**2, axis=(0, 1))), p_conj
             )
             m = lag_steps[lag_steps <= k]
-            rows = np.arange(m.size)
-            one = len(J) == 1
+            dest = (slice(None) if idx is None else idx[:, None], np.arange(m.size), k - m)
             for q, latest in (("u", u_vals), ("V", Vt), ("K", K_vals)):
-                if one:
-                    # one path works on its own ring rows without the batch
-                    # axis, which took 8 % longer per step at n = 32
-                    b = 0 if idx is None else idx[0]
-                    ring, cur = rings[q][:, b], latest[..., 0, :, :]
-                    ring[k % depth] = cur
-                    d = cur - ring[(k - m) % depth]
-                    dest = (b, rows, k - m)
-                else:
-                    slot = rings[q][k % depth]
-                    slot[who] = _batch_first(latest)
-                    prev = rings[q][(k - m) % depth]
-                    d = slot - prev if idx is None else slot[idx] - prev[:, idx]
-                    dest = (slice(None) if idx is None else idx[:, None], rows, k - m)
+                slot = rings[q][k % depth]
+                slot[who] = _batch_first(latest)
                 if not m.size:
                     continue
+                # the gathered earlier states become the differences in place
+                back = (k - m) % depth
+                d = rings[q][back] if idx is None else rings[q][back[:, None], idx]
+                np.subtract(slot if idx is None else slot[idx], d, out=d)
                 if q == "K":
                     norms = w12_norm_values(D, area, d)
                 else:
-                    lead = d.shape[: 1 if one else 2]
-                    norms = np.sqrt(area * np.add.reduce((d * d).reshape(lead + (-1,)), axis=-1))
-                diffs[q][dest] = norms if one else norms.T
-
-        def initial():
-            eps = sym_grad_values(D, u0.values)
-            return eps, pot.v_tensor(self.params, eps), pot.energy(self.params, eps, area)
+                    d *= d
+                    sq = d.reshape(d.shape[:2] + (-1,))
+                    norms = np.sqrt(area * np.add.reduce(sq, axis=-1))
+                diffs[q][dest] = norms.T
 
         u = np.repeat(u0.values[:, None], B, axis=1)
         K = np.zeros((B, n, n))
@@ -802,7 +809,8 @@ class Stepper:
             failed = {}
             t0 = clock()
             if k == 0:
-                eps, Vt, J = initial()
+                eps = sym_grad_values(D, u0.values)
+                Vt, J = pot.v_tensor(self.params, eps), pot.energy(self.params, eps, area)
                 shape = (len(live), n, n)
                 u_new = np.broadcast_to(u0.values[:, None], (2,) + shape)
                 eps = np.broadcast_to(eps[:, :, None], (2, 2) + shape)
@@ -833,42 +841,25 @@ class Stepper:
                     u_new, eps, Vt, J, K_new = _members(finite, u_new, eps, Vt, J, K_new)
             if idx is None or idx.size:
                 record(k, idx, u_new, eps, Vt, J, K_new)
-                u[:, slice(None) if idx is None else idx] = u_new
-                K[slice(None) if idx is None else idx] = K_new
+                who = slice(None) if idx is None else idx
+                u[:, who], K[who] = u_new, K_new
             phases["record"] += clock() - t0
             return failed
 
-        def solo_step(k, b, dW):
-            """Time step k of path b alone with the single-path step; returns
-            a failure message, or None."""
-            t0 = clock()
-            K_b = K[b]
-            if k == 0:
-                u_b = u0.values
-                eps, Vt, J = initial()
-            else:
-                u_n = VectorField(self.grid, np.ascontiguousarray(u[:, b]))
-                if dW is not None:
-                    K_b = self.accumulate_K_sto(ScalarField(self.grid, K_b), u_n, dW).values
-                t1 = clock()
-                phases["K"] += t1 - t0
-                u_next, rep = self.step(u_n, dW)
-                t0 = clock()
-                phases["step"] += t0 - t1
-                u_b = u_next.values
-                if not np.all(np.isfinite(u_b)):
-                    return "non-finite velocity"
-                newton_its[b, k] = rep.iterations
-                cg_its[b, k] = rep.cg_iterations
-                backtracks[b, k] = rep.backtracks
-                roundoff_steps[b, k] = rep.roundoff_steps
-                eps, Vt, J = rep.strain, rep.V, rep.J
-            record(k, None if B == 1 else np.array([b]), u_b[:, None], eps[:, :, None],
-                   Vt[:, :, None], np.array([J]), K_b[None])
-            u[:, b] = u_b
-            K[b] = K_b
-            phases["record"] += clock() - t0
-            return None
+        def attempt(k, paths, dW):
+            """batch_step(k, paths, dW) with each failed path's message; a
+            batch that raises is redone path by path from the saved state,
+            and a lone path fails with the exception's text."""
+            try:
+                return batch_step(k, paths, dW)
+            except Exception as exc:  # any failure ends these paths only
+                if len(paths) > 1:
+                    failed = {}
+                    for j, b in enumerate(paths):
+                        failed.update(attempt(k, [b], None if dW is None else dW[j:j + 1]))
+                    return failed
+                kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
+                return {paths[0]: f"{kind}{exc}"}
 
         snapshots = [[] for _ in range(B)]
         errors = [None] * B
@@ -879,21 +870,7 @@ class Stepper:
             if not live:
                 break
             dW = [sample_increment(rngs[b], cfg.dt, modes) for b in live] if k and modes else None
-            solo, failed = live, {}
-            if len(live) > 1:
-                try:
-                    solo, failed = [], batch_step(k, live, dW)
-                except Exception:  # redone one path at a time below
-                    solo, failed = live, {}
-            for j, b in enumerate(solo):
-                try:
-                    reason = solo_step(k, b, None if dW is None else dW[j])
-                except Exception as exc:  # any failure ends this path only
-                    kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
-                    reason = f"{kind}{exc}"
-                if reason is not None:
-                    failed[b] = reason
-            for b, reason in failed.items():
+            for b, reason in attempt(k, live, dW).items():
                 errors[b] = f"step {k}: {reason}"
             live = [b for b in live if errors[b] is None]
             recorded[live] = k + 1

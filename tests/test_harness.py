@@ -64,6 +64,10 @@ def test_parse_config_comments_and_errors():
         parse_config_text("unknown_key=1\n")
     with pytest.raises(ConfigError):
         parse_config_text("p=abc\n")
+    # values that would fail only inside the workers
+    for text in ("workers=-1\n", "newton_tol=0\n", "newton_max_iter=0\n"):
+        with pytest.raises(ConfigError, match=text.split("=")[0]):
+            parse_config_text(text).validate()
 
 
 def test_validation_rejects_bad_combinations():
@@ -752,6 +756,8 @@ def test_cli_run_and_exit_codes(tmp_path):
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("p=1.2\n")
+    assert cli_main(["run", "--config", str(bad)]) == 1
+    bad.write_text("workers=-1\n")
     assert cli_main(["run", "--config", str(bad)]) == 1
     assert cli_main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert cli_main(["norms", "--dir", str(tmp_path / "void"),

@@ -90,8 +90,9 @@ def test_line_search_stall_raises(grid8):
     cfg = SolverConfig(dt=1e-2, T=8e-2)
     stepper = UphillStepper(grid8, PotentialParams(3.0, 0.0), cfg)
     u0 = initial_velocity(grid8, "curl", 1.0)
-    with pytest.raises(StepError, match="line search stalled.*gradient norm"):
-        stepper.step(u0, None)
+    for u in (u0, VectorField(grid8, u0.values[:, None])):  # one path, a batch of one
+        with pytest.raises(StepError, match="line search stalled.*gradient norm"):
+            stepper.step(u, None)
 
 
 def test_p2_step_matches_dense_oracle(grid8):
@@ -693,8 +694,8 @@ def test_batched_run_path_is_bit_identical_to_single_paths(n, rho):
             stepper.calls = [0, 0]
             trajs = stepper.run_path(u0, rngs(B))
             assert len(trajs) == B
-            if bad is None:  # no batched step fell back to single steps
-                assert stepper.calls == ([32, 0] if B == 1 else [0, 32])
+            if bad is None:  # every block steps as a batch, and none was redone
+                assert stepper.calls == [0, 32]
             for traj, (arrays, flags) in zip(trajs, singles):
                 got, got_flags = _trajectory_arrays(traj)
                 assert got_flags == flags
@@ -720,3 +721,15 @@ def test_batched_step_report_totals_and_per_path_counts(grid8):
         assert rep.cg_iterations[b] == rep_b.cg_iterations
         assert rep.J[b] == rep_b.J
         assert np.array_equal(rep.V[:, :, b], rep_b.V)
+    # a batch of one gets the bits of one path and reports in batch form
+    u_0, rep_0 = stepper.step(VectorField(grid8, u0), dWs[0])
+    u, rep = stepper.step(VectorField(grid8, u0[:, None]), dWs[:1])
+    assert np.array_equal(u.values[:, 0], u_0.values)
+    assert isinstance(rep.iterations, int) and rep.iterations == rep_0.iterations
+    assert np.array_equal(rep.path_iterations, [rep_0.iterations])
+    for name in ("v_distance_sq", "grad_norm", "phi_initial", "phi_final", "converged",
+                 "cg_iterations", "backtracks", "roundoff_steps", "J"):
+        assert np.array_equal(getattr(rep, name), [getattr(rep_0, name)]), name
+    assert rep.strain.shape == rep.V.shape == (2, 2, 1, 8, 8)
+    assert np.array_equal(rep.strain[:, :, 0], rep_0.strain)
+    assert np.array_equal(rep.V[:, :, 0], rep_0.V)
