@@ -18,11 +18,9 @@ from .runner import diffs_path
 from .seminorms import (
     FitResult,
     OrliczSpec,
-    SeminormReport,
     fit_exponent,
     lag_norms,
     report_from_norms,
-    seminorm_report,
     window_lags,
 )
 # Not called here: the benchmark's tracer saves and restores
@@ -35,7 +33,6 @@ __all__ = [
     "path_indices",
     "failed_path_indices",
     "parse_orlicz",
-    "report_for_quantity",
     "norms_command",
     "fit_command",
     "report_command",
@@ -97,14 +94,6 @@ def parse_orlicz(token: str) -> OrliczSpec:
     if token.startswith("nq:"):
         return OrliczSpec.nq(float(token[3:]))
     return OrliczSpec.power(float(token))
-
-
-def report_for_quantity(
-    diffs: dict, dt: float, n_steps: int, alpha: float, spec: OrliczSpec
-) -> SeminormReport:
-    """Seminorm report from stored difference series (lags in the fit window)."""
-    lags = window_lags(diffs, n_steps)
-    return seminorm_report(((m, diffs[m]) for m in lags), dt, alpha, spec)
 
 
 @dataclass

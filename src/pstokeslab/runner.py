@@ -48,9 +48,11 @@ _WORKER_CACHE: dict = {}
 
 
 def initial_velocity(grid: Grid, kind: str, scale: float) -> VectorField:
-    """Divergence-free masked initial condition."""
+    """Divergence-free masked initial condition: "zero" or "curl"."""
     if kind == "zero":
         return grid.vector()
+    if kind != "curl":
+        raise ValueError(f"unknown initial velocity kind {kind!r}")
     vals = sine_stream_curl(grid, 1, 1)
     norm = np.sqrt(grid.cell_area * np.sum(vals**2))
     return VectorField(grid, vals * (scale / norm))

@@ -68,21 +68,24 @@ component axes first and the batch axis next: (2, B, n, n) for
 velocities, (2, 2, B, n, n) for strains and (B, n, n) for scalars.
 `step` and `accumulate_K_sto` take such a batch with one increment per
 path, and `run_path` makes one of each call and one record per time
-step.  Newton, CG and the line search keep a path in the lockstep until
-its own loop would stop it, and gather the others to go on, so every
-path takes its own iterations and keeps the bits of its own run: the
-grid kernels, the projection and phi's closed form act on each member as
-on one path; inner products and norms sum each path over its own
-contiguous entries of a batch-first copy; phi's series is a Horner sum
-of one fixed degree per p, entry by entry, so one call serves the whole
-batch; and the noise products stay one dot per path, as a batched
-product would round differently.  A block takes every time step as one
-batch, of one path too; `step` alone picks the loop and runs a batch of
-one in the one-path loop, which lacks the per-path bookkeeping.  A time
-step of two or more paths that raises is redone for each path as a batch
-of one, from the saved state with the increments already drawn, so a
-path fails alone.  Its paths share the block's time in proportion to the
-steps they completed.
+step; K, the Helmholtz potential and the record take blocks only, a
+lone path as a block of one.  Newton, CG and the line search keep a path
+in the lockstep until its own loop would stop it, and gather the others
+to go on, so every path takes its own iterations and keeps the bits of
+its own run: the grid kernels, the projection and phi's closed form act
+on each member as on one path; inner products and norms sum each path
+over its own contiguous entries of a batch-first copy; phi's series is a
+Horner sum of one fixed degree per p, entry by entry, so one call serves
+the whole batch; and the noise products stay one dot per path, as a
+batched product would round differently.  A block takes every time
+step, the initial state's record included, as one batch, of one path
+too; `step` alone picks the loop and runs a batch of one in the one-path
+loop, which lacks the per-path bookkeeping.  A path fails in one way: a
+time step that raises, where the record raises on a non-finite velocity
+before it stores anything.  A time step of two or more paths that raises
+is redone for each path as a batch of one, from the saved state with the
+increments already drawn, so a path fails alone.  A block's paths share
+its time in proportion to the steps they completed.
 """
 
 from __future__ import annotations
@@ -96,16 +99,14 @@ from . import potential as pot
 from .grid import (
     Grid,
     ScalarField,
-    TensorField,
     VectorField,
     div_tensor_values,
     div_vec_values,
     lp_norm,
     sym_grad_values,
-    w12_norm,
     w12_norm_values,
 )
-from .noise import NoiseSpec, PathRng, WienerIncrement, apply_G, sample_increment
+from .noise import NoiseSpec, apply_G, sample_increment
 from .projection import BogovskiiOperator, HelmholtzProjector
 from .seminorms import dyadic_lags
 
@@ -122,6 +123,8 @@ __all__ = [
 # the step error stayed at 1.2e-11 of the tight solve; 1e-3 took the
 # fewest CG iterations at n = 32, and 1e-2 added Newton iterations.
 FIRST_CG_TOL = 1e-3
+# Cap on the CG iterations of one Newton iteration's solve.
+CG_MAX_ITER = 400
 # Rounding level of the objective, relative to |phi|.  Full Newton steps
 # that failed the Armijo test on round-off rose above phi_v by up to
 # 2 eps |phi|, and a full step lowers phi by about half the predicted
@@ -147,7 +150,6 @@ class SolverConfig:
     store_every: int = 0             # full-snapshot stride; 0 = none
     cg_tol: float = 1e-6             # CG forcing of every Newton iteration after the
                                      # first (FIRST_CG_TOL); tighten for oracles
-    cg_max_iter: int = 400
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -159,6 +161,8 @@ class SolverConfig:
             raise ValueError("T must be an integral multiple of dt")
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -286,22 +290,18 @@ class Stepper:
             self._hess_params = params
         self._k_modes = None  # k_j of additive noise, flattened (module docstring)
         if spec is not None and spec.mode_count > 0 and spec.rho == "one":
-            self._k_modes = np.array([
-                lam * self._grad_potential(psi)[1].ravel()
-                for lam, psi in zip(spec.lambdas, spec.modes)
-            ])
+            q = self._grad_potential(spec.modes.swapaxes(0, 1))[1]
+            self._k_modes = spec.lambdas[:, None] * q.reshape(spec.mode_count, -1)
 
     # -- array-level building blocks -----------------------------------
     def _project(self, v):
         return self.projector.project_values(v)[0]
 
     def _grad_potential(self, v):
-        """P v and the mean-free q with (I-P) v = grad q; B*((I-P) v) = -q.
-
-        On a batch each path's q loses its own mean."""
+        """P v and the mean-free q with (I-P) v = grad q of each path of a
+        batch v (2, B, n, n); B*((I-P) v) = -q, and each q has its own mean
+        removed."""
         div_free, _, q = self.projector.project_values(v)
-        if q.ndim == 2:
-            return div_free, q - q.mean()
         means = np.add.reduce(q.reshape(len(q), -1), axis=1) / q[0].size
         return div_free, q - means[:, None, None]
 
@@ -503,7 +503,7 @@ class Stepper:
         rs = self._inner(res, res)
         target = max(tol**2 * rs, floor**2)
         iterations = 0
-        while iterations < self.config.cg_max_iter and rs > target:
+        while iterations < CG_MAX_ITER and rs > target:
             Ap = apply_op(p_dir)
             denom = self._inner(p_dir, Ap)
             if denom <= 1e-12 * self._inner(p_dir, p_dir):
@@ -655,7 +655,7 @@ class Stepper:
         rs = self._inner_batch(res, res)
         target = np.maximum(tol**2 * rs, floor**2)
         go = rs > target
-        for _ in range(self.config.cg_max_iter):
+        for _ in range(CG_MAX_ITER):
             if not go.all():
                 x_out[:, act[~go]] = x[:, ~go]
                 act, a1, a2, unit, x, res, p_dir, rs, target = _members(
@@ -700,18 +700,16 @@ class Stepper:
         """K_next = K_prev - B*( (I-P) G(u_n) dW ); stays mean-free.
 
         The increment is the potential of the gradient part of G(u_n) dW
-        (module docstring).  On a batch, K_prev (B, n, n) and u_n
-        (2, B, n, n) with a sequence of B increments, each path's
-        increment is formed as for one path.
+        (module docstring).  K_prev (B, n, n) and u_n (2, B, n, n) are a
+        block of B paths, one path included, with a sequence of B
+        increments; each path's increment is formed as for a block of one.
         """
         if self.spec is None or self.spec.mode_count == 0:
             return K_prev
-        batch = u_n.values.ndim == 4
         if self._k_modes is not None:
-            incr = np.array([self._k_increment(inc) for inc in dW]) if batch else self._k_increment(dW)
+            incr = np.array([self._k_increment(inc) for inc in dW])
         else:
-            forcing = self._forcing(u_n.values, dW) if batch else apply_G(self.spec, u_n, dW).values
-            incr = self._grad_potential(forcing)[1]
+            incr = self._grad_potential(self._forcing(u_n.values, dW))[1]
         return ScalarField(self.grid, K_prev.values + incr)
 
     def run_path(self, u0: VectorField, rng):
@@ -722,13 +720,14 @@ class Stepper:
         block of B paths, one path included, makes one batched step() and
         accumulate_K_sto() call and one batched record per time step, and
         each path gets the bits of its own run.  An exception raised while
-        stepping or recording, the initial state's record included, ends
-        the failing path only: a time step of two or more paths that
-        raises is redone for each path as a batch of one, from the saved
-        state and with the increments already drawn.  A failed path's
-        trajectory keeps the steps recorded so far, `completed` is False
-        and `error` names the step and the exception.  An initial
-        velocity that fails its checks raises ValueError.
+        stepping or recording, the initial state's record and a
+        non-finite velocity included, ends the failing path only: a time
+        step of two or more paths that raises is redone for each path as a
+        batch of one, from the saved state and with the increments
+        already drawn.  A failed path's trajectory keeps the steps
+        recorded so far, `completed` is False and `error` names the step
+        and the exception.  An initial velocity that fails its checks
+        raises ValueError.
         """
         block = isinstance(rng, (list, tuple))
         trajs = self._run_block(u0, list(rng) if block else [rng])
@@ -767,7 +766,10 @@ class Stepper:
 
         def record(k, idx, u_vals, eps, Vt, J, K_vals):
             """Record step k of the paths idx (None: all B) from their batched
-            velocity, strain, V, energies and K."""
+            velocity, strain, V, energies and K; a velocity that is not
+            finite raises StepError before anything is recorded."""
+            if not np.isfinite(u_vals).all():
+                raise StepError("non-finite velocity")
             stress, res, pi = self._stress_terms(eps)
             who = slice(None) if idx is None else idx
             energy[who, k] = J
@@ -803,55 +805,41 @@ class Stepper:
         phases = {"step": 0.0, "record": 0.0, "K": 0.0}
 
         def batch_step(k, live, dW):
-            """Time step k of the paths live as one batch; returns the
-            failure message of each path whose velocity is not finite."""
+            """Time step k of the paths live as one batch; step 0 records
+            the initial state."""
             idx = None if len(live) == B else np.array(live)
-            failed = {}
+            who = slice(None) if idx is None else idx
+            u_new, K_new = _take(u, idx), _take(K, idx)
             t0 = clock()
             if k == 0:
-                eps = sym_grad_values(D, u0.values)
+                eps = sym_grad_values(D, u_new)
                 Vt, J = pot.v_tensor(self.params, eps), pot.energy(self.params, eps, area)
-                shape = (len(live), n, n)
-                u_new = np.broadcast_to(u0.values[:, None], (2,) + shape)
-                eps = np.broadcast_to(eps[:, :, None], (2, 2) + shape)
-                Vt = np.broadcast_to(Vt[:, :, None], (2, 2) + shape)
-                J = np.full(len(live), J)
-                K_new = _take(K, idx)
             else:
-                u_n, K_new = _take(u, idx), _take(K, idx)
                 if dW is not None:
                     K_new = self.accumulate_K_sto(
-                        ScalarField(self.grid, K_new), VectorField(self.grid, u_n), dW
+                        ScalarField(self.grid, K_new), VectorField(self.grid, u_new), dW
                     ).values
                 t1 = clock()
                 phases["K"] += t1 - t0
-                u_next, rep = self.step(VectorField(self.grid, u_n), dW)
+                u_next, rep = self.step(VectorField(self.grid, u_new), dW)
                 t0 = clock()
                 phases["step"] += t0 - t1
                 u_new, eps, Vt, J = u_next.values, rep.strain, rep.V, rep.J
-                who = slice(None) if idx is None else idx
                 newton_its[who, k] = rep.path_iterations
                 cg_its[who, k] = rep.cg_iterations
                 backtracks[who, k] = rep.backtracks
                 roundoff_steps[who, k] = rep.roundoff_steps
-                finite = np.isfinite(u_new).all(axis=(0, 2, 3))
-                if not finite.all():
-                    failed = {b: "non-finite velocity" for b, f in zip(live, finite) if not f}
-                    idx = np.array([b for b, f in zip(live, finite) if f])
-                    u_new, eps, Vt, J, K_new = _members(finite, u_new, eps, Vt, J, K_new)
-            if idx is None or idx.size:
-                record(k, idx, u_new, eps, Vt, J, K_new)
-                who = slice(None) if idx is None else idx
-                u[:, who], K[who] = u_new, K_new
+            record(k, idx, u_new, eps, Vt, J, K_new)
+            u[:, who], K[who] = u_new, K_new
             phases["record"] += clock() - t0
-            return failed
 
         def attempt(k, paths, dW):
-            """batch_step(k, paths, dW) with each failed path's message; a
-            batch that raises is redone path by path from the saved state,
-            and a lone path fails with the exception's text."""
+            """batch_step(k, paths, dW); returns the failure message of each
+            path that failed.  This is the one place a path fails: a batch
+            that raises is redone path by path from the saved state, and a
+            lone path fails with the exception's text."""
             try:
-                return batch_step(k, paths, dW)
+                batch_step(k, paths, dW)
             except Exception as exc:  # any failure ends these paths only
                 if len(paths) > 1:
                     failed = {}
@@ -860,6 +848,7 @@ class Stepper:
                     return failed
                 kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
                 return {paths[0]: f"{kind}{exc}"}
+            return {}
 
         snapshots = [[] for _ in range(B)]
         errors = [None] * B

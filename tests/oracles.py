@@ -2,8 +2,9 @@
 
 Each one checks the product from outside: the potential's derivatives
 and sampled monotonicity constants, the Ito isometry of the noise, a
-reader for the runner's field snapshots, and the Wiener study's
-refinement ratios.  The product code they exercise stays in src/.
+reader for the runner's field snapshots, a seminorm report straight from
+stored difference series, and the Wiener study's refinement ratios.
+The product code they exercise stays in src/.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pstokeslab.potential import (
     s_tensor,
     v_tensor,
 )
+from pstokeslab.seminorms import OrliczSpec, SeminormReport, seminorm_report, window_lags
 
 
 # ---------------------------------------------------------------------
@@ -254,6 +256,14 @@ def load_field(grid: Grid, path):
     if ncomp == 4:
         return TensorField(grid, flat.reshape(2, 2, grid.n, grid.n))
     raise ValueError(f"unsupported component count {ncomp}")
+
+
+def report_for_quantity(
+    diffs: dict, dt: float, n_steps: int, alpha: float, spec: OrliczSpec
+) -> SeminormReport:
+    """Seminorm report from stored difference series (lags in the fit window)."""
+    lags = window_lags(diffs, n_steps)
+    return seminorm_report(((m, diffs[m]) for m in lags), dt, alpha, spec)
 
 
 def wiener_refinement_ratios(rows, paths: int):

@@ -39,10 +39,15 @@ from pstokeslab.runner import (
     wiener_dichotomy_study,
 )
 from pstokeslab.seminorms import OrliczSpec, SampledPath, fit_exponent
-from pstokeslab.analysis import load_diffs, path_indices, report_for_quantity
+from pstokeslab.analysis import load_diffs, path_indices
 from pstokeslab.stepping import SolverConfig, Stepper
 
-from oracles import inequality_report, ito_isometry_check, wiener_refinement_ratios
+from oracles import (
+    inequality_report,
+    ito_isometry_check,
+    report_for_quantity,
+    wiener_refinement_ratios,
+)
 
 
 def announce(criterion, passed, detail):

@@ -13,6 +13,7 @@ from pstokeslab.config import (
     parse_config_text,
     sha256_file,
 )
+from pstokeslab.grid import Grid
 from pstokeslab import runner, seminorms
 from pstokeslab.noise import PathRng, sample_increment
 from pstokeslab.runner import run_experiment
@@ -89,6 +90,13 @@ def test_p_below_two_needs_flag():
 
 
 # ---------------------------------------------------------------- runner
+def test_initial_velocity_rejects_unknown_kind():
+    # a library caller that skips ExperimentConfig.validate() gets an
+    # error, not the curl field, for a kind other than "zero" or "curl"
+    with pytest.raises(ValueError, match="bogus"):
+        runner.initial_velocity(Grid(8), "bogus", 1.0)
+
+
 
 def test_zero_paths_manifest_only(tmp_path):
     cfg = small_config(str(tmp_path / "run0"), paths=0)
@@ -553,6 +561,43 @@ def test_path_exception_other_than_step_error_fails_that_path_only(tmp_path, mon
     assert manifest.path_status["1"] == "failed: step 3: ValueError: non-finite candidate"
     with open(os.path.join(out, "path_0001_series.csv")) as fh:
         assert len(fh.readlines()) == 1 + 3  # header and steps 0..2
+
+
+def test_non_finite_velocity_fails_that_path_only(tmp_path, monkeypatch):
+    # path 1's step 3 hands back a NaN velocity inside the 3-path block:
+    # record() rejects it, the step is redone path by path, path 1 fails
+    # alone and the other paths keep the bytes of a clean run
+    clean = str(tmp_path / "clean")
+    run_experiment(small_config(clean, paths=3))
+    out = str(tmp_path / "nan")
+    cfg = small_config(out, paths=3)
+    owners = increment_owners(cfg)
+    batches = []
+
+    class NanOnPathOne(Stepper):
+        def step(self, u_n, dW):
+            u_next, rep = super().step(u_n, dW)
+            paths = served(owners, dW)
+            batches.append(len(paths))
+            for b, owner in enumerate(paths):
+                if owner == (1, 3):
+                    u_next.values[:, b] = np.nan
+            return u_next, rep
+
+    monkeypatch.setattr(runner, "Stepper", NanOnPathOne)
+    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
+    manifest = run_experiment(cfg)
+    assert batches[:7] == [3, 3, 3, 1, 1, 1, 2]  # steps 1-3, step 3 redone, step 4
+    assert manifest.status == "1 paths failed"
+    assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
+    assert manifest.path_status["1"] == "failed: step 3: non-finite velocity"
+    assert manifest.path_summary["1"]["steps_completed"] == 2
+    with open(os.path.join(out, "path_0001_series.csv")) as fh:
+        assert len(fh.readlines()) == 1 + 3  # header and steps 0..2
+    clean_files, files = run_files(clean), run_files(out)
+    for name in clean_files:
+        if not name.startswith("path_0001"):
+            assert files[name] == clean_files[name], name
 
 
 def test_exception_while_recording_fails_that_path_only(tmp_path, monkeypatch):

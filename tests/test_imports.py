@@ -1,0 +1,59 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pstokeslab"
+NOQA = "# noqa: F401"
+
+
+def unused_imports(path):
+    """(line, name) of each imported name the module at path never uses.
+
+    Names listed in __all__, __future__ imports and import lines marked
+    "# noqa: F401" are exempt.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(a, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [(a, a.asname or a.name) for a in node.names if a.name != "*"]
+        else:
+            continue
+        for alias, name in names:
+            if NOQA not in lines[node.lineno - 1] and NOQA not in lines[alias.lineno - 1]:
+                imported.append((alias.lineno, name))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_finder_flags_only_unused_names(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from json import dumps, loads\n"
+        "from math import pi  # noqa: F401\n"
+        "from math import tau\n"
+        "__all__ = ['tau']\n"
+        "x = np.zeros(1)\n"
+        "y = dumps\n"
+    )
+    assert unused_imports(module) == [(2, "os"), (4, "loads")]

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from pstokeslab.analysis import report_for_quantity
 from pstokeslab.seminorms import (
     OrliczSpec,
     SampledPath,
@@ -13,6 +12,8 @@ from pstokeslab.seminorms import (
     fit_exponent,
     luxemburg_norm,
 )
+
+from oracles import report_for_quantity
 
 
 def brute_force_besov_sup(values, dt, alpha, q, lags):
@@ -199,12 +200,10 @@ def test_k_sto_exponent_matches_wiener_oracle():
     # accumulated stochastic pressure under additive gradient noise
     # behaves like a Wiener reduction: its fitted exponent matches the
     # directly simulated scalar Wiener oracle's window
-    from pstokeslab.grid import Grid
+    from pstokeslab.grid import Grid, ScalarField, VectorField, w12_norm
     from pstokeslab.noise import NoiseSpec, PathRng, sample_increment
     from pstokeslab.potential import PotentialParams
     from pstokeslab.stepping import SolverConfig, Stepper
-
-    from pstokeslab.grid import w12_norm
 
     g = Grid(16)
     spec = NoiseSpec(g, 4, flavor="gradient")
@@ -215,13 +214,14 @@ def test_k_sto_exponent_matches_wiener_oracle():
     slopes = []
     for idx in range(6):
         rng_path = PathRng(17, idx)
-        K = g.scalar()
+        # K of a block of one path, as run_path accumulates it
+        K = ScalarField(g, np.zeros((1, 16, 16)))
         series = [0.0]
-        u = g.vector()
+        u = VectorField(g, np.zeros((2, 1, 16, 16)))
         for _ in range(n):
             dW = sample_increment(rng_path, dt, 4)
-            K = stepper.accumulate_K_sto(K, u, dW)
-            series.append(w12_norm(K))
+            K = stepper.accumulate_K_sto(K, u, [dW])
+            series.append(w12_norm(ScalarField(g, K.values[0])))
         rep = besov_seminorm(SampledPath(np.asarray(series), dt), 0.5, OrliczSpec.power(2.0))
         slopes.append(fit_exponent(rep).slope)
     k_median = float(np.median(slopes))

@@ -39,9 +39,20 @@ def make_stepper(grid, p=2.0, kappa=0.0, dt=1e-3, T=None, spec=None, **kw):
 
 
 def residual_and_pressure(stepper, u):
-    """P div S(eps u) and pi_det of u, as run_path records them."""
-    _, res, pi = stepper._stress_terms(sym_grad_values(stepper.grid.diff_1d, u.values))
-    return VectorField(stepper.grid, res), ScalarField(stepper.grid, pi)
+    """P div S(eps u) and pi_det of u, as run_path records them: on a
+    block of one."""
+    eps = sym_grad_values(stepper.grid.diff_1d, u.values[:, None])
+    _, res, pi = stepper._stress_terms(eps)
+    return VectorField(stepper.grid, res[:, 0]), ScalarField(stepper.grid, pi[0])
+
+
+def k_sto_step(stepper, K, u, dW):
+    """accumulate_K_sto on a block of one path, as run_path calls it."""
+    grid = stepper.grid
+    K_next = stepper.accumulate_K_sto(
+        ScalarField(grid, K.values[None]), VectorField(grid, u.values[:, None]), [dW]
+    )
+    return ScalarField(grid, K_next.values[0])
 
 
 def dense_operator(stepper, fn):
@@ -62,6 +73,8 @@ def test_solver_config_validation():
         SolverConfig(dt=0.3, T=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, newton_tol=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(dt=0.1, T=1.0, newton_max_iter=0)
     assert SolverConfig(dt=0.125, T=1.0).n_steps == 8
 
 
@@ -203,7 +216,7 @@ def test_k_sto_divfree_flavor_stays_zero(grid16):
     u = initial_velocity(grid16, "curl", 1.0)
     for _ in range(10):
         dW = WienerIncrement(1e-3, rng.standard_normal(8) * np.sqrt(1e-3))
-        K = stepper.accumulate_K_sto(K, u, dW)
+        K = k_sto_step(stepper, K, u, dW)
     assert np.max(np.abs(K.values)) < 1e-12
 
 
@@ -212,7 +225,7 @@ def test_k_sto_zero_increment_keeps_k(grid16):
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, spec=spec)
     K = ScalarField(grid16, np.random.default_rng(2).standard_normal((16, 16)))
     K.values -= K.values.mean()
-    out = stepper.accumulate_K_sto(K, grid16.vector(), WienerIncrement(1e-3, np.zeros(8)))
+    out = k_sto_step(stepper, K, grid16.vector(), WienerIncrement(1e-3, np.zeros(8)))
     assert np.max(np.abs(out.values - K.values)) < 1e-14
 
 
@@ -224,7 +237,7 @@ def test_k_sto_single_gradient_mode_matches_composition_oracle(grid16):
     z = np.array([0.7])
     dW = WienerIncrement(1e-3, z)
     K0 = grid16.scalar()
-    K1 = stepper.accumulate_K_sto(K0, grid16.vector(), dW)
+    K1 = k_sto_step(stepper, K0, grid16.vector(), dW)
     forcing = spec.lambdas[0] * spec.modes[0] * z[0]
     grad_part = forcing - stepper._project(forcing)
     oracle = -BogovskiiOperator(grid16).adjoint_apply(VectorField(grid16, grad_part)).values
@@ -243,7 +256,7 @@ def test_additive_k_sto_matches_closed_form(grid16, flavor):
     W = np.zeros(8)
     for _ in range(32):
         dW = sample_increment(rng, 1e-3, 8)
-        K = stepper.accumulate_K_sto(K, u, dW)
+        K = k_sto_step(stepper, K, u, dW)
         W += dW.z
     projector = HelmholtzProjector(grid16)
     bog = BogovskiiOperator(grid16)
@@ -279,7 +292,7 @@ def test_pressures_equal_bogovskii_adjoint_oracle(n):
     expected = oracle(div_tensor_values(grid.diff_1d, stress))
     assert rel(residual_and_pressure(stepper, u)[1].values, expected) < 1e-12
     dW = sample_increment(PathRng(n, 0), 1e-3, 8)
-    K1 = stepper.accumulate_K_sto(grid.scalar(), u, dW)
+    K1 = k_sto_step(stepper, grid.scalar(), u, dW)
     assert rel(K1.values, oracle(apply_G(spec, u, dW).values)) < 1e-12
 
 
@@ -343,7 +356,6 @@ def test_run_path_divergence_free_preserved(grid16):
     rng = PathRng(3, 1)
     for _ in range(16):
         dW = sample_increment(rng, 1e-3, 8)
-        stepper.accumulate_K_sto(grid16.scalar(), u, dW)
         u, _ = stepper.step(u, dW)
     assert lp_norm(div_vec(u), 2) <= 1e-10 * (1.0 + lp_norm(u, 2))
 
