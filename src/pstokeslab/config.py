@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -117,6 +118,12 @@ class ExperimentConfig:
                 errors.append("newton_tol must be positive")
             if self.newton_max_iter < 1:
                 errors.append("newton_max_iter must be positive")
+            if not 0.0 <= self.cg_tol < 1.0:
+                errors.append(f"cg_tol must lie in [0, 1), got {self.cg_tol}")
+            if not self.kappa_reg > 0.0:
+                errors.append("kappa_reg must be positive")
+            if not math.isfinite(self.u0_scale):
+                errors.append("u0_scale must be finite")
             if self.noise_modes < 0:
                 errors.append("noise_modes must be nonnegative")
             if self.noise_decay <= 1.0:

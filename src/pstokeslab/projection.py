@@ -26,6 +26,8 @@ multiplier constant (Benzi, Golub and Liesen, Acta Numerica 2005):
     [[H, B^T, C, 0], [B, 0, 0, z], [C^T, 0, 0, 0], [0, z^T, 0, 0]].
 
 The bordered matrix is factorised once per grid (sparse LU) and reused.
+scipy is imported when the first operator is built, so importing the
+package loads none of it.
 
 The stepper does not call B*: grad_scalar = -div_vec^T and div B = id on
 mean-free scalars give B* grad q = -q, so its pressures are Helmholtz
@@ -39,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (
     Grid,
@@ -143,6 +143,9 @@ class BogovskiiOperator:
     """
 
     def __init__(self, grid: Grid, tol: float = 1e-8):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         self.grid = grid
         self.tol = tol
         n = grid.n

@@ -159,10 +159,12 @@ class SolverConfig:
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ValueError("T must be an integral multiple of dt")
-        if self.newton_tol <= 0.0:
+        if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be positive")
+        if not 0.0 <= self.cg_tol < 1.0:
+            raise ValueError("cg_tol must lie in [0, 1)")
 
     @property
     def n_steps(self) -> int:

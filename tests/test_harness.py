@@ -66,7 +66,10 @@ def test_parse_config_comments_and_errors():
     with pytest.raises(ConfigError):
         parse_config_text("p=abc\n")
     # values that would fail only inside the workers
-    for text in ("workers=-1\n", "newton_tol=0\n", "newton_max_iter=0\n"):
+    for text in ("workers=-1\n", "newton_tol=0\n", "newton_max_iter=0\n",
+                 "cg_tol=1\n", "cg_tol=2\n", "cg_tol=nan\n", "cg_tol=-1e-3\n",
+                 "kappa_reg=0\n", "kappa_reg=nan\n", "u0_scale=inf\n",
+                 "u0_scale=nan\n"):
         with pytest.raises(ConfigError, match=text.split("=")[0]):
             parse_config_text(text).validate()
 
@@ -804,6 +807,12 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", "--config", str(bad)]) == 1
     bad.write_text("workers=-1\n")
     assert cli_main(["run", "--config", str(bad)]) == 1
+    # rejected before any path starts, not failed in every path (status 2)
+    small = f"grid_n=8\npaths=1\nT={2.0**-8 * 4!r}\ndt={2.0**-8!r}\n"
+    for extra in ("p=1.5\nkappa=0\nallow_p_below_two=true\nkappa_reg=-1\n",
+                  "u0_kind=curl\nu0_scale=nan\n"):
+        bad.write_text(small + extra + f"out_dir={tmp_path / 'bad_run'}\n")
+        assert cli_main(["run", "--config", str(bad)]) == 1
     assert cli_main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert cli_main(["norms", "--dir", str(tmp_path / "void"),
                      "--alpha", "0.5", "--orlicz", "2"]) == 2

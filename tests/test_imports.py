@@ -1,7 +1,14 @@
-"""Every name a module of the package imports is used in that module."""
+"""Import hygiene of the package.
+
+Every name a module imports is used in that module, and importing the
+package loads no scipy: only building the Bogovskii operator does.
+"""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -57,3 +64,32 @@ def test_unused_import_finder_flags_only_unused_names(tmp_path):
         "y = dumps\n"
     )
     assert unused_imports(module) == [(2, "os"), (4, "loads")]
+
+
+SCIPY_FREE_SCRIPT = """
+import sys
+import numpy as np
+import pstokeslab, pstokeslab.cli, pstokeslab.config, pstokeslab.runner
+import pstokeslab.analysis
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded[:3]
+from pstokeslab import BogovskiiOperator, Grid, ScalarField
+from pstokeslab.grid import div_vec
+grid = Grid(8)
+x = np.arange(8.0)
+g = np.cos(np.pi * np.add.outer(x, 2.0 * x) / 8.0)
+g -= g.mean()
+w = BogovskiiOperator(grid).apply(ScalarField(grid, g))
+err = float(np.max(np.abs(div_vec(w).values - g)))
+assert err < 1e-10 * float(np.max(np.abs(g))), err
+"""
+
+
+def test_package_imports_without_scipy_until_bogovskii_is_built():
+    # a fresh interpreter, since this one has scipy loaded by other tests
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -75,6 +75,14 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, T=1.0, newton_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, newton_max_iter=0)
+    with pytest.raises(ValueError):
+        SolverConfig(dt=0.1, T=1.0, newton_tol=float("nan"))
+    # cg_tol >= 1 or NaN would stop CG at 0 iterations, which the Newton
+    # loop reads as convergence at the predictor
+    for cg_tol in (1.0, 2.0, float("nan"), -1e-3):
+        with pytest.raises(ValueError, match="cg_tol"):
+            SolverConfig(dt=0.1, T=1.0, cg_tol=cg_tol)
+    assert SolverConfig(dt=0.1, T=1.0, cg_tol=0.0).cg_tol == 0.0
     assert SolverConfig(dt=0.125, T=1.0).n_steps == 8
 
 
