@@ -132,11 +132,11 @@ def _path_fits(run_dir: str, alphas, specs):
                 continue
             series = diffs[quantity]
             lags = window_lags(series, n_steps)
+            h_values, table = lag_norms(((m, series[m]) for m in lags), dt, specs)
             results = []
-            for spec in specs:
-                norms = lag_norms(((m, series[m]) for m in lags), dt, spec)
+            for spec, norms in zip(specs, table):
                 for alpha in alphas:
-                    rep = report_from_norms(*norms, alpha, spec)
+                    rep = report_from_norms(h_values, norms, alpha, spec)
                     results.append((spec, alpha, rep, fit_exponent(rep)))
             yield index, quantity, results
 

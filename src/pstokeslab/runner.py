@@ -29,7 +29,7 @@ from .config import ExperimentConfig, RunManifest
 from .grid import Grid, VectorField, sine_stream_curl
 from .noise import NoiseSpec, PathRng
 from .potential import PotentialParams
-from .seminorms import OrliczSpec, SampledPath, besov_seminorm
+from .seminorms import OrliczSpec, dyadic_lags, lag_norms, report_from_norms, window_lags
 from .stepping import SolverConfig, Stepper
 
 __all__ = [
@@ -332,7 +332,9 @@ def wiener_dichotomy_study(
     at every coarser dyadic subsampling, so refinement ratios compare the
     same underlying trajectory.  Reported per (path, dt): the
     exponential-scale sup-report (stable under refinement) and the
-    squared 2,2-seminorm quadrature (divergent under refinement).
+    squared 2,2-seminorm quadrature (divergent under refinement).  Each
+    lag's increments are formed once, for both norms, and only one lag's
+    are alive at a time.
 
     Paths are analysed on `workers` threads; NumPy releases the GIL on
     arrays of this size, and threads add far less memory than processes.
@@ -341,6 +343,7 @@ def wiener_dichotomy_study(
     """
     exps = list(range(coarsest_exp, finest_exp + 1, 2))
     n_fine = 2**finest_exp
+    specs = (OrliczSpec.phi2(), OrliczSpec.power(2))
 
     def path_rows(index):
         rng = PathRng(master_seed, index)
@@ -348,12 +351,14 @@ def wiener_dichotomy_study(
         w_fine = np.concatenate([[0.0], np.cumsum(incr)])
         rows = []
         for e in exps:
-            stride = 2 ** (finest_exp - e)
-            w = w_fine[::stride]
-            path = SampledPath(w, T / 2**e)
-            phi2 = besov_seminorm(path, 0.5, OrliczSpec.phi2())
-            b22 = besov_seminorm(path, 0.5, OrliczSpec.power(2), fine_index=2.0)
-            rows.append((index, T / 2**e, phi2.sup_approx, b22.quantity_r))
+            w = w_fine[:: 2 ** (finest_exp - e)]
+            lags = window_lags(dyadic_lags(2**e), 2**e)
+            h_values, (phi2, l2) = lag_norms(
+                ((m, w[m:] - w[:-m]) for m in lags), T / 2**e, specs
+            )
+            sup = report_from_norms(h_values, phi2, 0.5, specs[0]).sup_approx
+            quantity = report_from_norms(h_values, l2, 0.5, specs[1], fine_index=2.0).quantity_r
+            rows.append((index, T / 2**e, sup, quantity))
         return rows
 
     with ThreadPoolExecutor(max_workers=max(1, min(workers, paths))) as pool:

@@ -23,17 +23,32 @@ the modular m(s) = integral Phi(s|x|), which is increasing in s.  The
 start s0 = t0/max|x| with Phi(t0) >= 1/dt lies right of the root, since
 the largest sample alone gives m >= 1.  t0 is Phi^{-1}(1/dt) for phi2
 and an upper point of it for Nq (`OrliczSpec.inverse`).  For phi2 a
-second closed form, from the moments of r = |x|/max|x|, is often
-closer: e^u - 1 >= u + u^2/2 bounds m below by the quadratic
-a y + b y^2/2 in y = (s max|x|)^2, with a = dt sum r^2 and b = dt sum r^4,
-so its root y lies right of the modular's root too.  The step for Nq is
+second start, from the moments of r = |x|/max|x|, is often closer:
+e^u - 1 >= u + u^2/2 + u^3/6 bounds m below by the cubic
+a y + b y^2/2 + c y^3/6 in y = (s max|x|)^2, with a, b, c = dt sum r^2,
+r^4, r^6, so the cubic's root lies right of the modular's root too.
+The cubic is convex and increasing for y > 0, so a Newton step on it
+lands right of its root from any start; two steps from its quadratic
+part's root (or t0^2, if smaller) give the start.  The step for Nq is
 Newton on m against s (m is convex there); for phi2 it is Newton on
 log m against log s, which is convex because every log Phi2(e^v) is
 (its slope 2z/(1 - e^-z), z = e^(2v), increases) and sums of log-convex
 functions are log-convex.  Either way the iterates fall monotonically
-onto the root without a bracket.  The left Riemann rule over the path's
-own time window provides the integral, so constants on [0,1] reproduce
-the closed forms exactly.
+onto the root without a bracket.
+
+Newton's next correction bounds the phi2 iteration's error.  With
+g(v) = log m(e^v) it is at most (g''/2g') sigma^2 after a step of
+sigma = |delta v|.  (tD)^2 Phi2 = 2(1 + u) (tD)Phi2 with u = t^2 and
+D = d/dt gives m''/m' <= 2(1 + U), U the largest u, and
+tPhi2'/Phi2 >= 2 gives m'/m >= 2, so g''/g' = m''/m' - m'/m <= 2U.  The
+iterates fall, so U <= t0^2 <= ln(1 + 1/dt) all along, and the loop
+stops right after a step with (1 + t0^2) sigma^2 <= 1e-16: the next
+correction would fall below half an ulp, so evaluating the modular
+again to see it buys nothing.  For the same reason every t the
+iteration evaluates is at most t0, where Phi2 is at most 1/dt, and
+`OrliczSpec.evaluate` needs no clamp.  The left Riemann rule over the
+path's own time window provides the integral, so constants on [0,1]
+reproduce the closed forms exactly.
 """
 
 from __future__ import annotations
@@ -101,13 +116,19 @@ class OrliczSpec:
         return OrliczSpec("nq", q)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
+        """Phi(t) in a fresh array.
+
+        Phi2 overflows to inf past t ~ 26.6, where t^2 exceeds the log of
+        the largest double; inf is its IEEE value, and the Luxemburg
+        iteration never evaluates there (module docstring).
+        """
         t = np.asarray(t, dtype=float)
         if self.kind == "power":
             return t**self.q
         if self.kind == "phi2":
             # in place: one fresh array per call on the Luxemburg hot path
             phi = np.square(t, out=np.empty_like(t))
-            return np.expm1(np.minimum(phi, 700.0, out=phi), out=phi)
+            return np.expm1(phi, out=phi)
         return t**self.q * np.log1p(t) ** (self.q / 2.0)
 
     def t_derivative(self, t: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
@@ -158,22 +179,29 @@ def luxemburg_norm(path: SampledPath, spec: OrliczSpec) -> float:
 
     Power kinds reduce to the plain Riemann L^q norm.  Otherwise Newton's
     method in s = 1/lambda solves m(s) = dt sum Phi(s |x_k|) = 1 from the
-    right, until the modular reaches one or a step shrinks below 1e-14
-    relative.  With E = dt sum t Phi'(t), the step is s <- s (1 - (m - 1)/E)
-    for Nq and s <- s exp(-m log m / E) for phi2, Newton on log m against
-    log s.  The start is min(Phi^{-1}(1/dt), sqrt(y)) / max|x|, the second
-    term for phi2 only: y = 2 / (a + sqrt(a^2 + 2 b)) solves
-    a y + b y^2 / 2 = 1 with a = dt sum r^2, b = dt sum r^4, r = |x|/max|x|,
-    and e^u - 1 >= u + u^2/2 makes m >= 1 there, so the start lies right
-    of the root.  Each iteration writes s|x| into one buffer, calls
+    right (module docstring).  With E = dt sum t Phi'(t), the step is
+    s <- s (1 - (m - 1)/E) for Nq and s <- s exp(-sigma),
+    sigma = m log m / E, for phi2, Newton on log m against log s.  The
+    start is min(t0, sqrt(y)) / max|x| with t0 = Phi^{-1}(1/dt), the
+    second term for phi2 only: y takes two Newton steps on the cubic
+    a y + b y^2/2 + c y^3/6 = 1 from min(t0^2, 2 / (a + sqrt(a^2 + 2 b))),
+    the root of its quadratic part, where a, b, c = dt sum r^2, r^4, r^6
+    and r = |x|/max|x|; e^u - 1 >= u + u^2/2 + u^3/6 makes m >= 1 there.
+    The loop ends once the modular reaches one; for Nq also once a step
+    shrinks below 1e-14 relative, and for phi2 right after a step with
+    (1 + t0^2) sigma^2 <= 1e-16, which bounds the next correction below
+    half an ulp.  Each iteration writes s|x| into one buffer, calls
     `spec.evaluate` once and `spec.t_derivative` into the buffer evaluate
-    returned.  Convergence is quadratic near the root, so the
-    norm is accurate to the rounding of the modular sum (about 1e-15
-    relative).  Homogeneous of degree one in the path.
+    returned.  Convergence is quadratic near the root, so the norm is
+    accurate to the rounding of the modular sum (about 1e-15 relative).
+    Homogeneous of degree one in the path.  A non-finite sample raises
+    ValueError.
     """
     vals = np.abs(path.values[:-1])  # left Riemann rule
     dt = path.dt
     vmax = float(vals.max(initial=0.0))
+    if not math.isfinite(vmax):
+        raise ValueError(f"{spec.label} Luxemburg norm of a path with a non-finite sample")
     if vmax == 0.0:
         return 0.0
     if spec.kind == "power":
@@ -184,11 +212,9 @@ def luxemburg_norm(path: SampledPath, spec: OrliczSpec) -> float:
     # at t0 the largest sample alone brings the modular to at least one
     t0 = spec.inverse(1.0 / dt)
     if phi2:
-        # moments of r = |x|/max|x| <= 1, so no power of a sample overflows
-        r2 = np.square(np.divide(vals, vmax, out=t), out=t)
-        a = dt * float(np.sum(r2))
-        b = dt * float(np.sum(np.square(r2, out=t)))
-        t0 = min(t0, math.sqrt(2.0 / (a + math.hypot(a, math.sqrt(2.0 * b)))))
+        t0 = _phi2_start(vals, vmax, dt, t, t0)
+        # Newton's next correction is below (1 + t0^2) step^2 (module docstring)
+        stop = 1e-16 / (1.0 + t0 * t0)
     s = t0 / vmax
     for _ in range(200):
         phi = spec.evaluate(np.multiply(vals, s, out=t))
@@ -200,12 +226,32 @@ def luxemburg_norm(path: SampledPath, spec: OrliczSpec) -> float:
         if phi2:
             step = m * math.log(m) / E
             s *= math.exp(-step)
+            if not step * step > stop:
+                break
         else:
             step = (m - 1.0) / E
             s *= 1.0 - step
-        if not step > 1e-14:
-            break
+            if not step > 1e-14:
+                break
     return 1.0 / s
+
+
+def _phi2_start(vals, vmax, dt, t, t0):
+    """The phi2 start min(t0, sqrt(y)) of `luxemburg_norm`.
+
+    No moment overflows, since r <= 1.  They are formed in the buffer t
+    and one scratch array that dies on return, so no norm holds more than
+    three arrays at once.
+    """
+    r2 = np.square(np.divide(vals, vmax, out=t), out=t)
+    r4 = np.square(r2)
+    a = dt * float(np.sum(r2))
+    b = dt * float(np.sum(r4))
+    c = dt * float(np.sum(np.multiply(r4, r2, out=r4)))
+    y = min(t0 * t0, 2.0 / (a + math.hypot(a, math.sqrt(2.0 * b))))
+    for _ in range(2):
+        y -= (y * (a + y * (b / 2.0 + y * c / 6.0)) - 1.0) / (a + y * (b + y * c / 2.0))
+    return min(t0, math.sqrt(y))
 
 
 def difference_path(path: SampledPath, m: int) -> SampledPath:
@@ -252,20 +298,24 @@ def seminorm_report(
     increments, dt: float, alpha: float, spec: OrliczSpec, fine_index: float = np.inf
 ) -> SeminormReport:
     """Report from (lag in steps, increment series) pairs over one path."""
-    return report_from_norms(*lag_norms(increments, dt, spec), alpha, spec, fine_index)
+    h_values, (norms,) = lag_norms(increments, dt, [spec])
+    return report_from_norms(h_values, norms, alpha, spec, fine_index)
 
 
-def lag_norms(increments, dt: float, spec: OrliczSpec):
+def lag_norms(increments, dt: float, specs):
     """(h values, Luxemburg norms) of (lag in steps, increment series) pairs.
 
-    The pairs are consumed one at a time, so a generator keeps a single
+    The norms form one row per spec of `specs`, one column per lag.  The
+    pairs are consumed one at a time and each series is measured in every
+    spec before the next is drawn, so a generator keeps a single
     increment alive.  A series with fewer than 4 samples has norm 0.
     """
     lags, norms = [], []
     for m, series in increments:
         lags.append(m)
-        norms.append(luxemburg_norm(SampledPath(series, dt), spec) if series.size >= 4 else 0.0)
-    return np.array(lags, dtype=float) * dt, np.array(norms, dtype=float)
+        path = SampledPath(series, dt) if series.size >= 4 else None
+        norms.append([0.0 if path is None else luxemburg_norm(path, spec) for spec in specs])
+    return np.array(lags, dtype=float) * dt, np.array(norms, dtype=float).reshape(-1, len(specs)).T
 
 
 def report_from_norms(

@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from pstokeslab import seminorms
+from pstokeslab.runner import wiener_dichotomy_study
 from pstokeslab.seminorms import (
     OrliczSpec,
     SampledPath,
@@ -343,7 +346,7 @@ def test_phi2_norm_evaluation_budget(monkeypatch):
     rng = np.random.default_rng(3)
     dt = 2.0**-16
     increment = rng.standard_normal(65536) * np.sqrt(dt)
-    budgets = [(OrliczSpec.phi2(), 6)] + [(OrliczSpec.nq(q), 16) for q in (1.0, 2.0, 3.5)]
+    budgets = [(OrliczSpec.phi2(), 5)] + [(OrliczSpec.nq(q), 16) for q in (1.0, 2.0, 3.5)]
     for spec, budget in budgets:
         calls.clear()
         norm = luxemburg_norm(SampledPath(increment, dt), spec)
@@ -354,7 +357,76 @@ def test_phi2_norm_evaluation_budget(monkeypatch):
     w = np.concatenate([[0.0], np.cumsum(rng.standard_normal(512)) * np.sqrt(dt)])
     calls.clear()
     assert luxemburg_norm(difference_path(SampledPath(w, dt), 4), OrliczSpec.phi2()) > 0.0
-    assert len(calls) <= 6
+    assert len(calls) <= 5
+
+
+def test_phi2_mean_evaluations_over_the_wiener_study(monkeypatch):
+    # the dichotomy study's 576 phi2 norms (16 paths, dt = 2^-10 ... 2^-16,
+    # 6 to 12 lags each) take 4.46 modular evaluations apiece on average
+    evals, norms = [], []
+    evaluate, norm = OrliczSpec.evaluate, seminorms.luxemburg_norm
+
+    def counted_evaluate(self, t):
+        evals.append(self.kind)
+        return evaluate(self, t)
+
+    def counted_norm(path, spec):
+        norms.append(spec.kind)
+        return norm(path, spec)
+
+    monkeypatch.setattr(OrliczSpec, "evaluate", counted_evaluate)
+    monkeypatch.setattr(seminorms, "luxemburg_norm", counted_norm)
+    wiener_dichotomy_study(paths=16, master_seed=1)
+    assert norms.count("phi2") == 576
+    assert evals.count("phi2") / 576 <= 4.5
+
+
+@pytest.mark.parametrize("spec", [OrliczSpec.power(2)] + ROOT_SPECS, ids=lambda s: s.label)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_luxemburg_rejects_non_finite_samples(spec, bad):
+    values = np.linspace(0.0, 1.0, 32)
+    values[7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        luxemburg_norm(SampledPath(values, 1.0 / 32), spec)
+
+
+def test_phi2_evaluate_overflows_to_inf():
+    # no clamp: past t ~ 26.6 Phi2 = exp(t^2) - 1 exceeds the largest double
+    with np.errstate(over="ignore"):
+        assert OrliczSpec.phi2().evaluate(np.array([30.0])).tolist() == [math.inf]
+    assert OrliczSpec.phi2().evaluate(np.array([26.0]))[0] < math.inf
+
+
+def mpmath_phi2_luxemburg(values, dt, guess):
+    """lambda with dt sum expm1((x/lambda)^2) = 1 in 40-digit mpmath.
+
+    Newton in s = 1/lambda from the float answer: the modular is strictly
+    increasing in s, so its root is unique, and the steps must shrink to
+    below 1e-30 relative.
+    """
+    x = np.abs(np.asarray(values, dtype=float)[:-1])
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(v)) ** 2 for v in x if v != 0.0]
+        dt = mpmath.mpf(dt)
+        s = 1 / mpmath.mpf(guess)
+        for _ in range(20):
+            u = [s * s * v for v in xs]
+            m = dt * mpmath.fsum(mpmath.expm1(w) for w in u)
+            E = dt * mpmath.fsum(2 * w * mpmath.exp(w) for w in u)  # s dm/ds
+            step = (m - 1) / E
+            s *= 1 - step
+            if abs(step) < mpmath.mpf(10) ** -30:
+                return float(1 / s)
+    raise AssertionError("mpmath Newton did not converge")
+
+
+@pytest.mark.parametrize("dt", [2.0**-10, 2.0**-16, 1.0, 100.0])
+def test_phi2_norm_matches_mpmath_reference(dt):
+    rng = np.random.default_rng(7)
+    for name, values in _root_find_paths(dt, rng):
+        got = luxemburg_norm(SampledPath(values, dt), OrliczSpec.phi2())
+        expected = mpmath_phi2_luxemburg(values, dt, got)
+        assert abs(got - expected) <= 1e-15 * expected, (name, got, expected)
 
 
 def _root_find_paths(dt, rng):
