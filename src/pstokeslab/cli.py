@@ -33,9 +33,11 @@ def _build_parser():
 
     p_norms = sub.add_parser("norms", help="seminorm reports for a finished run")
     p_norms.add_argument("--dir", required=True)
-    p_norms.add_argument("--alpha", default="0.5", help="comma list, e.g. 0.25,0.5")
     p_norms.add_argument(
-        "--orlicz", default="2", help="comma list: q (power), phi2, nq:q"
+        "--alpha", default="0.5", help="comma list in (0, 1), e.g. 0.25,0.5"
+    )
+    p_norms.add_argument(
+        "--orlicz", default="2", help="comma list: q (power), phi2, nq:q; finite q >= 1"
     )
 
     p_fit = sub.add_parser("fit", help="fit temporal exponents for a finished run")
@@ -84,9 +86,10 @@ def main(argv=None) -> int:
     if args.command in ("norms", "fit"):
         from .analysis import failed_path_indices, fit_command, norms_command, parse_orlicz
         from .config import RunManifest
+        from .seminorms import check_alpha
 
         try:
-            alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
+            alphas = [check_alpha(float(a)) for a in args.alpha.split(",") if a.strip()]
             specs = [parse_orlicz(tok) for tok in args.orlicz.split(",") if tok.strip()]
             if not alphas or not specs:
                 raise ValueError("need at least one alpha and one Orlicz scale")

@@ -43,6 +43,11 @@ KINDS = (
 )
 
 
+# The smallest wiener_coarsest_exp whose level has a lag in the fit
+# window [4 dt, T/8]: at dt = 2^-e that needs 4 <= 2^(e-3).
+WIENER_COARSEST_MIN = 5
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -90,6 +95,11 @@ class ExperimentConfig:
                 errors.append("wiener_finest_exp must be >= wiener_coarsest_exp")
             if (self.wiener_finest_exp - self.wiener_coarsest_exp) % 2 != 0:
                 errors.append("wiener exponent range must step by 2 (4x refinement)")
+            if self.wiener_coarsest_exp < WIENER_COARSEST_MIN:
+                errors.append(
+                    f"wiener_coarsest_exp must be >= {WIENER_COARSEST_MIN}: coarser levels "
+                    "have no lag in the fit window [4 dt, T/8]"
+                )
             if self.paths < 1:
                 errors.append("paths must be positive")
         elif self.kind != "selftest":
@@ -114,6 +124,8 @@ class ExperimentConfig:
                     errors.append("T must be an integral multiple of dt")
             if self.paths < 0:
                 errors.append("paths must be nonnegative")
+            if self.store_every < 0:
+                errors.append("store_every must be nonnegative (0 stores no snapshot)")
             if not self.newton_tol > 0.0:
                 errors.append("newton_tol must be positive")
             if self.newton_max_iter < 1:

@@ -10,11 +10,15 @@ All first-order operators derive from one 1-d matrix D (central
 differences with the odd-reflection closure).  Adjoint pairs are built by
 definition:
 
-    grad_scalar := -div_vec^T        (scalar gradient)
-    div_tensor  := -grad_vec^T       (row-wise tensor divergence)
+    grad_scalar_values := -div_vec_values^T    (scalar gradient)
+    div_tensor_values  := -grad_vec_values^T   (row-wise tensor divergence)
 
 so the discrete integration-by-parts identities hold to machine
 precision, which the projection and pressure machinery relies on.
+
+Every operator is one kernel on plain arrays, `*_values(D, ...)`.  The
+field classes only pair an array with its grid, for the functions that
+need both: `lp_norm`, `save_field` and the Bogovskii operator.
 """
 
 from __future__ import annotations
@@ -28,21 +32,18 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "TensorField",
-    "GridMismatchError",
-    "sym_grad",
-    "grad_vec",
-    "div_vec",
-    "grad_scalar",
-    "div_tensor",
+    "div_vec_values",
+    "grad_scalar_values",
+    "grad_vec_values",
+    "sym_grad_values",
+    "div_tensor_values",
+    "curl_values",
+    "magnitude",
     "lp_norm",
-    "l2_inner",
-    "w12_norm",
+    "w12_norm_values",
+    "sine_stream_curl",
     "save_field",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Fields from different grids were combined."""
 
 
 def _difference_matrix(n: int, h: float) -> np.ndarray:
@@ -91,45 +92,13 @@ class Grid:
     def __repr__(self):
         return f"Grid(n={self.n})"
 
-    # -- constructors -------------------------------------------------
-    def scalar(self, values=None) -> "ScalarField":
-        return ScalarField(self, self._alloc(values, (self.n, self.n)))
-
-    def vector(self, values=None) -> "VectorField":
-        return VectorField(self, self._alloc(values, (2, self.n, self.n)))
-
-    def tensor(self, values=None) -> "TensorField":
-        return TensorField(self, self._alloc(values, (2, 2, self.n, self.n)))
-
-    def _alloc(self, values, shape):
-        if values is None:
-            return np.zeros(shape)
-        values = np.asarray(values, dtype=float)
-        if values.shape != shape:
-            raise ValueError(f"expected shape {shape}, got {values.shape}")
-        return values
-
 
 @dataclass
 class _Field:
+    """A plain (grid, values) pair; the operators act on the values."""
+
     grid: Grid
     values: np.ndarray
-
-    def copy(self):
-        return type(self)(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        _same_grid(self, other)
-        return type(self)(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _same_grid(self, other)
-        return type(self)(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return type(self)(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
 
 
 class ScalarField(_Field):
@@ -144,17 +113,9 @@ class TensorField(_Field):
     pass
 
 
-def _same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise GridMismatchError("fields live on different grids")
-    return g
-
-
 # ---------------------------------------------------------------------
-# array kernels (hot path; Field wrappers below).  d/dx is D @ q and
-# d/dy is q @ D.T; each kernel applies them to the whole stacked
+# array kernels, the one implementation of each operator.  d/dx is
+# D @ q and d/dy is q @ D.T; each kernel applies them to the whole stacked
 # component axis at once, which matmul treats as a batch of n x n
 # products, so the result equals the per-component formulas bit for bit.
 # Products are written with out= into one result allocated per call;
@@ -214,30 +175,8 @@ def magnitude(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# Field-level operations
+# norms
 # ---------------------------------------------------------------------
-
-def sym_grad(v: VectorField) -> TensorField:
-    """Symmetric gradient via central differences with odd reflection."""
-    return TensorField(v.grid, sym_grad_values(v.grid.diff_1d, v.values))
-
-
-def grad_vec(v: VectorField) -> TensorField:
-    """Full (unsymmetrised) gradient, (grad v)[i][j] = d_j v_i."""
-    return TensorField(v.grid, grad_vec_values(v.grid.diff_1d, v.values))
-
-
-def div_vec(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, div_vec_values(v.grid.diff_1d, v.values))
-
-
-def grad_scalar(q: ScalarField) -> VectorField:
-    return VectorField(q.grid, grad_scalar_values(q.grid.diff_1d, q.values))
-
-
-def div_tensor(T: TensorField) -> VectorField:
-    return VectorField(T.grid, div_tensor_values(T.grid.diff_1d, T.values))
-
 
 def lp_norm(f: _Field, r: float) -> float:
     """Quadrature-weighted L^r norm, (h^2 sum |.|^r)^(1/r); max for r=inf."""
@@ -249,25 +188,16 @@ def lp_norm(f: _Field, r: float) -> float:
     return float((f.grid.cell_area * np.add.reduce(mags**r, axis=None)) ** (1.0 / r))
 
 
-def l2_inner(a: _Field, b: _Field) -> float:
-    g = _same_grid(a, b)
-    return float(g.cell_area * np.sum(a.values * b.values))
-
-
 def w12_norm_values(D, area, q):
-    """Discrete W^{1,2} norms of the scalar fields q[..., :, :].
+    """Discrete W^{1,2} norms (||q||^2 + ||grad q||^2)^(1/2) of the scalar
+    fields q[..., :, :].
 
-    Leading axes are a batch; the gradient is grad_scalar's, whose sign
-    the squares drop.
+    Leading axes are a batch; the gradient is grad_scalar_values', whose
+    sign the squares drop.
     """
     gx = D.T @ q
     gy = q @ D
     return np.sqrt(area * np.sum(q * q + gx * gx + gy * gy, axis=(-2, -1)))
-
-
-def w12_norm(f: ScalarField) -> float:
-    """Discrete W^{1,2} norm of a scalar field: (||f||^2 + ||grad f||^2)^(1/2)."""
-    return float(w12_norm_values(f.grid.diff_1d, f.grid.cell_area, f.values))
 
 
 def sine_stream_curl(grid: Grid, m1: int, m2: int) -> np.ndarray:

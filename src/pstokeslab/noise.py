@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, VectorField, grad_scalar_values, magnitude, sine_stream_curl
+from .grid import Grid, grad_scalar_values, magnitude, sine_stream_curl
 
 __all__ = [
     "NoiseSpec",
@@ -36,10 +36,7 @@ __all__ = [
     "apply_G",
 ]
 
-_RHO_PROFILES = {
-    "one": lambda s: np.ones_like(s),
-    "inv_one_plus_s2": lambda s: 1.0 / (1.0 + s**2),
-}
+_RHO_PROFILES = ("one", "inv_one_plus_s2")
 
 
 class PathRng:
@@ -141,7 +138,14 @@ class NoiseSpec:
         return lambdas, modes
 
     def rho_values(self, u_values: np.ndarray) -> np.ndarray:
-        return _RHO_PROFILES[self.rho](magnitude(u_values))
+        """rho(|u|) nodewise: 1 for "one", 1 / (1 + |u|^2) for "inv_one_plus_s2".
+
+        apply_G skips the product for "one", the additive profile.
+        """
+        s = magnitude(u_values)
+        if self.rho == "one":
+            return np.ones_like(s)
+        return 1.0 / (1.0 + s**2)
 
 
 def sample_increment(rng: PathRng, dt: float, mode_count: int) -> WienerIncrement:
@@ -151,16 +155,17 @@ def sample_increment(rng: PathRng, dt: float, mode_count: int) -> WienerIncremen
     return WienerIncrement(dt, rng.standard_normal(mode_count) * np.sqrt(dt))
 
 
-def apply_G(spec: NoiseSpec, u: VectorField, dW: WienerIncrement) -> VectorField:
-    """Forcing increment sum_j lambda_j rho(|u|) psi_j dW_j, nodewise."""
+def apply_G(spec: NoiseSpec, u: np.ndarray, dW: WienerIncrement) -> np.ndarray:
+    """Forcing increment sum_j lambda_j rho(|u|) psi_j dW_j of the velocity
+    u (2, n, n), nodewise."""
     if len(dW.z) != spec.mode_count:
         raise ValueError("increment size does not match mode count")
     if spec.mode_count == 0:
-        return spec.grid.vector()
+        return np.zeros_like(u)
     coeff = spec.lambdas * dW.z
     # the one dot that tensordot(coeff, modes, 1) makes, without its wrapper
     modes = spec.modes
     out = np.dot(coeff.reshape(1, -1), modes.reshape(len(modes), -1)).reshape(modes.shape[1:])
     if spec.rho != "one":
-        out = out * spec.rho_values(u.values)[None, :, :]
-    return VectorField(spec.grid, out)
+        out = out * spec.rho_values(u)[None, :, :]
+    return out

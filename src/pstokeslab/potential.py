@@ -191,23 +191,15 @@ def hessian_coeffs(params: PotentialParams, xi):
     return phipp - a2, a2, unit
 
 
-def energy(params: PotentialParams, eps_field, cell_area: float | None = None):
+def energy(params: PotentialParams, eps, cell_area: float):
     """Dissipation energy: cell_area * sum of phi(|strain|) over nodes.
 
-    eps_field is either a TensorField (cell_area inferred from its grid)
-    or a raw array whose two leading axes are the 2x2 matrix components,
-    in which case cell_area must be given.  A raw (2, 2, B, n, n) array
-    is a batch of B strain fields and gives one energy per field; phi is
-    nodewise, so one call over the batch gives each field the bits of
-    its own call.
+    eps is an array whose two leading axes are the 2x2 matrix components.
+    A (2, 2, B, n, n) array is a batch of B strain fields and gives one
+    energy per field; phi is nodewise, so one call over the batch gives
+    each field the bits of its own call.
     """
-    values = getattr(eps_field, "values", eps_field)
-    if cell_area is None:
-        grid = getattr(eps_field, "grid", None)
-        if grid is None:
-            raise ValueError("cell_area required when eps_field is a raw array")
-        cell_area = grid.h * grid.h
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(eps, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("strain field contains non-finite entries")
     vals = phi(params, _frobenius(values))

@@ -29,16 +29,16 @@ The bordered matrix is factorised once per grid (sparse LU) and reused.
 scipy is imported when the first operator is built, so importing the
 package loads none of it.
 
-The stepper does not call B*: grad_scalar = -div_vec^T and div B = id on
-mean-free scalars give B* grad q = -q, so its pressures are Helmholtz
-potentials.  The operator is the reference against which the selftest,
+The projection acts on plain arrays: `project_values` is its one entry
+point, and batch axes pass through it.  The Bogovskii operator takes and
+returns fields.  The stepper does not call B*: the scalar gradient is
+minus the transposed divergence and div B = id on mean-free scalars, so
+B* grad q = -q and its pressures are Helmholtz potentials.  The operator is the reference against which the selftest,
 the tests and the benchmark's output checks confirm that identity and
 recompute both pressures.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .grid import (
 __all__ = [
     "HelmholtzProjector",
     "BogovskiiOperator",
-    "HelmholtzParts",
     "SolverError",
     "MeanFreeError",
 ]
@@ -68,29 +67,19 @@ class MeanFreeError(ValueError):
     """Input to the Bogovskii operator is not discretely mean-free."""
 
 
-@dataclass
-class HelmholtzParts:
-    div_free: VectorField
-    gradient: VectorField
-    potential: ScalarField
-
-
 class HelmholtzProjector:
     """L^2-orthogonal splitting into divergence-free and gradient parts."""
 
-    def __init__(self, grid: Grid, tol: float = 1e-10):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.tol = tol
         A = grid.diff_1d @ grid.diff_1d.T
         lam, U = np.linalg.eigh(A)
         lam[0] = 0.0  # constant mode, exact kernel
-        self._lam = lam
         self._U = U
         den = lam[:, None] + lam[None, :]
         den[0, 0] = 1.0
         self._den = den
 
-    # -- array-level core ---------------------------------------------
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (A G + G A) = rhs with zero-mean gauge; rhs mean-free.
 
@@ -109,29 +98,6 @@ class HelmholtzProjector:
         G = self.solve_neumann(-div_vec_values(D, v))
         v_grad = grad_scalar_values(D, G)
         return v - v_grad, v_grad, G
-
-    # -- field-level API ----------------------------------------------
-    def leray_project(self, v: VectorField) -> HelmholtzParts:
-        """Split v = div_free + gradient; potential has zero mean."""
-        if v.grid != self.grid:
-            raise ValueError("field lives on a different grid")
-        if not np.all(np.isfinite(v.values)):
-            raise ValueError("field contains non-finite entries")
-        vd, vg, G = self.project_values(v.values)
-        res = lp_norm(ScalarField(self.grid, div_vec_values(self.grid.diff_1d, vd)), 2)
-        scale = lp_norm(v, 2)
-        if res > self.tol * max(scale, 1.0):
-            raise SolverError(
-                f"projection divergence residual {res:.3e} exceeds tolerance"
-            )
-        return HelmholtzParts(
-            VectorField(self.grid, vd),
-            VectorField(self.grid, vg),
-            ScalarField(self.grid, G),
-        )
-
-    def project(self, v: VectorField) -> VectorField:
-        return self.leray_project(v).div_free
 
 
 class BogovskiiOperator:

@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import numpy as np
 
 from .config import ExperimentConfig, RunManifest
-from .grid import Grid, VectorField, sine_stream_curl
+from .grid import Grid, VectorField, save_field, sine_stream_curl
 from .noise import NoiseSpec, PathRng
 from .potential import PotentialParams
 from .seminorms import OrliczSpec, dyadic_lags, lag_norms, report_from_norms, window_lags
@@ -47,15 +47,15 @@ DIFFS_HEADER = "quantity,lag_steps,k,value"
 _WORKER_CACHE: dict = {}
 
 
-def initial_velocity(grid: Grid, kind: str, scale: float) -> VectorField:
-    """Divergence-free masked initial condition: "zero" or "curl"."""
+def initial_velocity(grid: Grid, kind: str, scale: float) -> np.ndarray:
+    """Divergence-free masked initial velocity (2, n, n): "zero" or "curl"."""
     if kind == "zero":
-        return grid.vector()
+        return np.zeros((2, grid.n, grid.n))
     if kind != "curl":
         raise ValueError(f"unknown initial velocity kind {kind!r}")
     vals = sine_stream_curl(grid, 1, 1)
     norm = np.sqrt(grid.cell_area * np.sum(vals**2))
-    return VectorField(grid, vals * (scale / norm))
+    return vals * (scale / norm)
 
 
 def _build_stepper(cfg: ExperimentConfig) -> Stepper:
@@ -139,8 +139,6 @@ def _write_trajectory(run_dir: str, index: int, traj, grid: Grid):
                 series = traj.diffs[quantity][lag]
                 for k in range(series.size):
                     fh.write(f"{quantity},{lag},{k},{series[k]:.10e}\n")
-    from .grid import save_field
-
     for k, values in traj.snapshots:
         save_field(VectorField(grid, values), snapshot_path(run_dir, index, k))
 

@@ -17,13 +17,12 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
-    div_vec,
-    grad_scalar,
-    l2_inner,
+    div_vec_values,
+    grad_scalar_values,
     lp_norm,
-    sym_grad,
+    sym_grad_values,
 )
-from .noise import NoiseSpec, PathRng, apply_G, sample_increment
+from .noise import NoiseSpec, PathRng, WienerIncrement, apply_G, sample_increment
 from .projection import BogovskiiOperator, HelmholtzProjector
 from .potential import PotentialParams
 from .runner import initial_velocity
@@ -38,6 +37,14 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _l2(g, values):
+    return lp_norm(ScalarField(g, values), 2)
+
+
+def _inner(g, a, b):
+    return float(g.cell_area * np.sum(a * b))
 
 
 def _potential_checks(rng):
@@ -73,58 +80,52 @@ def _potential_checks(rng):
 def _grid_checks(rng, corrupt=None):
     out = []
     g = Grid(16)
-    q = ScalarField(g, rng.standard_normal((16, 16)))
-    v = VectorField(g, rng.standard_normal((2, 16, 16)))
-    grad_q = grad_scalar(q)
+    D = g.diff_1d
+    q = rng.standard_normal((16, 16))
+    v = rng.standard_normal((2, 16, 16))
+    grad_q = grad_scalar_values(D, q)
     if corrupt == "adjointness":
-        bad = grad_q.values.copy()
-        bad[0, 3, 5] += 1e-3
-        grad_q = VectorField(g, bad)
-    lhs = l2_inner(grad_q, v)
-    rhs = -l2_inner(q, div_vec(v))
-    err = abs(lhs - rhs) / (lp_norm(q, 2) * lp_norm(v, 2))
+        grad_q[0, 3, 5] += 1e-3
+    lhs = _inner(g, grad_q, v)
+    rhs = -_inner(g, q, div_vec_values(D, v))
+    err = abs(lhs - rhs) / (_l2(g, q) * _l2(g, v))
     out.append(CheckResult("grad/div adjointness", err < 1e-13, f"rel err {err:.2e}"))
-    w = VectorField(g, rng.standard_normal((2, 16, 16)))
-    lin = sym_grad(VectorField(g, 2.0 * v.values + 3.0 * w.values)).values
-    err = np.max(np.abs(lin - 2.0 * sym_grad(v).values - 3.0 * sym_grad(w).values))
+    w = rng.standard_normal((2, 16, 16))
+    lin = sym_grad_values(D, 2.0 * v + 3.0 * w)
+    err = np.max(np.abs(lin - 2.0 * sym_grad_values(D, v) - 3.0 * sym_grad_values(D, w)))
     out.append(CheckResult("operator linearity", err < 1e-12, f"abs err {err:.2e}"))
-    c = ScalarField(g, np.full((16, 16), 2.5))
-    out.append(
-        CheckResult("constant-field L2 norm", abs(lp_norm(c, 2) - 2.5) < 1e-13, "")
-    )
+    c = np.full((16, 16), 2.5)
+    out.append(CheckResult("constant-field L2 norm", abs(_l2(g, c) - 2.5) < 1e-13, ""))
     return out
 
 
 def _projection_checks(rng):
     out = []
     g = Grid(16)
+    D = g.diff_1d
     proj = HelmholtzProjector(g)
-    v = VectorField(g, rng.standard_normal((2, 16, 16)))
-    parts = proj.leray_project(v)
-    pyth = abs(
-        lp_norm(v, 2) ** 2
-        - lp_norm(parts.div_free, 2) ** 2
-        - lp_norm(parts.gradient, 2) ** 2
-    ) / lp_norm(v, 2) ** 2
+    v = rng.standard_normal((2, 16, 16))
+    div_free, gradient, _ = proj.project_values(v)
+    pyth = abs(_l2(g, v) ** 2 - _l2(g, div_free) ** 2 - _l2(g, gradient) ** 2) / _l2(g, v) ** 2
     out.append(CheckResult("projection Pythagoras", pyth < 1e-12, f"{pyth:.2e}"))
-    again = proj.project(parts.div_free)
-    idem = lp_norm(again - parts.div_free, 2) / max(lp_norm(parts.div_free, 2), 1e-300)
+    again = proj.project_values(div_free)[0]
+    idem = _l2(g, again - div_free) / max(_l2(g, div_free), 1e-300)
     out.append(CheckResult("projection idempotence", idem < 1e-10, f"{idem:.2e}"))
-    nonexp = lp_norm(parts.div_free, 2) <= lp_norm(v, 2) * (1.0 + 1e-12)
+    nonexp = _l2(g, div_free) <= _l2(g, v) * (1.0 + 1e-12)
     out.append(CheckResult("projection nonexpansive", bool(nonexp), ""))
     bog = BogovskiiOperator(g)
     q = rng.standard_normal((16, 16))
     q -= q.mean()
-    gq = ScalarField(g, q)
-    w = bog.apply(gq)
-    res = lp_norm(div_vec(w) - gq, 2) / lp_norm(gq, 2)
+    w = bog.apply(ScalarField(g, q)).values
+    res = _l2(g, div_vec_values(D, w) - q) / _l2(g, q)
     out.append(CheckResult("Bogovskii right inverse", res < 1e-10, f"{res:.2e}"))
-    vv = VectorField(g, rng.standard_normal((2, 16, 16)))
-    adj = abs(l2_inner(bog.adjoint_apply(vv), gq) - l2_inner(vv, w))
-    adj /= lp_norm(vv, 2) * lp_norm(gq, 2)
+    vv = rng.standard_normal((2, 16, 16))
+    adj = abs(_inner(g, bog.adjoint_apply(VectorField(g, vv)).values, q) - _inner(g, vv, w))
+    adj /= _l2(g, vv) * _l2(g, q)
     out.append(CheckResult("Bogovskii adjoint identity", adj < 1e-10, f"{adj:.2e}"))
     # B* grad q = -q on mean-free q: the stepper's pressures rely on it
-    pot_err = lp_norm(bog.adjoint_apply(grad_scalar(gq)) + gq, 2) / lp_norm(gq, 2)
+    bstar_grad = bog.adjoint_apply(VectorField(g, grad_scalar_values(D, q))).values
+    pot_err = _l2(g, bstar_grad + q) / _l2(g, q)
     out.append(CheckResult(
         "Bogovskii adjoint of a gradient is minus its potential", pot_err < 1e-10, f"{pot_err:.2e}"
     ))
@@ -135,30 +136,20 @@ def _noise_checks(rng):
     out = []
     g = Grid(16)
     spec = NoiseSpec(g, 8, flavor="divergence-free")
-    worst = max(
-        lp_norm(div_vec(VectorField(g, spec.modes[j])), 2) for j in range(8)
-    )
+    worst = max(_l2(g, div_vec_values(g.diff_1d, spec.modes[j])) for j in range(8))
     out.append(CheckResult("divergence-free noise modes", worst < 1e-10, f"{worst:.2e}"))
     a = sample_increment(PathRng(11, 5), 0.25, 8)
     b = sample_increment(PathRng(11, 5), 0.25, 8)
     out.append(
         CheckResult("path replay determinism", bool(np.array_equal(a.z, b.z)), "")
     )
-    u = VectorField(g, rng.standard_normal((2, 16, 16)))
+    u = rng.standard_normal((2, 16, 16))
     spec_m = NoiseSpec(g, 8, flavor="mixed")
     d1 = sample_increment(PathRng(1, 0), 0.5, 8)
     d2 = sample_increment(PathRng(2, 0), 0.5, 8)
-    from .noise import WienerIncrement
-
     comb = WienerIncrement(0.5, 2.0 * d1.z + 3.0 * d2.z)
-    lin = apply_G(spec_m, u, comb).values
-    err = np.max(
-        np.abs(
-            lin
-            - 2.0 * apply_G(spec_m, u, d1).values
-            - 3.0 * apply_G(spec_m, u, d2).values
-        )
-    )
+    lin = apply_G(spec_m, u, comb)
+    err = np.max(np.abs(lin - 2.0 * apply_G(spec_m, u, d1) - 3.0 * apply_G(spec_m, u, d2)))
     out.append(CheckResult("noise linearity in increment", err < 1e-13, f"{err:.2e}"))
     return out
 
@@ -172,10 +163,9 @@ def _stepper_checks():
     traj = stepper.run_path(u0, PathRng(0, 0))
     mono = bool(np.all(np.diff(traj.energy) <= 0.0))
     out.append(CheckResult("zero-noise energy dissipation", mono and traj.completed, ""))
-    div_worst = 0.0
     st2 = Stepper(g, PotentialParams(2.0, 0.0), cfg)
-    u, _ = st2.step(u0, None)
-    div_worst = lp_norm(div_vec(u), 2)
+    u, _ = st2.step(u0[:, None], None)
+    div_worst = _l2(g, div_vec_values(g.diff_1d, u[:, 0]))
     out.append(
         CheckResult("step preserves divergence-free", div_worst < 1e-10, f"{div_worst:.2e}")
     )

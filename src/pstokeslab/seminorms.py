@@ -70,6 +70,7 @@ __all__ = [
     "seminorm_report",
     "lag_norms",
     "report_from_norms",
+    "check_alpha",
     "besov_seminorm",
     "fit_exponent",
 ]
@@ -100,8 +101,8 @@ class OrliczSpec:
     def __post_init__(self):
         if self.kind not in ("power", "phi2", "nq"):
             raise ValueError(f"unknown Orlicz kind {self.kind!r}")
-        if self.kind in ("power", "nq") and self.q < 1.0:
-            raise ValueError("q must be at least 1")
+        if self.kind in ("power", "nq") and not 1.0 <= self.q < math.inf:
+            raise ValueError(f"q must be finite and at least 1, got {self.q}")
 
     @staticmethod
     def power(q: float) -> "OrliczSpec":
@@ -339,6 +340,13 @@ def report_from_norms(
     )
 
 
+def check_alpha(alpha: float) -> float:
+    """alpha, if it is a smoothness 0 < alpha < 1; else ValueError."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
+
+
 def besov_seminorm(
     path: SampledPath,
     alpha: float,
@@ -351,8 +359,7 @@ def besov_seminorm(
 
     Enlarging h_set can only increase the sup approximation.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     n = path.values.size - 1
     lags = window_lags(dyadic_lags(n), n) if h_set is None else sorted(int(m) for m in h_set)
     increments = ((m, difference_path(path, m).values) for m in lags)

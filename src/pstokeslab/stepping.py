@@ -63,16 +63,15 @@ max(lag) + 1 states; each step takes the norms of all its lags in one
 batched reduction per quantity.  The trajectory keeps the solver counts
 of every step and the time spent stepping, recording and accumulating K.
 
-A block of B paths is stepped in lockstep.  Its fields carry the
-component axes first and the batch axis next: (2, B, n, n) for
-velocities, (2, 2, B, n, n) for strains and (B, n, n) for scalars.
-`step` and `accumulate_K_sto` take such a batch with one increment per
-path, and `run_path` makes one of each call and one record per time
-step; K, the Helmholtz potential and the record take blocks only, a
-lone path as a block of one.  Newton, CG and the line search keep a path
-in the lockstep until its own loop would stop it, and gather the others
-to go on, so every path takes its own iterations and keeps the bits of
-its own run: the grid kernels, the projection and phi's closed form act
+Fields are plain arrays.  A block of B paths is stepped in lockstep: its
+fields carry the component axes first and the batch axis next,
+(2, B, n, n) for velocities, (2, 2, B, n, n) for strains and (B, n, n)
+for scalars.  `step`, `accumulate_K_sto` and the record take such a
+block, a lone path as a block of one, with one increment per path, and
+`run_path` makes one of each call per time step.  Newton, CG and the
+line search keep a path in the lockstep until its own loop would stop
+it, and gather the others to go on, so every path takes its own
+iterations and keeps the bits of its own run: the grid kernels, the projection and phi's closed form act
 on each member as on one path; inner products and norms sum each path
 over its own contiguous entries of a batch-first copy; phi's series is a
 Horner sum of one fixed degree per p, entry by entry, so one call serves
@@ -80,7 +79,8 @@ the whole batch; and the noise products stay one dot per path, as a
 batched product would round differently.  A block takes every time
 step, the initial state's record included, as one batch, of one path
 too; `step` alone picks the loop and runs a batch of one in the one-path
-loop, which lacks the per-path bookkeeping.  A path fails in one way: a
+loop on the path's (2, n, n) velocity, which lacks the per-path
+bookkeeping and reports scalar counts.  A path fails in one way: a
 time step that raises, where the record raises on a non-finite velocity
 before it stores anything.  A time step of two or more paths that raises
 is redone for each path as a batch of one, from the saved state with the
@@ -96,16 +96,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potential as pot
-from .grid import (
-    Grid,
-    ScalarField,
-    VectorField,
-    div_tensor_values,
-    div_vec_values,
-    lp_norm,
-    sym_grad_values,
-    w12_norm_values,
-)
+from .grid import Grid, div_tensor_values, div_vec_values, sym_grad_values, w12_norm_values
 from .noise import NoiseSpec, apply_G, sample_increment
 from .projection import BogovskiiOperator, HelmholtzProjector
 from .seminorms import dyadic_lags
@@ -175,10 +166,12 @@ class SolverConfig:
 class StepReport:
     """Solver results of one step.
 
-    For a batch every field holds one entry per path, except
+    For a batch of B >= 2 every field holds one entry per path, except
     `iterations`, which is the batch's total Newton iterations, so that
     summed over calls it counts Newton iterations per path-step as for
-    one path; `path_iterations` then holds each path's own count.
+    one path; `path_iterations` holds each path's own count.  For one
+    path every count is a scalar, and `path_iterations` equals
+    `iterations`.  strain and V always carry the batch axis.
     """
 
     iterations: int
@@ -194,12 +187,7 @@ class StepReport:
     J: float
     strain: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
-    path_iterations: np.ndarray | None = None
-
-
-# the StepReport fields that hold one entry per path of a batch
-_PER_PATH = ("v_distance_sq", "grad_norm", "phi_initial", "phi_final", "converged",
-             "cg_iterations", "backtracks", "roundoff_steps", "J")
+    path_iterations: np.ndarray | int
 
 
 @dataclass
@@ -295,7 +283,7 @@ class Stepper:
             q = self._grad_potential(spec.modes.swapaxes(0, 1))[1]
             self._k_modes = spec.lambdas[:, None] * q.reshape(spec.mode_count, -1)
 
-    # -- array-level building blocks -----------------------------------
+    # -- building blocks ------------------------------------------------
     def _project(self, v):
         return self.projector.project_values(v)[0]
 
@@ -332,7 +320,7 @@ class Stepper:
         """G(u_b) dW_b of each path of a batch: one apply_G per path."""
         out = np.empty_like(u)
         for b, inc in enumerate(dW):
-            out[:, b] = apply_G(self.spec, VectorField(self.grid, u[:, b]), inc).values
+            out[:, b] = apply_G(self.spec, u[:, b], inc)
         return out
 
     def _k_increment(self, dW):
@@ -361,34 +349,29 @@ class Stepper:
         return np.negative(out, out=out)
 
     # -- public operations ---------------------------------------------
-    def step(self, u_n: VectorField, dW):
-        """One implicit step; returns (u_next, StepReport).
+    def step(self, u, dW):
+        """One implicit step of a block u (2, B, n, n) with a sequence of B
+        increments (or None); returns (u_next, StepReport), u_next shaped
+        like u.
 
-        u_n of shape (2, n, n) is one path with one increment dW (or
-        None); shape (2, B, n, n) is a batch of B paths with a sequence of
-        B increments (or None), and the report takes the batch form.
-        Only B >= 2 runs _step_batch: one path and a batch of one run the
-        one-path loop, as the batched loop took 10-46 % longer at B = 1.
+        Only B >= 2 runs _step_batch.  A block of one runs the one-path
+        loop, as the batched loop took 10-46 % longer at B = 1, and gets
+        its report with the batch axis added to strain and V.
         """
-        u = u_n.values
-        if u.ndim == 3:
-            return self._step_one(u_n, dW)
+        if u.ndim != 4:
+            raise ValueError(f"step takes a block (2, B, n, n), got shape {u.shape}")
         if u.shape[1] > 1:
-            return self._step_batch(u_n, dW)
-        v, rep = self._step_one(VectorField(self.grid, u[:, 0]), None if dW is None else dW[0])
-        per_path = {name: np.array([getattr(rep, name)]) for name in _PER_PATH}
-        return VectorField(self.grid, v.values[:, None]), StepReport(
-            iterations=rep.iterations, **per_path, strain=rep.strain[:, :, None],
-            V=rep.V[:, :, None], path_iterations=np.array([rep.iterations]),
-        )
+            return self._step_batch(u, dW)
+        v, rep = self._step_one(u[:, 0], None if dW is None else dW[0])
+        rep.strain, rep.V = rep.strain[:, :, None], rep.V[:, :, None]
+        return v[:, None], rep
 
-    def _step_one(self, u_n: VectorField, dW):
-        """step() on one path: damped Newton with projected CG."""
+    def _step_one(self, u, dW):
+        """step() on one path u (2, n, n): damped Newton with projected CG."""
         cfg = self.config
         dt = cfg.dt
-        u = u_n.values
         if dW is not None and self.spec is not None and self.spec.mode_count > 0:
-            forcing = apply_G(self.spec, u_n, dW).values
+            forcing = apply_G(self.spec, u, dW)
             r = u + self._project(forcing)
         else:
             r = u
@@ -472,6 +455,7 @@ class Stepper:
             J=J_v,
             strain=eps,
             V=V_v,
+            path_iterations=iterations,
         )
         if not converged:
             raise StepError(
@@ -479,7 +463,7 @@ class Stepper:
                 f"last V-distance^2 = {vdist:.3e}, gradient norm = {grad_norm:.3e}",
                 report,
             )
-        return VectorField(self.grid, v), report
+        return v, report
 
     def _cg_solve(self, a1, a2, unit, g, dt, floor, tol):
         """CG on  P(w + dt * Hess_J w) = -g  within the div-free subspace.
@@ -520,7 +504,7 @@ class Stepper:
             rs = rs_new
         return self._project(x), iterations
 
-    def _step_batch(self, u_n: VectorField, dW):
+    def _step_batch(self, u, dW):
         """step() on a batch of B >= 2: Newton, CG and line search in lockstep.
 
         Every path takes the iterations of its own step() and gets its
@@ -530,7 +514,6 @@ class Stepper:
         """
         cfg = self.config
         dt = cfg.dt
-        u = u_n.values
         B = u.shape[1]
         if dW is not None and self.spec is not None and self.spec.mode_count > 0:
             r = u + self._project(self._forcing(u, dW))
@@ -643,7 +626,7 @@ class Stepper:
                 f"{vdist[b]:.3e}, gradient norm = {grad_norm[b]:.3e}",
                 report,
             )
-        return VectorField(self.grid, v), report
+        return v, report
 
     def _cg_solve_batch(self, a1, a2, unit, g, dt, floor, tol):
         """_cg_solve on a batch, floor per path: each path iterates and
@@ -698,7 +681,7 @@ class Stepper:
         res, pi = self._grad_potential(div_tensor_values(self._D, stress))
         return stress, res, pi
 
-    def accumulate_K_sto(self, K_prev: ScalarField, u_n: VectorField, dW) -> ScalarField:
+    def accumulate_K_sto(self, K_prev, u_n, dW):
         """K_next = K_prev - B*( (I-P) G(u_n) dW ); stays mean-free.
 
         The increment is the potential of the gradient part of G(u_n) dW
@@ -711,11 +694,12 @@ class Stepper:
         if self._k_modes is not None:
             incr = np.array([self._k_increment(inc) for inc in dW])
         else:
-            incr = self._grad_potential(self._forcing(u_n.values, dW))[1]
-        return ScalarField(self.grid, K_prev.values + incr)
+            incr = self._grad_potential(self._forcing(u_n, dW))[1]
+        return K_prev + incr
 
-    def run_path(self, u0: VectorField, rng):
-        """Integrate one sample path, or a block of paths in lockstep.
+    def run_path(self, u0, rng):
+        """Integrate one sample path, or a block of paths in lockstep, from
+        the velocity u0 (2, n, n).
 
         rng is one PathRng, which gives one PathTrajectory, or a sequence
         of them, which gives a list of trajectories in the same order.  A
@@ -735,7 +719,7 @@ class Stepper:
         trajs = self._run_block(u0, list(rng) if block else [rng])
         return trajs if block else trajs[0]
 
-    def _run_block(self, u0: VectorField, rngs: list) -> list:
+    def _run_block(self, u0, rngs: list) -> list:
         cfg = self.config
         n_steps = cfg.n_steps
         lags = dyadic_lags(n_steps)
@@ -746,10 +730,11 @@ class Stepper:
         B = len(rngs)
         D, area = self._D, self._area
 
-        div_u0 = lp_norm(ScalarField(self.grid, div_vec_values(D, u0.values)), 2)
-        if div_u0 > 1e-8 * (1.0 + lp_norm(u0, 2)):
+        div = div_vec_values(D, u0)
+        div_u0 = np.sqrt(self._inner(div, div))
+        if div_u0 > 1e-8 * (1.0 + np.sqrt(self._inner(u0, u0))):
             raise ValueError(f"initial velocity is not divergence-free: {div_u0:.3e}")
-        if not np.all(np.isfinite(u0.values)):
+        if not np.all(np.isfinite(u0)):
             raise ValueError("initial velocity contains non-finite entries")
 
         # row b of each series is path b; entry k is step k
@@ -801,7 +786,7 @@ class Stepper:
                     norms = np.sqrt(area * np.add.reduce(sq, axis=-1))
                 diffs[q][dest] = norms.T
 
-        u = np.repeat(u0.values[:, None], B, axis=1)
+        u = np.repeat(u0[:, None], B, axis=1)
         K = np.zeros((B, n, n))
         clock = time.perf_counter
         phases = {"step": 0.0, "record": 0.0, "K": 0.0}
@@ -818,15 +803,13 @@ class Stepper:
                 Vt, J = pot.v_tensor(self.params, eps), pot.energy(self.params, eps, area)
             else:
                 if dW is not None:
-                    K_new = self.accumulate_K_sto(
-                        ScalarField(self.grid, K_new), VectorField(self.grid, u_new), dW
-                    ).values
+                    K_new = self.accumulate_K_sto(K_new, u_new, dW)
                 t1 = clock()
                 phases["K"] += t1 - t0
-                u_next, rep = self.step(VectorField(self.grid, u_new), dW)
+                u_new, rep = self.step(u_new, dW)
                 t0 = clock()
                 phases["step"] += t0 - t1
-                u_new, eps, Vt, J = u_next.values, rep.strain, rep.V, rep.J
+                eps, Vt, J = rep.strain, rep.V, rep.J
                 newton_its[who, k] = rep.path_iterations
                 cg_its[who, k] = rep.cg_iterations
                 backtracks[who, k] = rep.backtracks

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests call.
 
-Each one checks the product from outside: the potential's derivatives
+Each one checks the product from outside: the L^2 product of arrays on
+a grid, the potential's derivatives
 and sampled monotonicity constants, the Ito isometry of the noise, a
 reader for the runner's field snapshots, a seminorm report straight from
 stored difference series, and the Wiener study's refinement ratios.
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pstokeslab.grid import Grid, ScalarField, TensorField, VectorField
+from pstokeslab.grid import Grid, ScalarField, TensorField, VectorField, lp_norm
 from pstokeslab.noise import NoiseSpec
 from pstokeslab.potential import (
     PotentialParams,
@@ -26,6 +27,20 @@ from pstokeslab.potential import (
     v_tensor,
 )
 from pstokeslab.seminorms import OrliczSpec, SeminormReport, seminorm_report, window_lags
+
+
+# ---------------------------------------------------------------------
+# grid
+# ---------------------------------------------------------------------
+
+def l2_inner(grid: Grid, a, b) -> float:
+    """Quadrature-weighted L^2 product of two arrays of one shape."""
+    return float(grid.cell_area * np.sum(a * b))
+
+
+def l2_norm(grid: Grid, values) -> float:
+    """The program's L^2 norm (lp_norm) of an array of any component shape."""
+    return lp_norm(ScalarField(grid, values), 2)
 
 
 # ---------------------------------------------------------------------
@@ -185,7 +200,7 @@ class ItoIsometryReport:
 
 def ito_isometry_check(
     spec: NoiseSpec,
-    u_frozen: VectorField,
+    u_frozen: np.ndarray,
     dt: float,
     steps: int,
     paths: int,

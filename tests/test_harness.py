@@ -85,6 +85,22 @@ def test_validation_rejects_bad_combinations():
         ExperimentConfig(noise_rho="bogus").validate()
 
 
+def test_validation_rejects_configs_that_write_nothing_meaningful():
+    # a Wiener level below 2^-5 has no lag in the fit window [4 dt, T/8]:
+    # exponents 0 and -2 ended "ok" with dt = 4 > T and every norm 0
+    for coarsest, finest in ((-2, 0), (4, 8), (4, 4)):
+        cfg = ExperimentConfig(kind="wiener_dichotomy", paths=2,
+                               wiener_coarsest_exp=coarsest, wiener_finest_exp=finest)
+        with pytest.raises(ConfigError, match="wiener_coarsest_exp"):
+            cfg.validate()
+    ExperimentConfig(kind="wiener_dichotomy", paths=2,
+                     wiener_coarsest_exp=5, wiener_finest_exp=7).validate()
+    # a negative stride stored no snapshot without a word
+    with pytest.raises(ConfigError, match="store_every"):
+        ExperimentConfig(store_every=-3).validate()
+    ExperimentConfig(store_every=0).validate()
+
+
 def test_p_below_two_needs_flag():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(p=1.5).validate()
@@ -399,6 +415,22 @@ def test_cli_malformed_run_files_are_runtime_errors(finished_run, tmp_path, caps
     assert len(err) == 1 and err[0].startswith("runtime error: ") and run_dir in err[0]
 
 
+@pytest.mark.parametrize("command", ["norms", "fit"])
+@pytest.mark.parametrize("option, value", [
+    ("--orlicz", "inf"), ("--orlicz", "nan"), ("--orlicz", "nq:nan"), ("--orlicz", "nq:inf"),
+    ("--alpha", "nan"), ("--alpha", "5"), ("--alpha", "-1"),
+    ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "0.5,inf"),
+])
+def test_cli_rejects_scales_and_alphas_that_make_garbage(finished_run, capsys, command,
+                                                         option, value):
+    # --orlicz inf gave every norm 1, nan gave NaN everywhere, and alphas
+    # outside (0, 1) gave NaN or meaningless sups, all with exit 0
+    capsys.readouterr()
+    assert cli_main([command, "--dir", finished_run, option, value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("argument error: ")
+
+
 def test_report_digest(finished_run):
     text = report_command(finished_run)
     assert "energy monitor" in text
@@ -425,9 +457,7 @@ def served(owners, dW):
 
 def per_path(rep, name):
     """One StepReport count per path served, for a batch or a single path."""
-    if rep.path_iterations is None:
-        return [getattr(rep, name)]
-    return getattr(rep, "path_iterations" if name == "iterations" else name)
+    return np.atleast_1d(getattr(rep, "path_iterations" if name == "iterations" else name))
 
 
 def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch, capsys):
@@ -584,7 +614,7 @@ def test_non_finite_velocity_fails_that_path_only(tmp_path, monkeypatch):
             batches.append(len(paths))
             for b, owner in enumerate(paths):
                 if owner == (1, 3):
-                    u_next.values[:, b] = np.nan
+                    u_next[:, b] = np.nan
             return u_next, rep
 
     monkeypatch.setattr(runner, "Stepper", NanOnPathOne)
@@ -763,8 +793,8 @@ def test_zero_noise_zero_initial_run_has_zero_seminorms(tmp_path):
 def test_diff_series_agrees_with_snapshot_recomputation(tmp_path):
     # the streamed difference-norm series must match differences taken
     # on stored full snapshots followed by the spatial reduction
-    from oracles import load_field
-    from pstokeslab.grid import Grid, VectorField, lp_norm
+    from oracles import l2_norm, load_field
+    from pstokeslab.grid import Grid
 
     out = str(tmp_path / "snap")
     cfg = small_config(out, paths=1, store_every=1, T=2.0**-8 * 32)
@@ -781,9 +811,7 @@ def test_diff_series_agrees_with_snapshot_recomputation(tmp_path):
     diffs = load_diffs(out, 0)
     for m, series in diffs["u"].items():
         for k in range(len(series)):
-            direct = lp_norm(
-                VectorField(grid, snaps[k + m].values - snaps[k].values), 2
-            )
+            direct = l2_norm(grid, snaps[k + m].values - snaps[k].values)
             assert series[k] == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 

@@ -210,18 +210,17 @@ def test_s_v_compatibility():
 
 
 def test_energy_zero_and_constant():
-    from pstokeslab.grid import Grid, TensorField
+    from pstokeslab.grid import Grid
 
     g = Grid(8)
-    assert energy(PotentialParams(2.5, 0.1), g.tensor()) == 0.0
+    assert energy(PotentialParams(2.5, 0.1), np.zeros((2, 2, 8, 8)), g.cell_area) == 0.0
     values = np.zeros((2, 2, 8, 8))
     values[0, 0] = 1.0  # |xi| = 1 at every node
-    field = TensorField(g, values)
-    assert energy(PotentialParams(2.0, 0.0), field) == pytest.approx(0.5, rel=1e-13)
+    assert energy(PotentialParams(2.0, 0.0), values, g.cell_area) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_energy_against_loop_oracle():
-    from pstokeslab.grid import Grid, TensorField
+    from pstokeslab.grid import Grid
 
     g = Grid(8)
     rng = np.random.default_rng(7)
@@ -232,7 +231,7 @@ def test_energy_against_loop_oracle():
         for j in range(8):
             norm = np.sqrt(np.sum(values[:, :, i, j] ** 2))
             total += g.cell_area * phi(params, norm)
-    assert energy(params, TensorField(g, values)) == pytest.approx(total, rel=1e-12)
+    assert energy(params, values, g.cell_area) == pytest.approx(total, rel=1e-12)
 
 
 def test_inequality_report_p2_exact_unity():

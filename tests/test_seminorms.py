@@ -30,6 +30,22 @@ def brute_force_besov_sup(values, dt, alpha, q, lags):
     return best
 
 
+@pytest.mark.parametrize("kind", ["power", "nq"])
+@pytest.mark.parametrize("q", [math.inf, math.nan, 0.5])
+def test_orlicz_spec_rejects_non_finite_and_small_q(kind, q):
+    with pytest.raises(ValueError, match="q must be finite and at least 1"):
+        OrliczSpec(kind, q)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 5.0, math.nan, math.inf])
+def test_alpha_rule_rejects_values_outside_the_open_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        seminorms.check_alpha(alpha)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        besov_seminorm(SampledPath(np.arange(16.0), 1.0 / 15), alpha, OrliczSpec.power(2))
+    assert seminorms.check_alpha(0.25) == 0.25
+
+
 def test_sampled_path_validation():
     with pytest.raises(ValueError):
         SampledPath(np.ones(3), 0.1)
@@ -203,7 +219,7 @@ def test_k_sto_exponent_matches_wiener_oracle():
     # accumulated stochastic pressure under additive gradient noise
     # behaves like a Wiener reduction: its fitted exponent matches the
     # directly simulated scalar Wiener oracle's window
-    from pstokeslab.grid import Grid, ScalarField, VectorField, w12_norm
+    from pstokeslab.grid import Grid, w12_norm_values
     from pstokeslab.noise import NoiseSpec, PathRng, sample_increment
     from pstokeslab.potential import PotentialParams
     from pstokeslab.stepping import SolverConfig, Stepper
@@ -218,13 +234,13 @@ def test_k_sto_exponent_matches_wiener_oracle():
     for idx in range(6):
         rng_path = PathRng(17, idx)
         # K of a block of one path, as run_path accumulates it
-        K = ScalarField(g, np.zeros((1, 16, 16)))
+        K = np.zeros((1, 16, 16))
         series = [0.0]
-        u = VectorField(g, np.zeros((2, 1, 16, 16)))
+        u = np.zeros((2, 1, 16, 16))
         for _ in range(n):
             dW = sample_increment(rng_path, dt, 4)
             K = stepper.accumulate_K_sto(K, u, [dW])
-            series.append(w12_norm(ScalarField(g, K.values[0])))
+            series.append(float(w12_norm_values(g.diff_1d, g.cell_area, K[0])))
         rep = besov_seminorm(SampledPath(np.asarray(series), dt), 0.5, OrliczSpec.power(2.0))
         slopes.append(fit_exponent(rep).slope)
     k_median = float(np.median(slopes))

@@ -5,13 +5,11 @@ import pytest
 
 from pstokeslab.grid import (
     Grid,
-    ScalarField,
     VectorField,
     curl_values,
     div_tensor_values,
-    div_vec,
-    grad_vec,
-    l2_inner,
+    div_vec_values,
+    grad_vec_values,
     lp_norm,
     sym_grad_values,
 )
@@ -21,6 +19,8 @@ from pstokeslab.potential import PotentialParams, energy, hessian_coeffs, s_tens
 from pstokeslab.projection import BogovskiiOperator, HelmholtzProjector
 from pstokeslab.runner import initial_velocity
 from pstokeslab.stepping import SolverConfig, StepError, Stepper
+
+from oracles import l2_inner, l2_norm
 
 
 @pytest.fixture(scope="module")
@@ -38,21 +38,29 @@ def make_stepper(grid, p=2.0, kappa=0.0, dt=1e-3, T=None, spec=None, **kw):
     return Stepper(grid, PotentialParams(p, kappa), cfg, spec=spec)
 
 
+def zeros(grid, *lead):
+    """A zero field of one path on grid with the leading axes lead."""
+    return np.zeros(lead + (grid.n, grid.n))
+
+
+def step_one(stepper, u, dW):
+    """step() on one path u (2, n, n) as a block of one, as run_path calls
+    it; returns the path's next velocity and the report."""
+    u_next, rep = stepper.step(u[:, None], None if dW is None else [dW])
+    return u_next[:, 0], rep
+
+
 def residual_and_pressure(stepper, u):
     """P div S(eps u) and pi_det of u, as run_path records them: on a
     block of one."""
-    eps = sym_grad_values(stepper.grid.diff_1d, u.values[:, None])
+    eps = sym_grad_values(stepper.grid.diff_1d, u[:, None])
     _, res, pi = stepper._stress_terms(eps)
-    return VectorField(stepper.grid, res[:, 0]), ScalarField(stepper.grid, pi[0])
+    return res[:, 0], pi[0]
 
 
 def k_sto_step(stepper, K, u, dW):
     """accumulate_K_sto on a block of one path, as run_path calls it."""
-    grid = stepper.grid
-    K_next = stepper.accumulate_K_sto(
-        ScalarField(grid, K.values[None]), VectorField(grid, u.values[:, None]), [dW]
-    )
-    return ScalarField(grid, K_next.values[0])
+    return stepper.accumulate_K_sto(K[None], u[:, None], [dW])[0]
 
 
 def dense_operator(stepper, fn):
@@ -88,16 +96,22 @@ def test_solver_config_validation():
 
 def test_zero_state_is_stationary(grid8):
     stepper = make_stepper(grid8, p=2.5, kappa=0.01)
-    u0 = grid8.vector()
-    u1, rep = stepper.step(u0, None)
-    assert np.all(u1.values == 0.0)
+    u1, rep = step_one(stepper, zeros(grid8, 2), None)
+    assert np.all(u1 == 0.0)
     assert rep.converged
+
+
+def test_step_takes_blocks_only(grid8):
+    # a one-path (2, n, n) velocity would otherwise step as a block of n
+    stepper = make_stepper(grid8, p=2.5, kappa=0.01)
+    with pytest.raises(ValueError, match="block"):
+        stepper.step(zeros(grid8, 2), None)
 
 
 def test_step_is_descent(grid8):
     stepper = make_stepper(grid8, p=3.0, kappa=0.0, dt=1e-2)
     u0 = initial_velocity(grid8, "curl", 1.0)
-    _, rep = stepper.step(u0, None)
+    _, rep = step_one(stepper, u0, None)
     assert rep.phi_final <= rep.phi_initial
 
 
@@ -111,9 +125,8 @@ def test_line_search_stall_raises(grid8):
     cfg = SolverConfig(dt=1e-2, T=8e-2)
     stepper = UphillStepper(grid8, PotentialParams(3.0, 0.0), cfg)
     u0 = initial_velocity(grid8, "curl", 1.0)
-    for u in (u0, VectorField(grid8, u0.values[:, None])):  # one path, a batch of one
-        with pytest.raises(StepError, match="line search stalled.*gradient norm"):
-            stepper.step(u, None)
+    with pytest.raises(StepError, match="line search stalled.*gradient norm"):
+        step_one(stepper, u0, None)
 
 
 def test_p2_step_matches_dense_oracle(grid8):
@@ -124,17 +137,17 @@ def test_p2_step_matches_dense_oracle(grid8):
     A = dense_operator(stepper, lambda w: stepper._hessian_apply(*coeffs, w))
     P = dense_operator(stepper, stepper._project)
     M = np.eye(128) + 1e-3 * (P @ A @ P)
-    u = initial_velocity(grid8, "curl", 1.0).values
+    u = initial_velocity(grid8, "curl", 1.0)
     for _ in range(10):
-        u_next, _ = stepper.step(VectorField(grid8, u), None)
+        u_next, _ = step_one(stepper, u, None)
         oracle = np.linalg.solve(M, P @ u.ravel())
-        assert np.max(np.abs(u_next.values.ravel() - oracle)) < 1e-8
-        u = u_next.values
+        assert np.max(np.abs(u_next.ravel() - oracle)) < 1e-8
+        u = u_next
 
 
 def test_strong_residual_zero(grid8):
     stepper = make_stepper(grid8, p=2.5, kappa=0.01)
-    assert lp_norm(residual_and_pressure(stepper, grid8.vector())[0], 2) == 0.0
+    assert l2_norm(grid8, residual_and_pressure(stepper, zeros(grid8, 2))[0]) == 0.0
 
 
 def test_strong_residual_eigenmode_collinearity(grid8):
@@ -149,51 +162,49 @@ def test_strong_residual_eigenmode_collinearity(grid8):
     lam, vecs = np.linalg.eigh(PAP)
     idx = np.argmax(lam)  # well-separated top eigenpair
     mode = vecs[:, idx]
-    res = residual_and_pressure(stepper, VectorField(grid8, mode.reshape(2, 8, 8)))[0]
+    res = residual_and_pressure(stepper, mode.reshape(2, 8, 8))[0]
     expect = -lam[idx] * mode
-    defect = np.linalg.norm(res.values.ravel() - expect) / np.linalg.norm(expect)
+    defect = np.linalg.norm(res.ravel() - expect) / np.linalg.norm(expect)
     assert defect < 1e-6
 
 
 def test_strong_residual_duality(grid16):
     stepper = make_stepper(grid16, p=2.5, kappa=0.01)
     rng = np.random.default_rng(0)
-    u = VectorField(grid16, rng.standard_normal((2, 16, 16)))
+    u = rng.standard_normal((2, 16, 16))
     res = residual_and_pressure(stepper, u)[0]
-    from pstokeslab.grid import TensorField
-
-    stress = TensorField(grid16, s_tensor(stepper.params, sym_grad_values(grid16.diff_1d, u.values)))
+    D = grid16.diff_1d
+    stress = s_tensor(stepper.params, sym_grad_values(D, u))
     for _ in range(20):
         stream = np.zeros((16, 16))
         stream[2:-2, 2:-2] = rng.standard_normal((12, 12))
-        xi = VectorField(grid16, curl_values(grid16.diff_1d, stream))
-        lhs = l2_inner(res, xi)
-        rhs = -l2_inner(stress, grad_vec(xi))
-        assert abs(lhs - rhs) <= 1e-8 * max(lp_norm(stress, 2) * lp_norm(xi, 2), 1.0)
+        xi = curl_values(D, stream)
+        lhs = l2_inner(grid16, res, xi)
+        rhs = -l2_inner(grid16, stress, grad_vec_values(D, xi))
+        assert abs(lhs - rhs) <= 1e-8 * max(l2_norm(grid16, stress) * l2_norm(grid16, xi), 1.0)
 
 
 def test_pressure_det_zero(grid8):
     stepper = make_stepper(grid8, p=2.5, kappa=0.01)
-    out = residual_and_pressure(stepper, grid8.vector())[1]
-    assert np.all(out.values == 0.0)
+    out = residual_and_pressure(stepper, zeros(grid8, 2))[1]
+    assert np.all(out == 0.0)
 
 
 def test_pressure_det_defining_identity(grid16):
     # <pi, div xi> = <S(eps u), grad((I-P) xi)> for arbitrary test fields
     stepper = make_stepper(grid16, p=2.5, kappa=0.01)
     rng = np.random.default_rng(1)
-    u = VectorField(grid16, 0.5 * rng.standard_normal((2, 16, 16)))
+    u = 0.5 * rng.standard_normal((2, 16, 16))
     pi = residual_and_pressure(stepper, u)[1]
-    assert abs(pi.values.mean()) < 1e-12
-    from pstokeslab.grid import TensorField
-
-    stress = TensorField(grid16, s_tensor(stepper.params, sym_grad_values(grid16.diff_1d, u.values)))
+    assert abs(pi.mean()) < 1e-12
+    D = grid16.diff_1d
+    stress = s_tensor(stepper.params, sym_grad_values(D, u))
     for _ in range(20):
-        xi = VectorField(grid16, rng.standard_normal((2, 16, 16)))
-        grad_part = xi.values - stepper._project(xi.values)
-        lhs = l2_inner(pi, div_vec(xi))
-        rhs = l2_inner(stress, grad_vec(VectorField(grid16, grad_part)))
-        assert abs(lhs - rhs) <= 1e-7 * max(lp_norm(stress, 2) * lp_norm(xi, 2), 1.0)
+        xi = rng.standard_normal((2, 16, 16))
+        grad_part = xi - stepper._project(xi)
+        lhs = l2_inner(grid16, pi, div_vec_values(D, xi))
+        rhs = l2_inner(grid16, stress, grad_vec_values(D, grad_part))
+        assert abs(lhs - rhs) <= 1e-7 * max(l2_norm(grid16, stress) * l2_norm(grid16, xi), 1.0)
 
 
 def test_pressure_kernel_case(grid16):
@@ -207,10 +218,8 @@ def test_pressure_kernel_case(grid16):
     T = np.zeros((2, 2, 16, 16))
     T[0, 1] = psi
     T[1, 0] = -psi
-    from pstokeslab.grid import div_tensor_values
-
     div_t = div_tensor_values(D, T)
-    assert lp_norm(div_vec(VectorField(grid16, div_t)), 2) < 1e-11
+    assert l2_norm(grid16, div_vec_values(D, div_t)) < 1e-11
     grad_part = div_t - stepper._project(div_t)
     pi = BogovskiiOperator(grid16).adjoint_apply(VectorField(grid16, grad_part))
     assert lp_norm(pi, 2) < 1e-10 * max(np.abs(div_t).max(), 1.0)
@@ -220,21 +229,21 @@ def test_k_sto_divfree_flavor_stays_zero(grid16):
     spec = NoiseSpec(grid16, 8, flavor="divergence-free")
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, spec=spec)
     rng = PathRng(0, 0)
-    K = grid16.scalar()
+    K = zeros(grid16)
     u = initial_velocity(grid16, "curl", 1.0)
     for _ in range(10):
         dW = WienerIncrement(1e-3, rng.standard_normal(8) * np.sqrt(1e-3))
         K = k_sto_step(stepper, K, u, dW)
-    assert np.max(np.abs(K.values)) < 1e-12
+    assert np.max(np.abs(K)) < 1e-12
 
 
 def test_k_sto_zero_increment_keeps_k(grid16):
     spec = NoiseSpec(grid16, 8, flavor="gradient")
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, spec=spec)
-    K = ScalarField(grid16, np.random.default_rng(2).standard_normal((16, 16)))
-    K.values -= K.values.mean()
-    out = k_sto_step(stepper, K, grid16.vector(), WienerIncrement(1e-3, np.zeros(8)))
-    assert np.max(np.abs(out.values - K.values)) < 1e-14
+    K = np.random.default_rng(2).standard_normal((16, 16))
+    K -= K.mean()
+    out = k_sto_step(stepper, K, zeros(grid16, 2), WienerIncrement(1e-3, np.zeros(8)))
+    assert np.max(np.abs(out - K)) < 1e-14
 
 
 def test_k_sto_single_gradient_mode_matches_composition_oracle(grid16):
@@ -244,12 +253,11 @@ def test_k_sto_single_gradient_mode_matches_composition_oracle(grid16):
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, spec=spec)
     z = np.array([0.7])
     dW = WienerIncrement(1e-3, z)
-    K0 = grid16.scalar()
-    K1 = k_sto_step(stepper, K0, grid16.vector(), dW)
+    K1 = k_sto_step(stepper, zeros(grid16), zeros(grid16, 2), dW)
     forcing = spec.lambdas[0] * spec.modes[0] * z[0]
     grad_part = forcing - stepper._project(forcing)
     oracle = -BogovskiiOperator(grid16).adjoint_apply(VectorField(grid16, grad_part)).values
-    assert np.max(np.abs(K1.values - oracle)) < 1e-10
+    assert np.max(np.abs(K1 - oracle)) < 1e-10
 
 
 @pytest.mark.parametrize("flavor", ["mixed", "gradient"])
@@ -259,7 +267,7 @@ def test_additive_k_sto_matches_closed_form(grid16, flavor):
     spec = NoiseSpec(grid16, 8, flavor=flavor)
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, spec=spec)
     rng = PathRng(5, 2)
-    K = grid16.scalar()
+    K = zeros(grid16)
     u = initial_velocity(grid16, "curl", 1.0)
     W = np.zeros(8)
     for _ in range(32):
@@ -269,11 +277,11 @@ def test_additive_k_sto_matches_closed_form(grid16, flavor):
     projector = HelmholtzProjector(grid16)
     bog = BogovskiiOperator(grid16)
     bstar = np.array([
-        bog.adjoint_apply(projector.leray_project(VectorField(grid16, psi)).gradient).values
+        bog.adjoint_apply(VectorField(grid16, projector.project_values(psi)[1])).values
         for psi in spec.modes
     ])
     closed = -np.tensordot(spec.lambdas * W, bstar, axes=(0, 0))
-    assert np.linalg.norm(K.values - closed) < 1e-12 * np.linalg.norm(closed)
+    assert np.linalg.norm(K - closed) < 1e-12 * np.linalg.norm(closed)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -288,20 +296,20 @@ def test_pressures_equal_bogovskii_adjoint_oracle(n):
     bog = BogovskiiOperator(grid)
 
     def oracle(v):
-        grad_part = projector.leray_project(VectorField(grid, v)).gradient
-        return -bog.adjoint_apply(grad_part).values
+        grad_part = projector.project_values(v)[1]
+        return -bog.adjoint_apply(VectorField(grid, grad_part)).values
 
     def rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
     rng = np.random.default_rng(n)
-    u = VectorField(grid, rng.standard_normal((2, n, n)))
-    stress = s_tensor(stepper.params, sym_grad_values(grid.diff_1d, u.values))
+    u = rng.standard_normal((2, n, n))
+    stress = s_tensor(stepper.params, sym_grad_values(grid.diff_1d, u))
     expected = oracle(div_tensor_values(grid.diff_1d, stress))
-    assert rel(residual_and_pressure(stepper, u)[1].values, expected) < 1e-12
+    assert rel(residual_and_pressure(stepper, u)[1], expected) < 1e-12
     dW = sample_increment(PathRng(n, 0), 1e-3, 8)
-    K1 = k_sto_step(stepper, grid.scalar(), u, dW)
-    assert rel(K1.values, oracle(apply_G(spec, u, dW).values)) < 1e-12
+    K1 = k_sto_step(stepper, zeros(grid), u, dW)
+    assert rel(K1, oracle(apply_G(spec, u, dW))) < 1e-12
 
 
 @pytest.mark.parametrize("rho, per_step", [("one", 1), ("inv_one_plus_s2", 2)])
@@ -331,7 +339,7 @@ def test_run_path_noise_and_bogovskii_calls_per_step(grid8, monkeypatch, rho, pe
 
 def test_run_path_zero_everything(grid8):
     stepper = make_stepper(grid8, p=2.0, kappa=0.0, dt=1e-2, T=8e-2)
-    traj = stepper.run_path(grid8.vector(), PathRng(0, 0))
+    traj = stepper.run_path(zeros(grid8, 2), PathRng(0, 0))
     assert traj.completed
     assert np.all(traj.energy == 0.0)
     assert np.all(traj.velocity_l2 == 0.0)
@@ -357,22 +365,23 @@ def test_run_path_p3_dissipation_and_residual_bound(grid16):
 def test_run_path_divergence_free_preserved(grid16):
     spec = NoiseSpec(grid16, 8, flavor="mixed")
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, dt=1e-3, T=16e-3, spec=spec)
-    traj = stepper.run_path(grid16.vector(), PathRng(3, 1))
+    traj = stepper.run_path(zeros(grid16, 2), PathRng(3, 1))
     assert traj.completed
     # recompute divergence of the final state via a fresh short run
-    u = grid16.vector()
+    u = zeros(grid16, 2)
     rng = PathRng(3, 1)
     for _ in range(16):
         dW = sample_increment(rng, 1e-3, 8)
-        u, _ = stepper.step(u, dW)
-    assert lp_norm(div_vec(u), 2) <= 1e-10 * (1.0 + lp_norm(u, 2))
+        u, _ = step_one(stepper, u, dW)
+    div = div_vec_values(grid16.diff_1d, u)
+    assert l2_norm(grid16, div) <= 1e-10 * (1.0 + l2_norm(grid16, u))
 
 
 def test_run_path_replay_determinism(grid8):
     spec = NoiseSpec(grid8, 4, flavor="mixed")
     stepper = make_stepper(grid8, p=2.5, kappa=0.01, dt=1e-3, T=8e-3, spec=spec)
-    t1 = stepper.run_path(grid8.vector(), PathRng(9, 4))
-    t2 = stepper.run_path(grid8.vector(), PathRng(9, 4))
+    t1 = stepper.run_path(zeros(grid8, 2), PathRng(9, 4))
+    t2 = stepper.run_path(zeros(grid8, 2), PathRng(9, 4))
     assert np.array_equal(t1.energy, t2.energy)
     assert np.array_equal(t1.k_sto_w12, t2.k_sto_w12)
     for q in t1.diffs:
@@ -384,7 +393,7 @@ def test_run_path_rejects_bad_initial(grid8):
     stepper = make_stepper(grid8)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        stepper.run_path(VectorField(grid8, rng.standard_normal((2, 8, 8))), PathRng(0, 0))
+        stepper.run_path(rng.standard_normal((2, 8, 8)), PathRng(0, 0))
 
 
 def test_gradient_matches_finite_differences(grid16):
@@ -393,7 +402,7 @@ def test_gradient_matches_finite_differences(grid16):
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, dt=1e-2, spec=spec)
     rng = np.random.default_rng(4)
     u = initial_velocity(grid16, "curl", 0.5)
-    r = u.values  # zero noise contribution: test the energy part
+    r = u  # zero noise contribution: test the energy part
     dt = 1e-2
 
     def objective(v):
@@ -401,7 +410,7 @@ def test_gradient_matches_finite_differences(grid16):
         eps = sym_grad_values(grid16.diff_1d, v)
         return dt * energy(stepper.params, eps, grid16.cell_area) + 0.5 * stepper._inner(diff, diff)
 
-    v = u.values + 0.1 * stepper._project(rng.standard_normal((2, 16, 16)))
+    v = u + 0.1 * stepper._project(rng.standard_normal((2, 16, 16)))
     grad_j = stepper._grad_energy(sym_grad_values(grid16.diff_1d, v))
     grad_full = dt * grad_j + (v - r)
     for _ in range(10):
@@ -506,12 +515,12 @@ def _worst_step_errors():
                 tight = make_stepper(
                     grid, p, kappa, dt, dt * steps, spec, cg_tol=1e-12, newton_tol=1e-30
                 )
-                u, rng, err = grid.vector(), PathRng(5, 0), 0.0
+                u, rng, err = zeros(grid, 2), PathRng(5, 0), 0.0
                 for _ in range(steps):
                     dW = sample_increment(rng, dt, modes)
-                    u_ref = tight.step(u, dW)[0].values
-                    u = stepper.step(u, dW)[0]
-                    rel = np.sqrt(np.sum((u.values - u_ref) ** 2) / np.sum(u_ref**2))
+                    u_ref = step_one(tight, u, dW)[0]
+                    u = step_one(stepper, u, dW)[0]
+                    rel = np.sqrt(np.sum((u - u_ref) ** 2) / np.sum(u_ref**2))
                     err = max(err, rel)
                 worst.append(err)
     return worst
@@ -543,10 +552,10 @@ def test_p2_noiseless_step_takes_no_backtrack_and_matches_tight_minimiser():
         tight = make_stepper(grid, p=2.0, kappa=0.0, dt=1e-2, cg_tol=1e-12, newton_tol=1e-30)
         u = initial_velocity(grid, "curl", 1.0)
         for _ in range(8):
-            u_ref = tight.step(u, None)[0].values
-            u, rep = stepper.step(u, None)
+            u_ref = step_one(tight, u, None)[0]
+            u, rep = step_one(stepper, u, None)
             assert rep.backtracks == 0
-            rel = np.sqrt(np.sum((u.values - u_ref) ** 2) / np.sum(u_ref**2))
+            rel = np.sqrt(np.sum((u - u_ref) ** 2) / np.sum(u_ref**2))
             assert rel <= 1e-12
 
 
@@ -558,7 +567,7 @@ def test_newton_iterations_per_step_from_predictor():
     spec = NoiseSpec(grid, 16, decay=2.0, flavor="mixed")
     dt = 2.0**-12
     stepper = make_stepper(grid, 2.5, 0.01, dt, 64 * dt, spec, cg_tol=1e-10)
-    traj = stepper.run_path(grid.vector(), PathRng(1, 0))
+    traj = stepper.run_path(zeros(grid, 2), PathRng(1, 0))
     assert traj.completed
     assert traj.newton_iterations[1:].mean() <= 2.2
     assert traj.cg_iterations[1:].mean() <= 7.0
@@ -581,8 +590,8 @@ def test_noiseless_step_keeps_cold_start_bits():
         u = initial_velocity(grid, "curl", 1.0)
         h = hashlib.sha256()
         for _ in range(4):
-            u = noisy.step(u, None)[0]
-            h.update(u.values.tobytes())
+            u = step_one(noisy, u, None)[0]
+            h.update(u.tobytes())
         plain = make_stepper(grid, p, kappa, dt, 4 * dt, cg_tol=1e-10)
         traj = plain.run_path(initial_velocity(grid, "curl", 1.0), PathRng(0, 0))
         for series in (traj.energy, traj.residual_l2, traj.diffs["V"][1]):
@@ -592,7 +601,7 @@ def test_noiseless_step_keeps_cold_start_bits():
 
 def test_step_report_solver_telemetry(grid8):
     stepper = make_stepper(grid8, p=2.5, kappa=0.01)
-    _, rep = stepper.step(grid8.vector(), None)
+    _, rep = step_one(stepper, zeros(grid8, 2), None)
     assert (rep.iterations, rep.cg_iterations, rep.backtracks) == (0, 0, 0)
     # p = 2 without noise is quadratic: the loose first CG solve leaves
     # FIRST_CG_TOL of the step, and the second, run down to its rounding
@@ -601,7 +610,7 @@ def test_step_report_solver_telemetry(grid8):
         stepper = make_stepper(grid, p=2.0, kappa=0.0, dt=1e-2, cg_tol=1e-14)
         u = initial_velocity(grid, "curl", 1.0)
         for _ in range(4):
-            u, rep = stepper.step(u, None)
+            u, rep = step_one(stepper, u, None)
             assert (rep.iterations, rep.backtracks) == (2, 0)
             assert rep.cg_iterations > 0
 
@@ -671,20 +680,15 @@ def _trajectory_arrays(traj):
 
 
 class FailsOnState(Stepper):
-    """Raises StepError in every step that starts from the velocity `bad`,
-    on its own or as a member of a batch; counts batched and single steps."""
+    """Raises StepError in every step that starts from the velocity `bad`
+    in any member of its block; counts the steps."""
 
     bad = None
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.calls = [0, 0]
+    calls = 0
 
     def step(self, u_n, dW):
-        vals = u_n.values
-        self.calls[vals.ndim == 4] += 1
-        members = [vals[:, b] for b in range(vals.shape[1])] if vals.ndim == 4 else [vals]
-        if any(np.array_equal(m, self.bad) for m in members):
+        self.calls += 1
+        if any(np.array_equal(u_n[:, b], self.bad) for b in range(u_n.shape[1])):
             raise StepError("stopped")
         return super().step(u_n, dW)
 
@@ -711,11 +715,11 @@ def test_batched_run_path_is_bit_identical_to_single_paths(n, rho):
         if bad is not None:
             assert singles[bad][1][0] == "step 5: stopped"
         for B in (1, 2, 4, 8):
-            stepper.calls = [0, 0]
+            stepper.calls = 0
             trajs = stepper.run_path(u0, rngs(B))
             assert len(trajs) == B
             if bad is None:  # every block steps as a batch, and none was redone
-                assert stepper.calls == [0, 32]
+                assert stepper.calls == 32
             for traj, (arrays, flags) in zip(trajs, singles):
                 got, got_flags = _trajectory_arrays(traj)
                 assert got_flags == flags
@@ -728,28 +732,30 @@ def test_batched_step_report_totals_and_per_path_counts(grid8):
     # counts equal those of its own step
     spec = NoiseSpec(grid8, 4, flavor="mixed")
     stepper = make_stepper(grid8, p=2.5, kappa=0.01, dt=2.0**-8, spec=spec, cg_tol=1e-10)
-    u0 = initial_velocity(grid8, "curl", 1.0).values
+    u0 = initial_velocity(grid8, "curl", 1.0)
     dWs = [sample_increment(PathRng(3, i), 2.0**-8, 4) for i in range(3)]
-    u, rep = stepper.step(VectorField(grid8, np.stack([u0] * 3, axis=1)), dWs)
+    u, rep = stepper.step(np.stack([u0] * 3, axis=1), dWs)
     assert isinstance(rep.iterations, int)
     assert rep.iterations == rep.path_iterations.sum()
     for b, dW in enumerate(dWs):
-        u_b, rep_b = stepper.step(VectorField(grid8, u0), dW)
-        assert np.array_equal(u.values[:, b], u_b.values)
-        assert rep_b.path_iterations is None
+        u_b, rep_b = step_one(stepper, u0, dW)
+        assert np.array_equal(u[:, b], u_b)
+        assert rep_b.path_iterations == rep_b.iterations
         assert rep.path_iterations[b] == rep_b.iterations
         assert rep.cg_iterations[b] == rep_b.cg_iterations
         assert rep.J[b] == rep_b.J
-        assert np.array_equal(rep.V[:, :, b], rep_b.V)
-    # a batch of one gets the bits of one path and reports in batch form
-    u_0, rep_0 = stepper.step(VectorField(grid8, u0), dWs[0])
-    u, rep = stepper.step(VectorField(grid8, u0[:, None]), dWs[:1])
-    assert np.array_equal(u.values[:, 0], u_0.values)
+        assert np.array_equal(rep.V[:, :, b], rep_b.V[:, :, 0])
+    # a batch of one gets the bits and the scalar report of the one-path
+    # loop, with the batch axis added to strain and V
+    u_0, rep_0 = stepper._step_one(u0, dWs[0])
+    u, rep = stepper.step(u0[:, None], dWs[:1])
+    assert np.array_equal(u[:, 0], u_0)
     assert isinstance(rep.iterations, int) and rep.iterations == rep_0.iterations
-    assert np.array_equal(rep.path_iterations, [rep_0.iterations])
+    assert rep.path_iterations == rep_0.iterations
     for name in ("v_distance_sq", "grad_norm", "phi_initial", "phi_final", "converged",
                  "cg_iterations", "backtracks", "roundoff_steps", "J"):
-        assert np.array_equal(getattr(rep, name), [getattr(rep_0, name)]), name
+        assert np.ndim(getattr(rep, name)) == 0, name
+        assert getattr(rep, name) == getattr(rep_0, name), name
     assert rep.strain.shape == rep.V.shape == (2, 2, 1, 8, 8)
     assert np.array_equal(rep.strain[:, :, 0], rep_0.strain)
     assert np.array_equal(rep.V[:, :, 0], rep_0.V)
