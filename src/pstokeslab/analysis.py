@@ -116,11 +116,18 @@ def _path_fits(run_dir: str, alphas, specs):
     Yields (index, quantity, results) in path order; the loop shared by
     norms_command and fit_command.  Each spec's Luxemburg norms are taken
     once and weighed with every alpha.  Paths whose manifest status is
-    not "ok" are truncated and stay out of the reports and medians.
+    not "ok" are truncated and stay out of the reports and medians.  A
+    run of fewer than 32 steps has no lag in the fit window [4 dt, T/8]
+    and raises ValueError.
     """
     manifest = RunManifest.read(run_dir)
     dt = float(manifest.config["dt"])
     n_steps = int(round(float(manifest.config["T"]) / dt))
+    if n_steps < 32:
+        raise ValueError(
+            f"{run_dir}: a run of {n_steps} steps has no lag in the fit window "
+            "[4 dt, T/8]; norms and fit need at least 32 steps"
+        )
     failed = set(failed_path_indices(run_dir, manifest))
     indices = [i for i in path_indices(run_dir) if i not in failed]
     if not indices:

@@ -8,7 +8,6 @@ environment variable PSTOKESLAB_OUT sets the default output root.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXIT_OK = 0
@@ -58,8 +57,7 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         from .selftest import format_table, run_battery
 
-        corrupt = os.environ.get("PSTOKESLAB_SELFTEST_CORRUPT") or None
-        checks = run_battery(corrupt=corrupt)
+        checks = run_battery()
         print(format_table(checks))
         return EXIT_OK if all(c.passed for c in checks) else EXIT_TESTFAIL
 

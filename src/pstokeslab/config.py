@@ -21,6 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
+from .noise import FLAVORS, RHO_PROFILES
 
 __all__ = [
     "ExperimentConfig",
@@ -39,7 +40,6 @@ KINDS = (
     "vgrad_regularity",
     "pressure_regularity",
     "wiener_dichotomy",
-    "selftest",
 )
 
 
@@ -102,7 +102,7 @@ class ExperimentConfig:
                 )
             if self.paths < 1:
                 errors.append("paths must be positive")
-        elif self.kind != "selftest":
+        else:
             if self.grid_n < 4 or (self.grid_n & (self.grid_n - 1)) != 0:
                 errors.append(f"grid_n must be a power of two >= 4, got {self.grid_n}")
             if not self.p > 1.0:
@@ -140,9 +140,9 @@ class ExperimentConfig:
                 errors.append("noise_modes must be nonnegative")
             if self.noise_decay <= 1.0:
                 errors.append("noise_decay must exceed 1")
-            if self.noise_rho not in ("one", "inv_one_plus_s2"):
+            if self.noise_rho not in RHO_PROFILES:
                 errors.append(f"unknown noise_rho {self.noise_rho!r}")
-            if self.noise_flavor not in ("mixed", "divergence-free", "gradient"):
+            if self.noise_flavor not in FLAVORS:
                 errors.append(f"unknown noise_flavor {self.noise_flavor!r}")
             if self.u0_kind not in ("zero", "curl"):
                 errors.append(f"unknown u0_kind {self.u0_kind!r}")

@@ -34,9 +34,12 @@ __all__ = [
     "PathRng",
     "sample_increment",
     "apply_G",
+    "RHO_PROFILES",
+    "FLAVORS",
 ]
 
-_RHO_PROFILES = ("one", "inv_one_plus_s2")
+RHO_PROFILES = ("one", "inv_one_plus_s2")
+FLAVORS = ("mixed", "divergence-free", "gradient")
 
 
 class PathRng:
@@ -97,20 +100,19 @@ class NoiseSpec:
     decay: float = 2.0
     rho: str = "one"
     flavor: str = "mixed"
-    lambdas: np.ndarray = field(default=None, repr=False)
-    modes: np.ndarray = field(default=None, repr=False)  # (J, 2, n, n)
+    lambdas: np.ndarray = field(init=False, repr=False)
+    modes: np.ndarray = field(init=False, repr=False)  # (J, 2, n, n)
 
     def __post_init__(self):
         if self.decay <= 1.0:
             raise ValueError("decay exponent must exceed 1 (square-summable)")
-        if self.rho not in _RHO_PROFILES:
+        if self.rho not in RHO_PROFILES:
             raise ValueError(f"unknown rho profile {self.rho!r}")
-        if self.flavor not in ("mixed", "divergence-free", "gradient"):
+        if self.flavor not in FLAVORS:
             raise ValueError(f"unknown mode flavor {self.flavor!r}")
         if self.mode_count < 0:
             raise ValueError("mode_count must be nonnegative")
-        if self.modes is None:
-            self.lambdas, self.modes = self._build_modes()
+        self.lambdas, self.modes = self._build_modes()
 
     def _build_modes(self):
         n = self.grid.n
@@ -137,16 +139,6 @@ class NoiseSpec:
             modes[k] = psi
         return lambdas, modes
 
-    def rho_values(self, u_values: np.ndarray) -> np.ndarray:
-        """rho(|u|) nodewise: 1 for "one", 1 / (1 + |u|^2) for "inv_one_plus_s2".
-
-        apply_G skips the product for "one", the additive profile.
-        """
-        s = magnitude(u_values)
-        if self.rho == "one":
-            return np.ones_like(s)
-        return 1.0 / (1.0 + s**2)
-
 
 def sample_increment(rng: PathRng, dt: float, mode_count: int) -> WienerIncrement:
     """J independent N(0, dt) draws; deterministic given the stream state."""
@@ -157,7 +149,8 @@ def sample_increment(rng: PathRng, dt: float, mode_count: int) -> WienerIncremen
 
 def apply_G(spec: NoiseSpec, u: np.ndarray, dW: WienerIncrement) -> np.ndarray:
     """Forcing increment sum_j lambda_j rho(|u|) psi_j dW_j of the velocity
-    u (2, n, n), nodewise."""
+    u (2, n, n), nodewise: rho = 1 for "one", which skips the product,
+    and 1 / (1 + |u|^2) for "inv_one_plus_s2"."""
     if len(dW.z) != spec.mode_count:
         raise ValueError("increment size does not match mode count")
     if spec.mode_count == 0:
@@ -167,5 +160,5 @@ def apply_G(spec: NoiseSpec, u: np.ndarray, dW: WienerIncrement) -> np.ndarray:
     modes = spec.modes
     out = np.dot(coeff.reshape(1, -1), modes.reshape(len(modes), -1)).reshape(modes.shape[1:])
     if spec.rho != "one":
-        out = out * spec.rho_values(u)[None, :, :]
+        out = out * (1.0 / (1.0 + magnitude(u) ** 2))[None, :, :]
     return out

@@ -108,12 +108,11 @@ class BogovskiiOperator:
     the removed checkerboard component is the only gauge freedom.
     """
 
-    def __init__(self, grid: Grid, tol: float = 1e-8):
+    def __init__(self, grid: Grid):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
         self.grid = grid
-        self.tol = tol
         n = grid.n
         Ds = sp.csr_matrix(grid.diff_1d)
         eye = sp.identity(n, format="csr")
@@ -154,7 +153,7 @@ class BogovskiiOperator:
         res = lp_norm(
             ScalarField(self.grid, div_vec_values(self.grid.diff_1d, w) - g.values), 2
         )
-        if res > self.tol * max(norm_g, 1.0):
+        if res > 1e-8 * max(norm_g, 1.0):
             raise SolverError(f"divergence residual {res:.3e} exceeds tolerance")
         return VectorField(self.grid, w)
 

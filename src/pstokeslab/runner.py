@@ -1,20 +1,20 @@
 """Monte Carlo orchestration and CSV persistence.
 
-Paths are embarrassingly parallel: each worker owns its stepper and its
-output files (single writer per file), and every path's randomness is a
-function of (master_seed, path_index) alone, so outputs are independent
-of worker count and scheduling.  The paths are split into one contiguous
-part per worker, and each part into blocks of at most
-max(1, BATCH_CELLS // n^2) paths; a worker steps each block in lockstep
-(stepping module docstring), which gives every path the bits of its own
-run.  A path's `seconds` is its share of its block's stepping time, in
-proportion to the steps it completed, plus its own write time, so the
-seconds of all paths add up to the workers' busy time.  An exception
-while a block is set up fails that block's paths and no other.  The
-scalar Wiener study needs no stepper: it analyses its paths on
-`workers` threads of the calling process, with the same table for
-every worker count.  The manifest is written up front in pending state
-and atomically finalised with content digests.
+Paths are embarrassingly parallel: each block of paths builds its own
+stepper, each worker owns its output files (single writer per file), and
+every path's randomness is a function of (master_seed, path_index)
+alone, so outputs are independent of worker count and scheduling.  The
+paths are split into one contiguous part per worker, and each part into
+blocks of at most max(1, BATCH_CELLS // n^2) paths; a worker steps each
+block in lockstep (stepping module docstring), which gives every path
+the bits of its own run.  A path's `seconds` is its share of its block's
+stepping time, in proportion to the steps it completed, plus its own
+write time, so the seconds of all paths add up to the workers' busy
+time.  An exception while a block is set up fails that block's paths and
+no other.  The scalar Wiener study needs no stepper: it analyses its
+paths on `workers` threads of the calling process, with the same table
+for every worker count.  The manifest is written up front in pending
+state and atomically finalised with content digests.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ __all__ = [
 SERIES_HEADER = "k,t,J,res_l2,u_l2,Vdiff_placeholder,pi_det_lpprime,K_sto_w12"
 DIFFS_HEADER = "quantity,lag_steps,k,value"
 
-_WORKER_CACHE: dict = {}
-
 
 def initial_velocity(grid: Grid, kind: str, scale: float) -> np.ndarray:
     """Divergence-free masked initial velocity (2, n, n): "zero" or "curl"."""
@@ -59,14 +57,12 @@ def initial_velocity(grid: Grid, kind: str, scale: float) -> np.ndarray:
 
 
 def _build_stepper(cfg: ExperimentConfig) -> Stepper:
-    """The worker's stepper for cfg, built once per worker and config.
+    """The stepper for cfg, built afresh for each block of paths.
 
-    Keyed on the whole config, so no field that shapes the stepper can be
-    left out of the key; every job of one run carries an equal config.
+    Building one takes milliseconds, and a block steps for seconds.
+    Stepper is read from this module at call time, so a replaced
+    `runner.Stepper` takes effect.
     """
-    cached = _WORKER_CACHE.get("stepper")
-    if cached is not None and cached[0] == cfg:
-        return cached[1]
     grid = Grid(cfg.grid_n)
     spec = NoiseSpec(
         grid, cfg.noise_modes, decay=cfg.noise_decay,
@@ -77,9 +73,7 @@ def _build_stepper(cfg: ExperimentConfig) -> Stepper:
         newton_max_iter=cfg.newton_max_iter, kappa_reg=cfg.kappa_reg,
         store_every=cfg.store_every, cg_tol=cfg.cg_tol,
     )
-    stepper = Stepper(grid, PotentialParams(cfg.p, cfg.kappa), solver, spec=spec)
-    _WORKER_CACHE["stepper"] = (cfg, stepper)
-    return stepper
+    return Stepper(grid, PotentialParams(cfg.p, cfg.kappa), solver, spec=spec)
 
 
 # Largest batch a worker steps in lockstep, in paths times grid cells: a
@@ -238,7 +232,7 @@ def _remove_run_outputs(run_dir: str):
     """Delete what an earlier run or its analysis wrote; other files stay."""
     for name in os.listdir(run_dir):
         if name.startswith(("path_", "norms_", "fits_")) or name in (
-            "aggregate_norms.csv", WIENER_TABLE, "selftest.txt"
+            "aggregate_norms.csv", WIENER_TABLE
         ):
             os.remove(os.path.join(run_dir, name))
 
@@ -279,16 +273,6 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | None = None) -> RunMani
         manifest.finish(run_dir, started, "ok")
         return manifest
 
-    if cfg.kind == "selftest":
-        from .selftest import format_table, run_battery
-
-        checks = run_battery()
-        with open(os.path.join(run_dir, "selftest.txt"), "w") as fh:
-            fh.write(format_table(checks) + "\n")
-        ok = all(c.passed for c in checks)
-        manifest.finish(run_dir, started, "ok" if ok else "selftest failures")
-        return manifest
-
     cfg_dict = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
     failures = 0
     if cfg.paths:
@@ -321,10 +305,10 @@ def wiener_dichotomy_study(
     master_seed: int = 0,
     coarsest_exp: int = 10,
     finest_exp: int = 16,
-    T: float = 1.0,
     workers: int = 1,
 ):
-    """Per-path Nikolskii summaries of scalar Brownian paths under refinement.
+    """Per-path Nikolskii summaries of scalar Brownian paths on [0, 1] under
+    refinement.
 
     One Brownian path is simulated at the finest resolution and analysed
     at every coarser dyadic subsampling, so refinement ratios compare the
@@ -339,6 +323,7 @@ def wiener_dichotomy_study(
     A path's rows depend on (master_seed, path) alone and come back in
     path order, so the table is the same for every worker count.
     """
+    T = 1.0
     exps = list(range(coarsest_exp, finest_exp + 1, 2))
     n_fine = 2**finest_exp
     specs = (OrliczSpec.phi2(), OrliczSpec.power(2))

@@ -295,12 +295,10 @@ class SeminormReport:
     degenerate: bool                 # every norm is zero
 
 
-def seminorm_report(
-    increments, dt: float, alpha: float, spec: OrliczSpec, fine_index: float = np.inf
-) -> SeminormReport:
-    """Report from (lag in steps, increment series) pairs over one path."""
+def seminorm_report(increments, dt: float, alpha: float, spec: OrliczSpec) -> SeminormReport:
+    """Sup report from (lag in steps, increment series) pairs over one path."""
     h_values, (norms,) = lag_norms(increments, dt, [spec])
-    return report_from_norms(h_values, norms, alpha, spec, fine_index)
+    return report_from_norms(h_values, norms, alpha, spec)
 
 
 def lag_norms(increments, dt: float, specs):
@@ -347,15 +345,9 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def besov_seminorm(
-    path: SampledPath,
-    alpha: float,
-    spec: OrliczSpec,
-    h_set=None,
-    fine_index: float = np.inf,
-) -> SeminormReport:
-    """Per-lag increment norms with sup (fine index infinity) or quadrature
-    (finite fine index) aggregation over the windowed dyadic lag grid.
+def besov_seminorm(path: SampledPath, alpha: float, spec: OrliczSpec, h_set=None) -> SeminormReport:
+    """Per-lag increment norms with sup aggregation (fine index infinity)
+    over the windowed dyadic lag grid.
 
     Enlarging h_set can only increase the sup approximation.
     """
@@ -363,7 +355,7 @@ def besov_seminorm(
     n = path.values.size - 1
     lags = window_lags(dyadic_lags(n), n) if h_set is None else sorted(int(m) for m in h_set)
     increments = ((m, difference_path(path, m).values) for m in lags)
-    return seminorm_report(increments, path.dt, alpha, spec, fine_index)
+    return seminorm_report(increments, path.dt, alpha, spec)
 
 
 @dataclass

@@ -126,10 +126,6 @@ ROUNDOFF_RTOL = 4.0 * np.finfo(float).eps
 class StepError(RuntimeError):
     """Newton or line-search failure inside one time step."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -440,6 +436,11 @@ class Stepper:
             if vdist <= cfg.newton_tol:
                 converged = True
                 break
+        if not converged:
+            raise StepError(
+                f"{failure}; "
+                f"last V-distance^2 = {vdist:.3e}, gradient norm = {grad_norm:.3e}"
+            )
         if V_v is None:
             V_v = pot.v_tensor(self.params, eps)
         report = StepReport(
@@ -457,12 +458,6 @@ class Stepper:
             V=V_v,
             path_iterations=iterations,
         )
-        if not converged:
-            raise StepError(
-                f"{failure}; "
-                f"last V-distance^2 = {vdist:.3e}, gradient norm = {grad_norm:.3e}",
-                report,
-            )
         return v, report
 
     def _cg_solve(self, a1, a2, unit, g, dt, floor, tol):
@@ -601,6 +596,12 @@ class Stepper:
             done = vdist[act] <= cfg.newton_tol
             converged[act[done]] = True
             act = act[~done]
+        if not converged.all():
+            b = int(np.flatnonzero(~converged)[0])
+            raise StepError(
+                f"path {b} of the batch: {failures[b]}; last V-distance^2 = "
+                f"{vdist[b]:.3e}, gradient norm = {grad_norm[b]:.3e}"
+            )
         still = iterations == 0
         if still.any():
             V_v[..., still, :, :] = pot.v_tensor(self.params, eps[..., still, :, :])
@@ -619,13 +620,6 @@ class Stepper:
             V=V_v,
             path_iterations=iterations,
         )
-        if not converged.all():
-            b = int(np.flatnonzero(~converged)[0])
-            raise StepError(
-                f"path {b} of the batch: {failures[b]}; last V-distance^2 = "
-                f"{vdist[b]:.3e}, gradient norm = {grad_norm[b]:.3e}",
-                report,
-            )
         return v, report
 
     def _cg_solve_batch(self, a1, a2, unit, g, dt, floor, tol):

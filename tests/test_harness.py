@@ -196,13 +196,6 @@ def test_rerun_into_same_directory_drops_stale_outputs(tmp_path):
     assert rows and all(r.n_paths == 1 for r in rows)
 
 
-def test_selftest_kind_writes_report(tmp_path):
-    cfg = ExperimentConfig(kind="selftest", out_dir=str(tmp_path / "st"))
-    manifest = run_experiment(cfg)
-    assert manifest.status == "ok"
-    assert os.path.exists(os.path.join(cfg.out_dir, "selftest.txt"))
-
-
 @pytest.mark.parametrize("paths, workers, n, blocks", [
     (8, 2, 16, [(0, 4), (4, 4)]),
     (32, 2, 16, [(0, 16), (16, 16)]),
@@ -474,7 +467,6 @@ def test_failed_paths_stay_out_of_aggregates(tmp_path, monkeypatch, capsys):
             return super().step(u_n, dW)
 
     monkeypatch.setattr(runner, "Stepper", StopsPathOne)
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     manifest = run_experiment(cfg)
     assert manifest.path_status["1"].startswith("failed: step 5")
     assert os.path.exists(os.path.join(out, "path_0001_series.csv"))
@@ -518,7 +510,6 @@ def test_path_summary_solver_health_and_report(tmp_path, monkeypatch):
             return u, rep
 
     monkeypatch.setattr(runner, "Stepper", CountsReports)
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     manifest = run_experiment(cfg)
     for index, summary in manifest.path_summary.items():
         steps = summary["steps_completed"]
@@ -563,7 +554,6 @@ def test_roundoff_steps_reach_path_summary_and_report(tmp_path, monkeypatch):
             return u, rep
 
     monkeypatch.setattr(runner, "Stepper", CountsRoundoff)
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     manifest = run_experiment(cfg)
     assert all(total > 0 for total in sums.values())
     for index, summary in manifest.path_summary.items():
@@ -587,7 +577,6 @@ def test_path_exception_other_than_step_error_fails_that_path_only(tmp_path, mon
             return super().step(u_n, dW)
 
     monkeypatch.setattr(runner, "Stepper", RaisesOnPathOne)
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     manifest = run_experiment(cfg)
     assert manifest.status == "1 paths failed"
     assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
@@ -618,7 +607,6 @@ def test_non_finite_velocity_fails_that_path_only(tmp_path, monkeypatch):
             return u_next, rep
 
     monkeypatch.setattr(runner, "Stepper", NanOnPathOne)
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     manifest = run_experiment(cfg)
     assert batches[:7] == [3, 3, 3, 1, 1, 1, 2]  # steps 1-3, step 3 redone, step 4
     assert manifest.status == "1 paths failed"
@@ -654,7 +642,6 @@ def test_exception_while_recording_fails_that_path_only(tmp_path, monkeypatch):
             return super()._stress_terms(eps)
 
     monkeypatch.setattr(runner, "Stepper", RecordFailsOnPathOne)
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     manifest = run_experiment(cfg)
     assert manifest.status == "1 paths failed"
     assert manifest.path_status["0"] == manifest.path_status["2"] == "ok"
@@ -684,7 +671,6 @@ def test_exception_while_recording_the_initial_state_fails_that_path_only(
             return super()._stress_terms(eps)
 
     monkeypatch.setattr(runner, "Stepper", InitialRecordFails)
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     out = str(tmp_path / "initial_record_error")
     manifest = run_experiment(small_config(out, paths=3))
     assert manifest.status == "1 paths failed"
@@ -821,7 +807,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
         "kind=velocity_regularity\ngrid_n=8\np=2.5\nkappa=0.01\n"
-        f"dt={2.0**-8!r}\nT={2.0**-8 * 16!r}\npaths=1\nmaster_seed=1\n"
+        f"dt={2.0**-8!r}\nT={2.0**-8 * 32!r}\npaths=1\nmaster_seed=1\n"
         f"noise_modes=4\nworkers=1\nout_dir={tmp_path / 'cli_run'}\n"
     )
     assert cli_main(["run", "--config", str(cfg_file)]) == 0
@@ -855,15 +841,43 @@ def test_cli_run_and_exit_codes(tmp_path):
         assert cli_main([command, "--dir", str(tmp_path / "cli_run")]) == 2
 
 
+def test_cli_norms_and_fit_need_32_steps(tmp_path, capsys):
+    # below 32 steps the fit window [4 dt, T/8] holds no stored lag, and a
+    # fit over every lag gave a two-point slope with a zero half width
+    for steps, code in ((16, 2), (32, 0)):
+        run_dir = str(tmp_path / f"steps{steps}")
+        run_experiment(small_config(run_dir, paths=1, T=2.0**-8 * steps))
+        for command in ("norms", "fit"):
+            assert cli_main([command, "--dir", run_dir]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err.startswith("runtime error:") and f"{steps} steps" in err
+                assert "[4 dt, T/8]" in err
+    assert not [n for n in os.listdir(tmp_path / "steps16") if n.startswith(("norms_", "fits_"))]
+
+
+def test_selftest_is_a_command_not_a_run_kind():
+    with pytest.raises(ConfigError, match="unknown experiment kind 'selftest'"):
+        ExperimentConfig(kind="selftest").validate()
+
+
 def test_cli_selftest_exit_codes(monkeypatch):
-    monkeypatch.delenv("PSTOKESLAB_SELFTEST_CORRUPT", raising=False)
     assert cli_main(["selftest"]) == 0
-    monkeypatch.setenv("PSTOKESLAB_SELFTEST_CORRUPT", "adjointness")
+    # negative control: a gradient off in one entry breaks grad/div adjointness
+    import pstokeslab.selftest as selftest
+
+    exact = selftest.grad_scalar_values
+
+    def perturbed(D, q):
+        out = exact(D, q)
+        out[0, 3, 5] += 1e-3
+        return out
+
+    monkeypatch.setattr(selftest, "grad_scalar_values", perturbed)
     assert cli_main(["selftest"]) == 3
 
 
-def test_selftest_deterministic_output(capsys, monkeypatch):
-    monkeypatch.delenv("PSTOKESLAB_SELFTEST_CORRUPT", raising=False)
+def test_selftest_deterministic_output(capsys):
     cli_main(["selftest"])
     first = capsys.readouterr().out
     cli_main(["selftest"])

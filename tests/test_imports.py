@@ -1,7 +1,9 @@
 """Import hygiene of the package.
 
-Every name a module imports is used in that module, and importing the
-package loads no scipy: only building the Bogovskii operator does.
+Every name a module imports is used in that module, importing the
+package loads no scipy (only building the Bogovskii operator does), and
+the only environment variable the package reads is PSTOKESLAB_OUT: a
+switch that only a test sets does not belong in the product.
 """
 
 import ast
@@ -64,6 +66,71 @@ def test_unused_import_finder_flags_only_unused_names(tmp_path):
         "y = dumps\n"
     )
     assert unused_imports(module) == [(2, "os"), (4, "loads")]
+
+
+ENV_KEYS = {"PSTOKESLAB_OUT"}
+
+
+def env_reads(path):
+    """(line, key) of each environment read in the module at path.
+
+    Reads are os.environ[...], os.environ.get(...), environ.get(...) and
+    os.getenv(...).  A key held in a module-level string constant is
+    resolved; any other non-literal key reads as None.
+    """
+    tree = ast.parse(path.read_text())
+    consts = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def key(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        return consts.get(node.id) if isinstance(node, ast.Name) else None
+
+    def is_environ(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "environ") or (
+            isinstance(node, ast.Name) and node.id == "environ"
+        )
+
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "getenv" or (name == "get" and is_environ(func.value)):
+                reads.append((node.lineno, key(node.args[0]) if node.args else None))
+        elif isinstance(node, ast.Subscript) and is_environ(node.value):
+            reads.append((node.lineno, key(node.slice)))
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_environment_variable_but_the_output_root(path):
+    assert [(line, key) for line, key in env_reads(path) if key not in ENV_KEYS] == []
+
+
+def test_env_read_finder_flags_every_read_form(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os\n"
+        "from os import environ, getenv\n"
+        "ROOT = 'PSTOKESLAB_OUT'\n"
+        "a = os.environ.get(ROOT, '')\n"
+        "b = os.environ.get('HOOK')\n"
+        "c = os.getenv('OTHER')\n"
+        "d = environ['KEY']\n"
+        "e = getenv(ROOT + '_X')\n"
+        "f = {}.get('NOT_ENV')\n"
+    )
+    assert env_reads(module) == [
+        (4, "PSTOKESLAB_OUT"), (5, "HOOK"), (6, "OTHER"), (7, "KEY"), (8, None)
+    ]
+    assert [key for _, key in env_reads(SRC / "config.py")] == ["PSTOKESLAB_OUT"]
 
 
 SCIPY_FREE_SCRIPT = """

@@ -18,7 +18,7 @@ import threading
 import pytest
 
 import pstokeslab
-from pstokeslab import cli, potential, runner
+from pstokeslab import cli, potential
 
 SRC = pathlib.Path(pstokeslab.__file__).parent
 
@@ -26,7 +26,6 @@ SRC = pathlib.Path(pstokeslab.__file__).parent
 ALLOWED = {
     ("runner.py", "_setup_failure_summary"): "runs only when a block's set-up raises",
     ("runner.py", "_remove_path_files"): "runs only when writing a path's files raises",
-    ("stepping.py", "StepError.__init__"): "runs only when a step fails",
     ("grid.py", "Grid.__hash__"): "keeps a Grid hashable beside its __eq__",
     ("grid.py", "Grid.__repr__"): "names the grid in a debugger or a failed assertion",
 }
@@ -67,7 +66,7 @@ def _write_config(path, **fields):
 def _session(tmp_path):
     """The product commands on tiny inputs; every exit code must be 0."""
     dt = repr(2.0**-8)
-    common = dict(grid_n=8, p=2.5, kappa=0.01, dt=dt, T=repr(16 * 2.0**-8),
+    common = dict(grid_n=8, p=2.5, kappa=0.01, dt=dt, T=repr(32 * 2.0**-8),
                   noise_modes=4, workers=1)
     block = _write_config(tmp_path / "block.cfg", kind="velocity_regularity", paths=3,
                           master_seed=1, **common)
@@ -93,7 +92,6 @@ def _session(tmp_path):
 
 def test_every_src_function_is_entered_by_the_product_commands(tmp_path, monkeypatch):
     monkeypatch.setenv("PSTOKESLAB_OUT", str(tmp_path / "out_root"))
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     potential._series_coeffs.cache_clear()  # earlier tests may have filled it
     entered = set()
 

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from pstokeslab import analysis, runner
+from pstokeslab import analysis
 from pstokeslab.config import ExperimentConfig
 from pstokeslab.seminorms import OrliczSpec
 from pstokeslab.runner import run_experiment
@@ -44,11 +44,9 @@ def _load_tracing():
 
 
 @pytest.mark.parametrize("rho, apply_g_per_step", [("one", 1), ("inv_one_plus_s2", 2)])
-def test_traced_run_counts_every_seam(tmp_path, monkeypatch, rho, apply_g_per_step):
+def test_traced_run_counts_every_seam(tmp_path, rho, apply_g_per_step):
     tracing = _load_tracing()
-    # a stepper cached by an earlier run would bypass the traced one
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
-    steps = 16
+    steps = 32  # norms and fit need a lag in the window [4 dt, T/8]
     cfg = ExperimentConfig(
         grid_n=8, p=2.5, kappa=0.01, dt=2.0**-8, T=steps * 2.0**-8, paths=1,
         master_seed=3, noise_modes=4, noise_rho=rho, workers=1,
@@ -73,12 +71,11 @@ def test_traced_run_counts_every_seam(tmp_path, monkeypatch, rho, apply_g_per_st
 
 
 @pytest.mark.parametrize("rho, apply_g_per_step", [("one", 1), ("inv_one_plus_s2", 2)])
-def test_traced_batched_run_counts_every_seam(tmp_path, monkeypatch, rho, apply_g_per_step):
+def test_traced_batched_run_counts_every_seam(tmp_path, rho, apply_g_per_step):
     # one worker steps its three paths as one block: one run_path, one
     # step and one K call per time step for the batch, the batch's total
     # Newton count per step, and one apply_G per path and use
     tracing = _load_tracing()
-    monkeypatch.setattr(runner, "_WORKER_CACHE", {})
     steps, paths = 16, 3
     cfg = ExperimentConfig(
         grid_n=8, p=2.5, kappa=0.01, dt=2.0**-8, T=steps * 2.0**-8, paths=paths,
