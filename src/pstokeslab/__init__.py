@@ -10,7 +10,7 @@ time-integrated stochastic pressure.
 __version__ = "0.1.0"
 
 from .grid import Grid, ScalarField, TensorField, VectorField
-from .noise import NoiseSpec, PathRng, WienerIncrement
+from .noise import NoiseSpec, PathRng
 from .potential import PotentialParams
 from .projection import BogovskiiOperator, HelmholtzProjector
 from .seminorms import OrliczSpec, SampledPath
@@ -25,7 +25,6 @@ __all__ = [
     "PotentialParams",
     "NoiseSpec",
     "PathRng",
-    "WienerIncrement",
     "HelmholtzProjector",
     "BogovskiiOperator",
     "SampledPath",

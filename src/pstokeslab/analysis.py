@@ -143,7 +143,7 @@ def _path_fits(run_dir: str, alphas, specs):
             results = []
             for spec, norms in zip(specs, table):
                 for alpha in alphas:
-                    rep = report_from_norms(h_values, norms, alpha, spec)
+                    rep = report_from_norms(h_values, norms, alpha)
                     results.append((spec, alpha, rep, fit_exponent(rep)))
             yield index, quantity, results
 
@@ -225,10 +225,9 @@ def fit_command(run_dir: str, alphas=(0.5,), specs=(OrliczSpec.power(2),)) -> di
                 half_width=float(np.median([f.half_width for f in good])),
                 h_min=float(np.median([f.h_min for f in good])),
                 h_max=float(np.median([f.h_max for f in good])),
-                n_points=good[0].n_points,
             )
         else:
-            med = FitResult(float("nan"), float("nan"), float("nan"), float("nan"), 0, True)
+            med = FitResult(float("nan"), float("nan"), float("nan"), float("nan"), True)
         summaries[(quantity, kind, alpha)] = med
         rows.setdefault((quantity, kind), []).append(
             f"{alpha:g},{med.slope:.10e},{med.half_width:.10e},"

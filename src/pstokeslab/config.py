@@ -85,7 +85,15 @@ class ExperimentConfig:
     wiener_finest_exp: int = 16
 
     def validate(self):
-        errors = []
+        # the range checks below assume finite values: a NaN slips past
+        # every `if x < bound` check, and a T / dt of inf or NaN breaks round()
+        errors = [
+            f"{key} must be finite"
+            for key, value in asdict(self).items()
+            if isinstance(value, float) and not math.isfinite(value)
+        ]
+        if errors:
+            raise ConfigError("; ".join(errors))
         if self.kind not in KINDS:
             errors.append(f"unknown experiment kind {self.kind!r}")
         if self.workers < 0:
@@ -134,8 +142,6 @@ class ExperimentConfig:
                 errors.append(f"cg_tol must lie in [0, 1), got {self.cg_tol}")
             if not self.kappa_reg > 0.0:
                 errors.append("kappa_reg must be positive")
-            if not math.isfinite(self.u0_scale):
-                errors.append("u0_scale must be finite")
             if self.noise_modes < 0:
                 errors.append("noise_modes must be nonnegative")
             if self.noise_decay <= 1.0:

@@ -4,7 +4,9 @@ The driving noise is W = sum_j psi_j lambda_j beta^j with independent
 scalar Brownian motions beta^j, mode shapes psi_j built from sine
 products that vanish on the boundary ring, and decay lambda_j = j^-a.
 The coefficient acts pointwise (Nemytskii): g_j(x, u) = lambda_j
-psi_j(x) rho(|u(x)|) with a bounded Lipschitz profile rho.
+psi_j(x) rho(|u(x)|) with a bounded Lipschitz profile rho.  One Euler
+increment of W is a plain (J,) array of the draws
+dW_j = beta^j(t + dt) - beta^j(t) ~ N(0, dt).
 
 Mode flavours let experiments steer where the forcing lives:
 
@@ -30,7 +32,6 @@ from .grid import Grid, grad_scalar_values, magnitude, sine_stream_curl
 
 __all__ = [
     "NoiseSpec",
-    "WienerIncrement",
     "PathRng",
     "sample_increment",
     "apply_G",
@@ -58,18 +59,6 @@ class PathRng:
 
     def standard_normal(self, shape):
         return self._gen.standard_normal(shape)
-
-
-@dataclass(frozen=True)
-class WienerIncrement:
-    """One Euler step of the truncated Wiener process: J draws ~ N(0, dt)."""
-
-    dt: float
-    z: np.ndarray
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
 
 
 def _mode_indices(count: int):
@@ -140,22 +129,24 @@ class NoiseSpec:
         return lambdas, modes
 
 
-def sample_increment(rng: PathRng, dt: float, mode_count: int) -> WienerIncrement:
-    """J independent N(0, dt) draws; deterministic given the stream state."""
-    if dt <= 0.0:
+def sample_increment(rng: PathRng, dt: float, mode_count: int) -> np.ndarray:
+    """One Euler step of the truncated Wiener process: the (J,) array of
+    J = mode_count independent N(0, dt) draws, deterministic given the
+    stream state."""
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return WienerIncrement(dt, rng.standard_normal(mode_count) * np.sqrt(dt))
+    return rng.standard_normal(mode_count) * np.sqrt(dt)
 
 
-def apply_G(spec: NoiseSpec, u: np.ndarray, dW: WienerIncrement) -> np.ndarray:
+def apply_G(spec: NoiseSpec, u: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """Forcing increment sum_j lambda_j rho(|u|) psi_j dW_j of the velocity
-    u (2, n, n), nodewise: rho = 1 for "one", which skips the product,
-    and 1 / (1 + |u|^2) for "inv_one_plus_s2"."""
-    if len(dW.z) != spec.mode_count:
+    u (2, n, n) and the increment dW (J,), nodewise: rho = 1 for "one",
+    which skips the product, and 1 / (1 + |u|^2) for "inv_one_plus_s2"."""
+    if len(dW) != spec.mode_count:
         raise ValueError("increment size does not match mode count")
     if spec.mode_count == 0:
         return np.zeros_like(u)
-    coeff = spec.lambdas * dW.z
+    coeff = spec.lambdas * dW
     # the one dot that tensordot(coeff, modes, 1) makes, without its wrapper
     modes = spec.modes
     out = np.dot(coeff.reshape(1, -1), modes.reshape(len(modes), -1)).reshape(modes.shape[1:])

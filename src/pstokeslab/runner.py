@@ -339,8 +339,8 @@ def wiener_dichotomy_study(
             h_values, (phi2, l2) = lag_norms(
                 ((m, w[m:] - w[:-m]) for m in lags), T / 2**e, specs
             )
-            sup = report_from_norms(h_values, phi2, 0.5, specs[0]).sup_approx
-            quantity = report_from_norms(h_values, l2, 0.5, specs[1], fine_index=2.0).quantity_r
+            sup = report_from_norms(h_values, phi2, 0.5).sup_approx
+            quantity = report_from_norms(h_values, l2, 0.5, fine_index=2.0).quantity_r
             rows.append((index, T / 2**e, sup, quantity))
         return rows
 

@@ -11,9 +11,10 @@ sup_h h^(-alpha) n(h), approximated on a dyadic lag grid restricted to
 [4 dt, T/8]: below four steps the increments measure scheme noise, above
 T/8 the truncated time window gets too short.  `window_lags` alone
 applies this window, to the `dyadic_lags` at which runs store
-increments, and `seminorm_report` builds every report: `lag_norms` takes
-the Luxemburg norm of each lag's increments, which does not depend on
-alpha, and `report_from_norms` weighs them with alpha.  For finite fine
+increments.  Every report is built in two steps: `lag_norms` takes the
+Luxemburg norm of each lag's increments, which does not depend on alpha,
+and `report_from_norms` weighs them with alpha; `seminorm_report` makes
+both for one Orlicz scale.  For finite fine
 index r the seminorm integral over h is approximated by the same dyadic
 grid, each level contributing (h^(-alpha) n(h))^r * ln 2.
 
@@ -285,8 +286,6 @@ def window_lags(lags, n_steps: int) -> list:
 class SeminormReport:
     """Per-lag Orlicz norms of increments and the derived summaries."""
 
-    alpha: float
-    spec_label: str
     h_values: np.ndarray
     norms: np.ndarray
     sup_terms: np.ndarray            # h^-a n_h
@@ -298,7 +297,7 @@ class SeminormReport:
 def seminorm_report(increments, dt: float, alpha: float, spec: OrliczSpec) -> SeminormReport:
     """Sup report from (lag in steps, increment series) pairs over one path."""
     h_values, (norms,) = lag_norms(increments, dt, [spec])
-    return report_from_norms(h_values, norms, alpha, spec)
+    return report_from_norms(h_values, norms, alpha)
 
 
 def lag_norms(increments, dt: float, specs):
@@ -317,9 +316,7 @@ def lag_norms(increments, dt: float, specs):
     return np.array(lags, dtype=float) * dt, np.array(norms, dtype=float).reshape(-1, len(specs)).T
 
 
-def report_from_norms(
-    h_values, norms, alpha: float, spec: OrliczSpec, fine_index: float = np.inf
-) -> SeminormReport:
+def report_from_norms(h_values, norms, alpha: float, fine_index: float = np.inf) -> SeminormReport:
     """Report of the per-lag norms at smoothness alpha."""
     with np.errstate(divide="ignore"):
         sup_terms = h_values ** (-alpha) * norms
@@ -327,8 +324,6 @@ def report_from_norms(
     if np.isfinite(fine_index):
         quantity_r = float(np.sum(sup_terms**fine_index * math.log(2.0)))
     return SeminormReport(
-        alpha=alpha,
-        spec_label=spec.label,
         h_values=h_values,
         norms=norms,
         sup_terms=sup_terms,
@@ -364,7 +359,6 @@ class FitResult:
     half_width: float
     h_min: float
     h_max: float
-    n_points: int
     degenerate: bool = False
 
 
@@ -377,7 +371,7 @@ def fit_exponent(report: SeminormReport) -> FitResult:
     """
     keep = report.norms > 0.0
     if keep.sum() < 2 or report.degenerate:
-        return FitResult(np.nan, np.nan, np.nan, np.nan, int(keep.sum()), True)
+        return FitResult(np.nan, np.nan, np.nan, np.nan, True)
     x = np.log2(report.h_values[keep])
     y = np.log2(report.norms[keep])
     n = x.size
@@ -395,5 +389,4 @@ def fit_exponent(report: SeminormReport) -> FitResult:
         half_width=2.0 * se,
         h_min=float(report.h_values[keep].min()),
         h_max=float(report.h_values[keep].max()),
-        n_points=int(n),
     )

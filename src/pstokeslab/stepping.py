@@ -139,9 +139,9 @@ class SolverConfig:
                                      # first (FIRST_CG_TOL); tighten for oracles
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError("T must be positive")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
@@ -160,26 +160,23 @@ class SolverConfig:
 
 @dataclass
 class StepReport:
-    """Solver results of one step.
+    """What run_path records of one step: the solver counts, and J, strain
+    and V of the returned velocity.
 
-    For a batch of B >= 2 every field holds one entry per path, except
-    `iterations`, which is the batch's total Newton iterations, so that
-    summed over calls it counts Newton iterations per path-step as for
-    one path; `path_iterations` holds each path's own count.  For one
-    path every count is a scalar, and `path_iterations` equals
-    `iterations`.  strain and V always carry the batch axis.
+    A step returns its report only once it has converged; a step that
+    does not converge raises StepError instead.  For a batch of B >= 2
+    every field holds one entry per path, except `iterations`, which is
+    the batch's total Newton iterations, so that summed over calls it
+    counts Newton iterations per path-step as for one path;
+    `path_iterations` holds each path's own count.  For one path every
+    count is a scalar, and `path_iterations` equals `iterations`.  strain
+    and V always carry the batch axis.
     """
 
     iterations: int
-    v_distance_sq: float
-    grad_norm: float
-    phi_initial: float              # objective at the start iterate r
-    phi_final: float
-    converged: bool
     cg_iterations: int              # summed over the Newton iterations
     backtracks: int                 # line-search halvings, summed likewise
     roundoff_steps: int             # full steps taken by the round-off rule
-    # J, strain and V of the returned velocity, which run_path records
     J: float
     strain: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
@@ -320,13 +317,13 @@ class Stepper:
         return out
 
     def _k_increment(self, dW):
-        """Additive K increment sum_j dW_j k_j of one path.
+        """Additive K increment sum_j dW_j k_j of one path's draws dW (J,).
 
-        One dot per path, the one tensordot(z, k_modes, 1) makes: a batched
+        One dot per path, the one tensordot(dW, k_modes, 1) makes: a batched
         product would not give each path its bits.
         """
         n = self.grid.n
-        return np.dot(dW.z.reshape(1, -1), self._k_modes).reshape(n, n)
+        return np.dot(dW.reshape(1, -1), self._k_modes).reshape(n, n)
 
     def _grad_energy(self, eps):
         """Gradient of J in the weighted L^2 product at strain eps: -div S(eps)."""
@@ -347,8 +344,8 @@ class Stepper:
     # -- public operations ---------------------------------------------
     def step(self, u, dW):
         """One implicit step of a block u (2, B, n, n) with a sequence of B
-        increments (or None); returns (u_next, StepReport), u_next shaped
-        like u.
+        increments, each the (J,) array of one path's draws, or None;
+        returns (u_next, StepReport), u_next shaped like u.
 
         Only B >= 2 runs _step_batch.  A block of one runs the one-path
         loop, as the batched loop took 10-46 % longer at B = 1, and gets
@@ -445,11 +442,6 @@ class Stepper:
             V_v = pot.v_tensor(self.params, eps)
         report = StepReport(
             iterations=iterations,
-            v_distance_sq=float(vdist if np.isfinite(vdist) else 0.0),
-            grad_norm=float(grad_norm),
-            phi_initial=float(phi0),
-            phi_final=float(phi_v),
-            converged=converged,
             cg_iterations=cg_iterations,
             backtracks=backtracks,
             roundoff_steps=roundoff_steps,
@@ -607,11 +599,6 @@ class Stepper:
             V_v[..., still, :, :] = pot.v_tensor(self.params, eps[..., still, :, :])
         report = StepReport(
             iterations=int(iterations.sum()),
-            v_distance_sq=np.where(np.isfinite(vdist), vdist, 0.0),
-            grad_norm=grad_norm,
-            phi_initial=phi0,
-            phi_final=phi_v,
-            converged=converged,
             cg_iterations=cg_iterations,
             backtracks=backtracks,
             roundoff_steps=roundoff_steps,
@@ -758,9 +745,7 @@ class Stepper:
             u_l2[who, k] = np.sqrt(self._inner_batch(u_vals, u_vals))
             pi_lp[who, k] = self._lp_norms(np.abs(pi), p_conj)
             k_w12[who, k] = w12_norm_values(D, area, K_vals)
-            stress_lp[who, k] = self._lp_norms(
-                np.sqrt(np.add.reduce(stress**2, axis=(0, 1))), p_conj
-            )
+            stress_lp[who, k] = self._lp_norms(pot._frobenius(stress), p_conj)
             m = lag_steps[lag_steps <= k]
             dest = (slice(None) if idx is None else idx[:, None], np.arange(m.size), k - m)
             for q, latest in (("u", u_vals), ("V", Vt), ("K", K_vals)):

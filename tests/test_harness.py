@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -72,6 +73,24 @@ def test_parse_config_comments_and_errors():
                  "u0_scale=nan\n"):
         with pytest.raises(ConfigError, match=text.split("=")[0]):
             parse_config_text(text).validate()
+
+
+def test_validation_rejects_non_finite_floats(tmp_path, capsys):
+    # NaN passed every range test and inf most of them: p=inf ran on past
+    # 120 s, newton_tol=inf stopped every step unconverged with status ok,
+    # and dt=nan or T=inf raised from round() inside validate()
+    keys = [key for key, value in asdict(ExperimentConfig()).items() if isinstance(value, float)]
+    assert {"p", "kappa", "dt", "T", "noise_decay", "newton_tol", "u0_scale"} <= set(keys)
+    for kind in ("velocity_regularity", "wiener_dichotomy"):
+        for key in keys:
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError, match=f"^{key} must be finite$"):
+                    parse_config_text(f"kind={kind}\n{key}={value}\n").validate()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"grid_n=8\npaths=1\nworkers=1\np=inf\nout_dir={tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == "configuration error: p must be finite\n"
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_validation_rejects_bad_combinations():
@@ -437,7 +456,7 @@ def increment_owners(cfg):
     for index in range(cfg.paths):
         rng = PathRng(cfg.master_seed, index)
         for k in range(1, int(round(cfg.T / cfg.dt)) + 1):
-            owners[sample_increment(rng, cfg.dt, cfg.noise_modes).z.tobytes()] = (index, k)
+            owners[sample_increment(rng, cfg.dt, cfg.noise_modes).tobytes()] = (index, k)
     return owners
 
 
@@ -445,7 +464,7 @@ def served(owners, dW):
     """(path, step) pairs that one step() call serves: runner steps a block
     of paths as one batch with a list of increments, and redoes a batch
     that raised one path at a time."""
-    return [owners[inc.z.tobytes()] for inc in (dW if isinstance(dW, list) else [dW])]
+    return [owners[inc.tobytes()] for inc in (dW if isinstance(dW, list) else [dW])]
 
 
 def per_path(rep, name):

@@ -5,7 +5,6 @@ from pstokeslab.grid import Grid, div_vec_values
 from pstokeslab.noise import (
     NoiseSpec,
     PathRng,
-    WienerIncrement,
     apply_G,
     sample_increment,
 )
@@ -21,19 +20,19 @@ def grid16():
 def test_replay_is_bit_exact():
     a = sample_increment(PathRng(123, 7), 0.01, 16)
     b = sample_increment(PathRng(123, 7), 0.01, 16)
-    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(a, b)
 
 
 def test_distinct_paths_differ():
     a = sample_increment(PathRng(123, 0), 0.01, 16)
     b = sample_increment(PathRng(123, 1), 0.01, 16)
-    assert not np.array_equal(a.z, b.z)
+    assert not np.array_equal(a, b)
 
 
 def test_increment_variance_law_of_large_numbers():
     rng = PathRng(5, 0)
     dt = 0.37
-    draws = np.stack([sample_increment(rng, dt, 4).z for _ in range(100000)])
+    draws = np.stack([sample_increment(rng, dt, 4) for _ in range(100000)])
     var = draws.var(axis=0)
     assert np.all(var > 0.97 * dt) and np.all(var < 1.03 * dt)
 
@@ -42,7 +41,9 @@ def test_zero_dt_rejected():
     with pytest.raises(ValueError):
         sample_increment(PathRng(0, 0), 0.0, 4)
     with pytest.raises(ValueError):
-        WienerIncrement(-1.0, np.zeros(4))
+        sample_increment(PathRng(0, 0), -1.0, 4)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        sample_increment(PathRng(0, 0), float("nan"), 4)
 
 
 def test_spec_validation(grid16):
@@ -74,7 +75,7 @@ def test_divergence_free_modes(grid16):
 def test_apply_g_zero_increment(grid16):
     spec = NoiseSpec(grid16, 8)
     u = np.zeros((2, 16, 16))
-    out = apply_G(spec, u, WienerIncrement(1.0, np.zeros(8)))
+    out = apply_G(spec, u, np.zeros(8))
     assert np.all(out == 0.0)
 
 
@@ -83,7 +84,7 @@ def test_apply_g_single_mode_basis_case(grid16):
     z = np.zeros(8)
     z[3] = 1.0
     u = np.zeros((2, 16, 16))
-    out = apply_G(spec, u, WienerIncrement(1.0, z))
+    out = apply_G(spec, u, z)
     expect = spec.lambdas[3] * spec.modes[3]
     assert np.max(np.abs(out - expect)) < 1e-15
 
@@ -93,7 +94,7 @@ def test_apply_g_matches_double_loop_oracle(grid16):
     spec = NoiseSpec(grid16, 8, rho="inv_one_plus_s2")
     u = rng.standard_normal((2, 16, 16))
     z = rng.standard_normal(8)
-    out = apply_G(spec, u, WienerIncrement(0.5, z))
+    out = apply_G(spec, u, z)
     speed = np.sqrt(u[0] ** 2 + u[1] ** 2)
     rho = 1.0 / (1.0 + speed**2)
     expect = np.zeros((2, 16, 16))
@@ -108,10 +109,10 @@ def test_apply_g_linear_in_increment(grid16):
     spec = NoiseSpec(grid16, 8)
     u = rng.standard_normal((2, 16, 16))
     z1, z2 = rng.standard_normal(8), rng.standard_normal(8)
-    combo = apply_G(spec, u, WienerIncrement(1.0, 2.0 * z1 - 0.5 * z2))
+    combo = apply_G(spec, u, 2.0 * z1 - 0.5 * z2)
     parts = (
-        2.0 * apply_G(spec, u, WienerIncrement(1.0, z1))
-        - 0.5 * apply_G(spec, u, WienerIncrement(1.0, z2))
+        2.0 * apply_G(spec, u, z1)
+        - 0.5 * apply_G(spec, u, z2)
     )
     assert np.max(np.abs(combo - parts)) < 1e-13
 

@@ -6,7 +6,8 @@ a block of three paths, a lone multiplicative path from a curl start with
 snapshots, a run whose directory comes from PSTOKESLAB_OUT, and a Wiener
 study.  Each def and lambda of src/pstokeslab that the session never
 enters fails the test, apart from ALLOWED: code that no product path
-calls is wired in or deleted.
+calls is wired in or deleted.  A second test applies the same rule to
+dataclass fields: each one is read somewhere in src/ or bench/.
 """
 
 import ast
@@ -21,6 +22,7 @@ import pstokeslab
 from pstokeslab import cli, potential
 
 SRC = pathlib.Path(pstokeslab.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 # (file, qualified name) -> why the session may leave it unentered
 ALLOWED = {
@@ -124,6 +126,57 @@ def test_allow_list_names_existing_functions():
     # a stale entry would let a new unreached function of that name pass
     present = {(name, qualname) for name, qualname, _, _ in src_functions()}
     assert set(ALLOWED) <= present, set(ALLOWED) - present
+
+
+# dataclass -> why its fields may go unread by src/ and bench/
+UNREAD_FIELDS_ALLOWED = {
+    "RunManifest": "asdict writes it whole to manifest.json for readers outside the program",
+}
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "attr", getattr(target, "id", None)) == "dataclass"
+
+
+def dataclass_fields():
+    """(file, class, field) of each annotated field of each @dataclass in src/."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                out.extend(
+                    (path.name, node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    """Each dataclass field in src/ is read as an attribute somewhere in
+    src/ or bench/, apart from the classes of UNREAD_FIELDS_ALLOWED: a
+    value that nothing reads is deleted with the code that fills it.
+
+    The test matches names, not objects: a field passes when any
+    attribute of that name is read, so a field whose name another
+    object's attribute shares (an `alpha`, a `dt`) can go unread unseen.
+    """
+    read = {
+        node.attr
+        for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = dataclass_fields()
+    unread = [
+        f"{name}:{cls}.{attr}"
+        for name, cls, attr in found
+        if attr not in read and cls not in UNREAD_FIELDS_ALLOWED
+    ]
+    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+    # a stale entry would let a new class of that name keep unread fields
+    assert set(UNREAD_FIELDS_ALLOWED) <= {cls for _, cls, _ in found}
 
 
 @pytest.mark.parametrize("qualname", ["Stepper._run_block.record", "<lambda>"])

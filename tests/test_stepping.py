@@ -14,7 +14,7 @@ from pstokeslab.grid import (
     sym_grad_values,
 )
 from pstokeslab import potential, stepping
-from pstokeslab.noise import NoiseSpec, PathRng, WienerIncrement, apply_G, sample_increment
+from pstokeslab.noise import NoiseSpec, PathRng, apply_G, sample_increment
 from pstokeslab.potential import PotentialParams, energy, hessian_coeffs, s_tensor, v_tensor
 from pstokeslab.projection import BogovskiiOperator, HelmholtzProjector
 from pstokeslab.runner import initial_velocity
@@ -77,6 +77,10 @@ def dense_operator(stepper, fn):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, T=1.0)
+    # NaN fails no `dt <= 0` test and reached round(T / dt)
+    for dt, T in ((float("nan"), 1.0), (0.1, float("nan"))):
+        with pytest.raises(ValueError, match="must be positive"):
+            SolverConfig(dt=dt, T=T)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.3, T=1.0)
     with pytest.raises(ValueError):
@@ -98,7 +102,6 @@ def test_zero_state_is_stationary(grid8):
     stepper = make_stepper(grid8, p=2.5, kappa=0.01)
     u1, rep = step_one(stepper, zeros(grid8, 2), None)
     assert np.all(u1 == 0.0)
-    assert rep.converged
 
 
 def test_step_takes_blocks_only(grid8):
@@ -109,10 +112,17 @@ def test_step_takes_blocks_only(grid8):
 
 
 def test_step_is_descent(grid8):
+    # the step's objective dt J(v) + 1/2 ||v - u0||^2 is no larger at u1
+    # than at its start u0
     stepper = make_stepper(grid8, p=3.0, kappa=0.0, dt=1e-2)
     u0 = initial_velocity(grid8, "curl", 1.0)
-    _, rep = step_one(stepper, u0, None)
-    assert rep.phi_final <= rep.phi_initial
+    u1, _ = step_one(stepper, u0, None)
+
+    def objective(v):
+        J = energy(stepper.params, sym_grad_values(grid8.diff_1d, v), grid8.cell_area)
+        return 1e-2 * J + 0.5 * l2_inner(grid8, v - u0, v - u0)
+
+    assert objective(u1) <= objective(u0)
 
 
 def test_line_search_stall_raises(grid8):
@@ -232,7 +242,7 @@ def test_k_sto_divfree_flavor_stays_zero(grid16):
     K = zeros(grid16)
     u = initial_velocity(grid16, "curl", 1.0)
     for _ in range(10):
-        dW = WienerIncrement(1e-3, rng.standard_normal(8) * np.sqrt(1e-3))
+        dW = rng.standard_normal(8) * np.sqrt(1e-3)
         K = k_sto_step(stepper, K, u, dW)
     assert np.max(np.abs(K)) < 1e-12
 
@@ -242,7 +252,7 @@ def test_k_sto_zero_increment_keeps_k(grid16):
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, spec=spec)
     K = np.random.default_rng(2).standard_normal((16, 16))
     K -= K.mean()
-    out = k_sto_step(stepper, K, zeros(grid16, 2), WienerIncrement(1e-3, np.zeros(8)))
+    out = k_sto_step(stepper, K, zeros(grid16, 2), np.zeros(8))
     assert np.max(np.abs(out - K)) < 1e-14
 
 
@@ -252,8 +262,7 @@ def test_k_sto_single_gradient_mode_matches_composition_oracle(grid16):
     spec = NoiseSpec(grid16, 1, flavor="gradient")
     stepper = make_stepper(grid16, p=2.5, kappa=0.01, spec=spec)
     z = np.array([0.7])
-    dW = WienerIncrement(1e-3, z)
-    K1 = k_sto_step(stepper, zeros(grid16), zeros(grid16, 2), dW)
+    K1 = k_sto_step(stepper, zeros(grid16), zeros(grid16, 2), z)
     forcing = spec.lambdas[0] * spec.modes[0] * z[0]
     grad_part = forcing - stepper._project(forcing)
     oracle = -BogovskiiOperator(grid16).adjoint_apply(VectorField(grid16, grad_part)).values
@@ -273,7 +282,7 @@ def test_additive_k_sto_matches_closed_form(grid16, flavor):
     for _ in range(32):
         dW = sample_increment(rng, 1e-3, 8)
         K = k_sto_step(stepper, K, u, dW)
-        W += dW.z
+        W += dW
     projector = HelmholtzProjector(grid16)
     bog = BogovskiiOperator(grid16)
     bstar = np.array([
@@ -752,8 +761,7 @@ def test_batched_step_report_totals_and_per_path_counts(grid8):
     assert np.array_equal(u[:, 0], u_0)
     assert isinstance(rep.iterations, int) and rep.iterations == rep_0.iterations
     assert rep.path_iterations == rep_0.iterations
-    for name in ("v_distance_sq", "grad_norm", "phi_initial", "phi_final", "converged",
-                 "cg_iterations", "backtracks", "roundoff_steps", "J"):
+    for name in ("cg_iterations", "backtracks", "roundoff_steps", "J"):
         assert np.ndim(getattr(rep, name)) == 0, name
         assert getattr(rep, name) == getattr(rep_0, name), name
     assert rep.strain.shape == rep.V.shape == (2, 2, 1, 8, 8)
