@@ -23,6 +23,7 @@ need both: `lp_norm`, `save_field` and the Bogovskii operator.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +198,13 @@ def w12_norm_values(D, area, q):
     """
     gx = D.T @ q
     gy = q @ D
-    return np.sqrt(area * np.sum(q * q + gx * gx + gy * gy, axis=(-2, -1)))
+    # q*q + gx*gx + gy*gy, summed in that order, in place
+    gx *= gx
+    gy *= gy
+    sq = q * q
+    sq += gx
+    sq += gy
+    return np.sqrt(area * np.sum(sq, axis=(-2, -1)))
 
 
 def sine_stream_curl(grid: Grid, m1: int, m2: int) -> np.ndarray:
@@ -224,9 +231,9 @@ def save_field(f: _Field, path):
     n = f.grid.n
     ncomp = int(np.prod(values.shape[:-2], dtype=int))
     flat = values.reshape(ncomp, n, n)
+    # rows in (i, j, comp) order, formatted from Python floats in one join
+    rows = zip(itertools.product(range(n), range(n), range(ncomp)),
+               flat.transpose(1, 2, 0).ravel().tolist())
     with open(path, "w") as fh:
         fh.write("i,j,comp,value\n")
-        for i in range(n):
-            for j in range(n):
-                for c in range(ncomp):
-                    fh.write(f"{i},{j},{c},{flat[c, i, j]:.17g}\n")
+        fh.write("".join([f"{i},{j},{c},{x:.17g}\n" for (i, j, c), x in rows]))

@@ -22,7 +22,12 @@ facts used throughout the package:
 Matrix magnitudes |xi| are Frobenius norms everywhere (the L^2 tensor
 inner product is the one used by the spatial discretisation).  Tensor
 arguments have the field layout (2, 2, ...): the two leading axes are
-the matrix.  These kernels are the ones the stepper runs.
+the matrix.  These kernels are the ones the stepper runs.  They take
+the magnitude t = |xi| of their argument, as `_frobenius` gives it, or
+S's radial factor (kappa+t)^(p-2) (`s_factor`, also the Hessian's a2)
+where the caller has it already: the stepper forms t once per strain
+and the factor once per Newton iterate.  Given or not, they give the
+same bits.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import numpy as np
 __all__ = [
     "PotentialParams",
     "phi",
+    "s_factor",
     "s_tensor",
     "v_tensor",
     "hessian_coeffs",
@@ -100,6 +106,13 @@ def _phi(p, k, t):
 
 # phi sums its binomial series on the entries with t/kappa below this
 SERIES_BELOW = 0.5
+# Up to this many series entries with one shift, Horner's rule runs on
+# Python floats.  Both routes cost in proportion to the degree: the
+# array route's ufunc calls take about 30-40 us at any size up to 64
+# entries for p = 1.5, 2.5 and 4.2 and 4 us for p = 3; Python floats
+# 1.3 us per entry, and 0.25 us for p = 3, which breaks even at 16
+# (timeit, one process).
+SERIES_FLOATS_MAX = 16
 
 
 @functools.lru_cache(maxsize=16)
@@ -122,9 +135,22 @@ def _series_coeffs(p: float) -> tuple:
 def _phi_series(p, k, xs):
     """k^p * integral_0^x (1+s)^(p-2) s ds = k^p sum_j a_j x^(j+2), x = xs < 1/2.
 
-    Horner's rule of one fixed degree per p, entry by entry.
+    Horner's rule of one fixed degree per p, entry by entry.  With one
+    shift k and at most SERIES_FLOATS_MAX entries it runs on Python
+    floats, which round each multiply and add as the array ufuncs do, so
+    both routes give the same bits.  An array of shifts stays on the
+    array route: NumPy's vector power may round k^p differently.
     """
     coeffs = _series_coeffs(p)
+    if xs.size <= SERIES_FLOATS_MAX and np.ndim(k) == 0:
+        kp = k**p
+        out = []
+        for x in xs.tolist():
+            total = coeffs[0]
+            for a in coeffs[1:]:
+                total = total * x + a
+            out.append(kp * total * x * x)
+        return np.array(out)
     total = np.full_like(xs, coeffs[0])
     for a in coeffs[1:]:
         total *= xs
@@ -135,6 +161,11 @@ def _phi_series(p, k, xs):
 def _frobenius(xi):
     """Frobenius magnitude over the two leading (matrix) axes."""
     return np.sqrt(np.add.reduce(xi**2, axis=(0, 1)))
+
+
+def _magnitude(xi, t):
+    """t if the caller has |xi| already, else its Frobenius magnitude."""
+    return _frobenius(xi) if t is None else t
 
 
 def _radial_scale(params: PotentialParams, norm, expo: float):
@@ -150,59 +181,81 @@ def _radial_scale(params: PotentialParams, norm, expo: float):
         return np.where(norm > 0.0, np.where(norm > 0.0, norm, 1.0) ** expo, 0.0)
 
 
-def _curvatures(params: PotentialParams, t):
-    """a2 = phi'(t)/t and phi''(t), with their limits at t = 0.
+def s_factor(params: PotentialParams, t):
+    """(kappa+t)^(p-2) = phi'(t)/t at magnitudes t: the radial factor of S
+    and the a2 of hessian_coeffs.
+
+    For kappa = 0 and p < 2 it is 0 at t = 0 (see _radial_scale).
+    """
+    return _radial_scale(params, t, params.p - 2.0)
+
+
+def _curvatures(params: PotentialParams, t, a2=None):
+    """a2 = phi'(t)/t and phi''(t), with their limits at t = 0; a2 is
+    s_factor(params, t) where the caller has it.
 
     For kappa = 0, p < 2 both are singular at t = 0; callers floor kappa
     or exclude t = 0.
     """
     p, k = params.p, params.kappa
-    a2 = _radial_scale(params, t, p - 2.0)
+    if a2 is None:
+        a2 = s_factor(params, t)
     if k > 0.0:
         return a2, a2 * (1.0 + (p - 2.0) * t / (k + t))
     return a2, (p - 1.0) * a2
 
 
-def s_tensor(params: PotentialParams, xi):
+def s_tensor(params: PotentialParams, xi, factor=None):
     """Stress tensor S(xi) = (kappa+|xi|)^(p-2) xi, |.| Frobenius.
 
     xi has the field layout: the two leading axes are the matrix, any
     trailing axes are nodes or samples.  S(0) = 0 in every regime.
+    factor is s_factor(params, |xi|), where the caller has it.
     """
-    return _radial_scale(params, _frobenius(xi), params.p - 2.0) * xi
+    if factor is None:
+        factor = s_factor(params, _frobenius(xi))
+    return factor * xi
 
 
-def v_tensor(params: PotentialParams, xi):
-    """Monotonicity tensor V(xi) = (kappa+|xi|)^((p-2)/2) xi, layout as s_tensor."""
-    return _radial_scale(params, _frobenius(xi), (params.p - 2.0) / 2.0) * xi
+def v_tensor(params: PotentialParams, xi, t=None):
+    """Monotonicity tensor V(xi) = (kappa+|xi|)^((p-2)/2) xi, layout as
+    s_tensor; t is |xi|, where the caller has it."""
+    return _radial_scale(params, _magnitude(xi, t), (params.p - 2.0) / 2.0) * xi
 
 
-def hessian_coeffs(params: PotentialParams, xi):
+def hessian_coeffs(params: PotentialParams, xi, t=None, a2=None):
     """Nodewise coefficients (a1, a2, E) of the second derivative of J.
 
     D^2 J(u)[v, w] pairs eps v with eps w through the fourth-order
     tensor a1 (E:M) E + a2 M, E = xi / |xi| (0 where xi = 0), with
-    a2 = phi'(t)/t and a1 = phi''(t) - a2 at t = |xi|.
+    a2 = phi'(t)/t and a1 = phi''(t) - a2 at t = |xi|.  t is |xi| and a2
+    is s_factor(params, t), where the caller has them.
     """
-    t = _frobenius(xi)
-    a2, phipp = _curvatures(params, t)
+    t = _magnitude(xi, t)
+    a2, phipp = _curvatures(params, t, a2)
     pos = t > 0.0
-    unit = np.where(pos, xi / np.where(pos, t, 1.0), 0.0)
+    if pos.all():
+        unit = xi / t
+    else:
+        unit = np.where(pos, xi / np.where(pos, t, 1.0), 0.0)
     return phipp - a2, a2, unit
 
 
-def energy(params: PotentialParams, eps, cell_area: float):
+def energy(params: PotentialParams, eps, cell_area: float, t=None):
     """Dissipation energy: cell_area * sum of phi(|strain|) over nodes.
 
-    eps is an array whose two leading axes are the 2x2 matrix components.
-    A (2, 2, B, n, n) array is a batch of B strain fields and gives one
-    energy per field; phi is nodewise, so one call over the batch gives
-    each field the bits of its own call.
+    eps is an array whose two leading axes are the 2x2 matrix components,
+    and t is |eps| where the caller has it.  A (2, 2, B, n, n) array is
+    a batch of B strain fields and gives one energy per field; phi is
+    nodewise, so one call over the batch gives each field the bits of its
+    own call.
     """
     values = np.asarray(eps, dtype=float)
-    if not np.all(np.isfinite(values)):
+    t = _magnitude(values, t)
+    # a finite strain has a finite magnitude unless its squares overflow
+    if not np.isfinite(t).all() and not np.isfinite(values).all():
         raise ValueError("strain field contains non-finite entries")
-    vals = phi(params, _frobenius(values))
+    vals = phi(params, t)
     if values.ndim != 5:
         return float(cell_area * np.add.reduce(vals, axis=None))
     return cell_area * np.add.reduce(vals.reshape(len(vals), -1), axis=1)

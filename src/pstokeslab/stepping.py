@@ -16,8 +16,13 @@ and directions are projected.  The stopping quantity is the squared
 distance between consecutive iterates measured through the monotonicity
 tensor V, which is proportional to the remaining energy gap of the
 strongly convex objective.  Each iterate carries its objective value,
-its strain and its V: the line search's accepted candidate hands them
-on, so within one step no strain and no V is evaluated twice.
+its strain, the strain's nodewise magnitude t = |eps| and its V: the
+line search's accepted candidate hands them on, so within one step no
+strain, no magnitude and no V is evaluated twice.  t is taken where
+the strain is formed and handed to the potential's kernels (energy, S,
+V, the Hessian), and S's radial factor (kappa + t)^(p-2), formed once
+per Newton iteration, is also the Hessian's a2 unless kappa_reg floors
+the Hessian's shift.
 
 Two rules keep the solver from work its stopping test cannot see.  The
 first Newton iteration's CG stops at relative residual FIRST_CG_TOL, not
@@ -54,10 +59,11 @@ hence B*((I - P) v) = -q_v and
 Additive noise (rho = one) makes K linear in W: the stepper stores
 k_j = lambda_j q_{psi_j} once and steps K_{n+1} = K_n + sum_j dW_j k_j.
 Multiplicative noise projects G(u_n) dW once more for its potential.
-The step report carries the strain, V and energy J of the returned
-velocity, and `run_path` records from them, so no strain, V or J is
-evaluated again there; as the step never evaluates the strain of u_n
-itself, no strain, V or J of a noisy path is evaluated twice.  Lagged
+The step report carries the strain, its magnitude, V and energy J of
+the returned velocity, and `run_path` records from them, so no strain,
+magnitude, V or J is evaluated again there; as the step never evaluates
+the strain of u_n itself, none of them is evaluated twice on a noisy
+path.  Lagged
 differences come from one ring array per quantity holding the last
 max(lag) + 1 states; each step takes the norms of all its lags in one
 batched reduction per quantity.  The trajectory keeps the solver counts
@@ -71,12 +77,15 @@ block, a lone path as a block of one, with one increment per path, and
 `run_path` makes one of each call per time step.  Newton, CG and the
 line search keep a path in the lockstep until its own loop would stop
 it, and gather the others to go on, so every path takes its own
-iterations and keeps the bits of its own run: the grid kernels, the projection and phi's closed form act
-on each member as on one path; inner products and norms sum each path
-over its own contiguous entries of a batch-first copy; phi's series is a
-Horner sum of one fixed degree per p, entry by entry, so one call serves
-the whole batch; and the noise products stay one dot per path, as a
-batched product would round differently.  A block takes every time
+iterations and keeps the bits of its own run: the grid kernels, the
+projection and phi's closed form act on each member as on one path;
+inner products and norms sum each path over its own contiguous entries
+of a batch-first copy; the per-path scalars (inner products, step
+lengths, objective values, stop flags) are Python floats and bools in
+lists, as in the one-path loop, and become arrays only to scale the
+fields; phi's series is a Horner sum of one fixed degree per p, entry
+by entry, so one call serves the whole batch; and the noise products
+stay one dot per path, as a batched product would round differently.  A block takes every time
 step, the initial state's record included, as one batch, of one path
 too; `step` alone picks the loop and runs a batch of one in the one-path
 loop on the path's (2, n, n) velocity, which lacks the per-path
@@ -90,6 +99,7 @@ its time in proportion to the steps they completed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -139,15 +149,16 @@ class SolverConfig:
                                      # first (FIRST_CG_TOL); tighten for oracles
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if not self.T > 0.0:
-            raise ValueError("T must be positive")
+        # NaN fails every `> 0` test; inf passes it, but an infinite T
+        # breaks round(), dt or newton_tol of inf end every step at once,
+        # and the Hessian floors kappa with kappa_reg
+        for key in ("dt", "T", "newton_tol", "kappa_reg"):
+            value = getattr(self, key)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ValueError("T must be an integral multiple of dt")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be positive")
         if not 0.0 <= self.cg_tol < 1.0:
@@ -169,8 +180,8 @@ class StepReport:
     the batch's total Newton iterations, so that summed over calls it
     counts Newton iterations per path-step as for one path;
     `path_iterations` holds each path's own count.  For one path every
-    count is a scalar, and `path_iterations` equals `iterations`.  strain
-    and V always carry the batch axis.
+    count is a scalar, and `path_iterations` equals `iterations`.  strain,
+    strain_norm and V always carry the batch axis.
     """
 
     iterations: int
@@ -179,6 +190,7 @@ class StepReport:
     roundoff_steps: int             # full steps taken by the round-off rule
     J: float
     strain: np.ndarray = field(repr=False)
+    strain_norm: np.ndarray = field(repr=False)  # nodewise |strain|
     V: np.ndarray = field(repr=False)
     path_iterations: np.ndarray | int
 
@@ -233,9 +245,11 @@ def _put(x, idx, values):
     return x
 
 
-def _members(keep, *arrays):
-    """The members where keep holds, of per-path arrays and batched fields."""
-    return [x[keep] if x.ndim == 1 else x[..., keep, :, :] for x in arrays]
+def _members(keep, *items):
+    """The members where the bools keep hold, of per-path lists and
+    batched fields."""
+    sel = [j for j, k in enumerate(keep) if k]
+    return [[x[j] for j in sel] if isinstance(x, list) else x[..., sel, :, :] for x in items]
 
 
 class Stepper:
@@ -292,13 +306,13 @@ class Stepper:
         return self._area * float(np.add.reduce(a * b, axis=None))
 
     def _inner_batch(self, a, b):
-        """_inner per path of two batched fields, with the bits of _inner.
+        """_inner per path of two batched fields, a list with the bits of _inner.
 
         Each path's products are summed over its own contiguous entries of
         a batch-first copy, as np.add.reduce(..., axis=None) sums them.
         """
         prod = _batch_first(a * b)
-        return self._area * np.add.reduce(prod.reshape(len(prod), -1), axis=1)
+        return (self._area * np.add.reduce(prod.reshape(len(prod), -1), axis=1)).tolist()
 
     def _lp_norms(self, mags, r):
         """lp_norm per path of nodewise magnitudes (B, n, n), bit for bit.
@@ -325,9 +339,10 @@ class Stepper:
         n = self.grid.n
         return np.dot(dW.reshape(1, -1), self._k_modes).reshape(n, n)
 
-    def _grad_energy(self, eps):
-        """Gradient of J in the weighted L^2 product at strain eps: -div S(eps)."""
-        return -div_tensor_values(self._D, pot.s_tensor(self.params, eps))
+    def _grad_energy(self, eps, factor=None):
+        """Gradient of J in the weighted L^2 product at strain eps: -div S(eps);
+        factor is S's radial factor at eps, where the caller has it."""
+        return -div_tensor_values(self._D, pot.s_tensor(self.params, eps, factor))
 
     def _hessian_apply(self, a1, a2, unit, w):
         """-div( a1 (E:eps w) E + a2 eps w ), built in place."""
@@ -348,15 +363,16 @@ class Stepper:
         returns (u_next, StepReport), u_next shaped like u.
 
         Only B >= 2 runs _step_batch.  A block of one runs the one-path
-        loop, as the batched loop took 10-46 % longer at B = 1, and gets
-        its report with the batch axis added to strain and V.
+        loop, as the batched loop took 21-37 % longer at B = 1, and gets
+        its report with the batch axis added to strain, strain_norm and V.
         """
         if u.ndim != 4:
             raise ValueError(f"step takes a block (2, B, n, n), got shape {u.shape}")
         if u.shape[1] > 1:
             return self._step_batch(u, dW)
         v, rep = self._step_one(u[:, 0], None if dW is None else dW[0])
-        rep.strain, rep.V = rep.strain[:, :, None], rep.V[:, :, None]
+        rep.strain, rep.strain_norm, rep.V = (
+            rep.strain[:, :, None], rep.strain_norm[None], rep.V[:, :, None])
         return v[:, None], rep
 
     def _step_one(self, u, dW):
@@ -370,16 +386,17 @@ class Stepper:
             r = u
 
         def objective(v):
-            """Objective value at v, the strain of v and its energy J."""
+            """Objective value at v, the strain of v, its magnitude and J."""
             diff = v - r
             eps = sym_grad_values(self._D, v)
-            J = pot.energy(self.params, eps, self._area)
-            return dt * J + 0.5 * self._inner(diff, diff), eps, J
+            t = pot._frobenius(eps)
+            J = pot.energy(self.params, eps, self._area, t)
+            return dt * J + 0.5 * self._inner(diff, diff), eps, t, J
 
-        # start at the predictor; v carries phi_v, eps, J_v and, once it
-        # has moved, V_v
+        # start at the predictor; v carries phi_v, eps, t = |eps|, J_v and,
+        # once it has moved, V_v
         v = r.copy()
-        phi0, eps, J_v = objective(v)
+        phi0, eps, t, J_v = objective(v)
         phi_v = phi0
         V_v = None
         vdist = np.inf
@@ -388,7 +405,8 @@ class Stepper:
         failure = f"Newton did not converge in {cfg.newton_max_iter} iterations"
         iterations = cg_iterations = backtracks = roundoff_steps = 0
         for it in range(cfg.newton_max_iter):
-            g = self._project(dt * self._grad_energy(eps)) + (v - r)
+            factor = pot.s_factor(self.params, t)
+            g = self._project(dt * self._grad_energy(eps, factor)) + (v - r)
             grad_norm = np.sqrt(self._inner(g, g))
             # rounding floor: below this scale no descent is representable
             field_scale = 1.0 + np.sqrt(self._inner(v, v))
@@ -396,7 +414,8 @@ class Stepper:
             if grad_norm <= max(floor, 1e-14 * (1.0 + abs(phi_v))):
                 converged = True
                 break
-            a1, a2, unit = pot.hessian_coeffs(self._hess_params, eps)
+            a1, a2, unit = pot.hessian_coeffs(
+                self._hess_params, eps, t, factor if self._hess_params is self.params else None)
 
             forcing = max(FIRST_CG_TOL, cfg.cg_tol) if it == 0 else cfg.cg_tol
             delta, cg_its = self._cg_solve(a1, a2, unit, g, dt, floor, forcing)
@@ -407,7 +426,7 @@ class Stepper:
                 break
             alpha = 1.0
             cand = v + delta
-            phi_c, eps_c, J_c = objective(cand)
+            phi_c, eps_c, t_c, J_c = objective(cand)
             if predicted <= ROUNDOFF_RTOL * abs(phi_v) and phi_c <= phi0:
                 # the Armijo test would compare rounding noise (module
                 # docstring): take the full step, never above phi0
@@ -419,15 +438,15 @@ class Stepper:
                     if alpha <= 1e-14:
                         break
                     cand = v + alpha * delta
-                    phi_c, eps_c, J_c = objective(cand)
+                    phi_c, eps_c, t_c, J_c = objective(cand)
                 if alpha <= 1e-14:
                     failure = f"line search stalled in Newton iteration {it + 1}"
                     break
             if V_v is None:
-                V_v = pot.v_tensor(self.params, eps)
-            V_c = pot.v_tensor(self.params, eps_c)
+                V_v = pot.v_tensor(self.params, eps, t)
+            V_c = pot.v_tensor(self.params, eps_c, t_c)
             dv = V_c - V_v
-            v, phi_v, eps, V_v, J_v = cand, phi_c, eps_c, V_c, J_c
+            v, phi_v, eps, t, V_v, J_v = cand, phi_c, eps_c, t_c, V_c, J_c
             iterations = it + 1
             vdist = self._inner(dv, dv)
             if vdist <= cfg.newton_tol:
@@ -439,7 +458,7 @@ class Stepper:
                 f"last V-distance^2 = {vdist:.3e}, gradient norm = {grad_norm:.3e}"
             )
         if V_v is None:
-            V_v = pot.v_tensor(self.params, eps)
+            V_v = pot.v_tensor(self.params, eps, t)
         report = StepReport(
             iterations=iterations,
             cg_iterations=cg_iterations,
@@ -447,6 +466,7 @@ class Stepper:
             roundoff_steps=roundoff_steps,
             J=J_v,
             strain=eps,
+            strain_norm=t,
             V=V_v,
             path_iterations=iterations,
         )
@@ -495,7 +515,8 @@ class Stepper:
         """step() on a batch of B >= 2: Newton, CG and line search in lockstep.
 
         Every path takes the iterations of its own step() and gets its
-        bits: the kernels act on each member as on one path, and a path
+        bits: the kernels act on each member as on one path, per-path
+        scalars are Python floats as in the one-path loop, and a path
         leaves the lockstep where its own loop stops, with the others
         gathered to go on.  Raises StepError for the first path that fails.
         """
@@ -506,159 +527,186 @@ class Stepper:
             r = u + self._project(self._forcing(u, dW))
         else:
             r = u
+        shared_a2 = self._hess_params is self.params
 
         def objective(v, r):
+            """Objective values, strain, its magnitude and J of each member."""
             diff = v - r
             eps = sym_grad_values(self._D, v)
-            J = pot.energy(self.params, eps, self._area)
-            return dt * J + 0.5 * self._inner_batch(diff, diff), eps, J
+            t = pot._frobenius(eps)
+            J = pot.energy(self.params, eps, self._area, t).tolist()
+            half = self._inner_batch(diff, diff)
+            return [dt * j + 0.5 * h for j, h in zip(J, half)], eps, t, J
 
+        # per-path scalars are lists over all B paths, or over the members
+        # act of the lockstep (the _a and _c names)
         v = r.copy()
-        phi0, eps, J_v = objective(v, r)
-        phi_v = phi0.copy()
+        phi0, eps, t, J_v = objective(v, r)
+        phi_v = list(phi0)
         V_v = np.empty_like(eps)  # filled as each path moves, else at the end
-        vdist = np.full(B, np.inf)
-        grad_norm = np.full(B, np.inf)
-        converged = np.zeros(B, dtype=bool)
-        iterations, cg_iterations, backtracks, roundoff_steps = np.zeros((4, B), dtype=int)
+        vdist, grad_norm = [np.inf] * B, [np.inf] * B
+        converged = [False] * B
+        iterations, cg_iterations, backtracks, roundoff_steps = ([0] * B for _ in range(4))
         failures = [f"Newton did not converge in {cfg.newton_max_iter} iterations"] * B
-        act = np.arange(B)  # paths still iterating
+        act = list(range(B))  # paths still iterating
         for it in range(cfg.newton_max_iter):
-            if not act.size:
+            if not act:
                 break
-            idx = None if act.size == B else act
-            v_a, r_a, eps_a, phi_a = _take(v, idx), _take(r, idx), _take(eps, idx), phi_v[act]
-            g = self._project(dt * self._grad_energy(eps_a)) + (v_a - r_a)
-            gn = np.sqrt(self._inner_batch(g, g))
-            grad_norm[act] = gn
-            floor = 1e-14 * (1.0 + np.sqrt(self._inner_batch(v_a, v_a)))
-            go = ~(gn <= np.maximum(floor, 1e-14 * (1.0 + np.abs(phi_a))))
-            if not go.all():
-                converged[act[~go]] = True
-                act, g, gn, floor, v_a, r_a, eps_a, phi_a = _members(
-                    go, act, g, gn, floor, v_a, r_a, eps_a, phi_a)
-                if not act.size:
+            idx = None if len(act) == B else act
+            v_a, r_a, eps_a, t_a = _take(v, idx), _take(r, idx), _take(eps, idx), _take(t, idx)
+            phi_a = [phi_v[b] for b in act]
+            factor = pot.s_factor(self.params, t_a)
+            g = self._project(dt * self._grad_energy(eps_a, factor)) + (v_a - r_a)
+            gn = [math.sqrt(x) for x in self._inner_batch(g, g)]
+            floor = [1e-14 * (1.0 + math.sqrt(x)) for x in self._inner_batch(v_a, v_a)]
+            go = [not x <= max(f, 1e-14 * (1.0 + abs(ph))) for x, f, ph in zip(gn, floor, phi_a)]
+            for b, x, on in zip(act, gn, go):
+                grad_norm[b], converged[b] = x, not on
+            if not all(go):
+                act, g, gn, floor, v_a, r_a, eps_a, t_a, factor, phi_a = _members(
+                    go, act, g, gn, floor, v_a, r_a, eps_a, t_a, factor, phi_a)
+                if not act:
                     break
-            a1, a2, unit = pot.hessian_coeffs(self._hess_params, eps_a)
+            a1, a2, unit = pot.hessian_coeffs(
+                self._hess_params, eps_a, t_a, factor if shared_a2 else None)
             forcing = max(FIRST_CG_TOL, cfg.cg_tol) if it == 0 else cfg.cg_tol
             delta, cg_its = self._cg_solve_batch(a1, a2, unit, g, dt, floor, forcing)
-            cg_iterations[act] += cg_its
-            predicted = -self._inner_batch(g, delta)
-            go = ~(predicted <= floor * gn)
-            if not go.all():
-                converged[act[~go]] = True
-                act, delta, predicted, v_a, r_a, eps_a, phi_a = _members(
-                    go, act, delta, predicted, v_a, r_a, eps_a, phi_a)
-                if not act.size:
+            predicted = [-x for x in self._inner_batch(g, delta)]
+            go = [not pr <= f * x for pr, f, x in zip(predicted, floor, gn)]
+            for b, c, on in zip(act, cg_its, go):
+                cg_iterations[b] += c
+                converged[b] = not on
+            if not all(go):
+                act, delta, predicted, v_a, r_a, eps_a, t_a, phi_a = _members(
+                    go, act, delta, predicted, v_a, r_a, eps_a, t_a, phi_a)
+                if not act:
                     break
             cand = v_a + delta
-            phi_c, eps_c, J_c = objective(cand, r_a)
-            full = (predicted <= ROUNDOFF_RTOL * np.abs(phi_a)) & (phi_c <= phi0[act])
-            roundoff_steps[act[full]] += 1
-            alpha = np.ones(act.size)
-            search = ~full & ~(phi_c <= phi_a - 1e-4 * alpha * predicted)
-            stalled = np.zeros(act.size, dtype=bool)
-            while search.any():
-                alpha[search] *= 0.5
-                backtracks[act[search]] += 1
-                stalled |= search & (alpha <= 1e-14)
-                search &= ~stalled
-                s = np.flatnonzero(search)
-                if not s.size:
+            phi_c, eps_c, t_c, J_c = objective(cand, r_a)
+            alpha = [1.0] * len(act)
+            search = []
+            for j, b in enumerate(act):
+                if predicted[j] <= ROUNDOFF_RTOL * abs(phi_a[j]) and phi_c[j] <= phi0[b]:
+                    roundoff_steps[b] += 1
+                    search.append(False)
+                else:
+                    search.append(not phi_c[j] <= phi_a[j] - 1e-4 * alpha[j] * predicted[j])
+            stalled = [False] * len(act)
+            while any(search):
+                s = []
+                for j in range(len(act)):
+                    if search[j]:
+                        alpha[j] *= 0.5
+                        backtracks[act[j]] += 1
+                        if alpha[j] <= 1e-14:
+                            stalled[j], search[j] = True, False
+                        else:
+                            s.append(j)
+                if not s:
                     break
-                cand_s = v_a[:, s] + alpha[s, None, None] * delta[:, s]
-                phi_c[s], eps_c[:, :, s], J_c[s] = objective(cand_s, r_a[:, s])
-                cand[:, s] = cand_s
-                search[s] = ~(phi_c[s] <= phi_a[s] - 1e-4 * alpha[s] * predicted[s])
-            if stalled.any():
-                for b in act[stalled]:
-                    failures[b] = f"line search stalled in Newton iteration {it + 1}"
-                act, cand, phi_c, eps_c, J_c, eps_a = _members(
-                    ~stalled, act, cand, phi_c, eps_c, J_c, eps_a)
-                if not act.size:
+                lengths = np.array([alpha[j] for j in s])[:, None, None]
+                cand_s = v_a[:, s] + lengths * delta[:, s]
+                phi_s, eps_s, t_s, J_s = objective(cand_s, r_a[:, s])
+                cand[:, s], eps_c[:, :, s], t_c[s] = cand_s, eps_s, t_s
+                for j, ph, J in zip(s, phi_s, J_s):
+                    phi_c[j], J_c[j] = ph, J
+                    search[j] = not ph <= phi_a[j] - 1e-4 * alpha[j] * predicted[j]
+            if any(stalled):
+                for j, b in enumerate(act):
+                    if stalled[j]:
+                        failures[b] = f"line search stalled in Newton iteration {it + 1}"
+                act, cand, phi_c, eps_c, t_c, J_c, eps_a, t_a = _members(
+                    [not x for x in stalled], act, cand, phi_c, eps_c, t_c, J_c, eps_a, t_a)
+                if not act:
                     break
-            idx = None if act.size == B else act
-            V_a = pot.v_tensor(self.params, eps_a) if it == 0 else _take(V_v, idx)
-            V_c = pot.v_tensor(self.params, eps_c)
+            idx = None if len(act) == B else act
+            V_a = pot.v_tensor(self.params, eps_a, t_a) if it == 0 else _take(V_v, idx)
+            V_c = pot.v_tensor(self.params, eps_c, t_c)
             dv = V_c - V_a
-            v, eps, V_v = _put(v, idx, cand), _put(eps, idx, eps_c), _put(V_v, idx, V_c)
-            phi_v[act], J_v[act] = phi_c, J_c
-            iterations[act] = it + 1
-            vdist[act] = self._inner_batch(dv, dv)
-            done = vdist[act] <= cfg.newton_tol
-            converged[act[done]] = True
-            act = act[~done]
-        if not converged.all():
-            b = int(np.flatnonzero(~converged)[0])
+            v, eps, t = _put(v, idx, cand), _put(eps, idx, eps_c), _put(t, idx, t_c)
+            V_v = _put(V_v, idx, V_c)
+            go = []
+            for j, (b, d) in enumerate(zip(act, self._inner_batch(dv, dv))):
+                phi_v[b], J_v[b], iterations[b], vdist[b] = phi_c[j], J_c[j], it + 1, d
+                converged[b] = d <= cfg.newton_tol
+                go.append(not converged[b])
+            act = [b for b, on in zip(act, go) if on]
+        if not all(converged):
+            b = converged.index(False)
             raise StepError(
                 f"path {b} of the batch: {failures[b]}; last V-distance^2 = "
                 f"{vdist[b]:.3e}, gradient norm = {grad_norm[b]:.3e}"
             )
-        still = iterations == 0
-        if still.any():
-            V_v[..., still, :, :] = pot.v_tensor(self.params, eps[..., still, :, :])
+        still = [b for b in range(B) if iterations[b] == 0]
+        if still:
+            V_v[..., still, :, :] = pot.v_tensor(self.params, _take(eps, still), _take(t, still))
         report = StepReport(
-            iterations=int(iterations.sum()),
-            cg_iterations=cg_iterations,
-            backtracks=backtracks,
-            roundoff_steps=roundoff_steps,
-            J=J_v,
+            iterations=sum(iterations),
+            cg_iterations=np.array(cg_iterations),
+            backtracks=np.array(backtracks),
+            roundoff_steps=np.array(roundoff_steps),
+            J=np.array(J_v),
             strain=eps,
+            strain_norm=t,
             V=V_v,
-            path_iterations=iterations,
+            path_iterations=np.array(iterations),
         )
         return v, report
 
     def _cg_solve_batch(self, a1, a2, unit, g, dt, floor, tol):
-        """_cg_solve on a batch, floor per path: each path iterates and
-        stops as in its own solve; the others go on gathered."""
+        """_cg_solve on a batch, floor a list per path: each path iterates
+        and stops as in its own solve; the others go on gathered."""
+        B = g.shape[1]
         x_out = np.zeros_like(g)
-        its = np.zeros(g.shape[1], dtype=int)
-        act = np.arange(g.shape[1])
+        its = [0] * B
+        act = list(range(B))
         x = np.zeros_like(g)
         res = -g
         p_dir = res.copy()
         rs = self._inner_batch(res, res)
-        target = np.maximum(tol**2 * rs, floor**2)
-        go = rs > target
+        target = [max(tol**2 * s, f**2) for s, f in zip(rs, floor)]
+        go = [s > tg for s, tg in zip(rs, target)]
         for _ in range(CG_MAX_ITER):
-            if not go.all():
-                x_out[:, act[~go]] = x[:, ~go]
+            if not all(go):
+                stop = [j for j, on in enumerate(go) if not on]
+                x_out[:, [act[j] for j in stop]] = x[:, stop]
                 act, a1, a2, unit, x, res, p_dir, rs, target = _members(
                     go, act, a1, a2, unit, x, res, p_dir, rs, target)
-            if not act.size:
+            if not act:
                 break
             hw = self._hessian_apply(a1, a2, unit, p_dir)
             hw *= dt
             hw += p_dir
             Ap = self._project(hw)
             denom = self._inner_batch(p_dir, Ap)
-            go = ~(denom <= 1e-12 * self._inner_batch(p_dir, p_dir))
-            if not go.all():
-                x_out[:, act[~go]] = x[:, ~go]
+            go = [not d <= 1e-12 * q for d, q in zip(denom, self._inner_batch(p_dir, p_dir))]
+            if not all(go):
+                stop = [j for j, on in enumerate(go) if not on]
+                x_out[:, [act[j] for j in stop]] = x[:, stop]
                 act, a1, a2, unit, x, res, p_dir, rs, target, Ap, denom = _members(
                     go, act, a1, a2, unit, x, res, p_dir, rs, target, Ap, denom)
-                if not act.size:
+                if not act:
                     break
-            its[act] += 1
-            alpha = (rs / denom)[:, None, None]
+            for b in act:
+                its[b] += 1
+            alpha = np.array([s / d for s, d in zip(rs, denom)])[:, None, None]
             x += alpha * p_dir
             res -= alpha * Ap
             rs_new = self._inner_batch(res, res)
-            p_dir *= (rs_new / rs)[:, None, None]
+            p_dir *= np.array([s1 / s0 for s1, s0 in zip(rs_new, rs)])[:, None, None]
             p_dir += res
             rs = rs_new
-            go = rs > target
+            go = [s > tg for s, tg in zip(rs, target)]
         x_out[:, act] = x
         return self._project(x_out), its
 
-    def _stress_terms(self, eps):
-        """S(eps), the strong residual P div S and pi_det.
+    def _stress_terms(self, eps, t):
+        """S(eps), the strong residual P div S and pi_det; t is |eps|.
 
         pi_det = -B*((I-P) div S) is the mean-free Helmholtz potential of
         div S, which the projection for the residual returns anyway.
         """
-        stress = pot.s_tensor(self.params, eps)
+        stress = pot.s_tensor(self.params, eps, pot.s_factor(self.params, t))
         res, pi = self._grad_potential(div_tensor_values(self._D, stress))
         return stress, res, pi
 
@@ -731,14 +779,20 @@ class Stepper:
         # [b, i] holds path b's lag-lags[i] differences
         lag_steps = np.array(lags)
         diffs = {q: np.zeros((B, len(lags), n_steps + 1)) for q in rings}
+        # a whole block's lag differences of one quantity go here, not
+        # into a fresh array per record: past glibc's default 128 KiB mmap
+        # threshold that page-faults on every record (V's take 224 KiB at
+        # B = 4, n = 16 and at B = 1, n = 32, 512 steps)
+        gathered = {q: np.empty((len(lags),) + ring.shape[1:]) for q, ring in rings.items()}
 
-        def record(k, idx, u_vals, eps, Vt, J, K_vals):
+        def record(k, idx, u_vals, eps, t, Vt, J, K_vals):
             """Record step k of the paths idx (None: all B) from their batched
-            velocity, strain, V, energies and K; a velocity that is not
-            finite raises StepError before anything is recorded."""
+            velocity, strain and its magnitude, V, energies and K; a
+            velocity that is not finite raises StepError before anything
+            is recorded."""
             if not np.isfinite(u_vals).all():
                 raise StepError("non-finite velocity")
-            stress, res, pi = self._stress_terms(eps)
+            stress, res, pi = self._stress_terms(eps, t)
             who = slice(None) if idx is None else idx
             energy[who, k] = J
             res_l2[who, k] = np.sqrt(self._inner_batch(res, res))
@@ -753,10 +807,15 @@ class Stepper:
                 slot[who] = _batch_first(latest)
                 if not m.size:
                     continue
-                # the gathered earlier states become the differences in place
+                # the differences with the earlier states, row i for lag m[i]
                 back = (k - m) % depth
-                d = rings[q][back] if idx is None else rings[q][back[:, None], idx]
-                np.subtract(slot if idx is None else slot[idx], d, out=d)
+                if idx is None:
+                    d = gathered[q][: m.size]
+                    for i, b in enumerate(back.tolist()):
+                        np.subtract(slot, rings[q][b], out=d[i])
+                else:
+                    d = rings[q][back[:, None], idx]
+                    np.subtract(slot[idx], d, out=d)
                 if q == "K":
                     norms = w12_norm_values(D, area, d)
                 else:
@@ -779,7 +838,8 @@ class Stepper:
             t0 = clock()
             if k == 0:
                 eps = sym_grad_values(D, u_new)
-                Vt, J = pot.v_tensor(self.params, eps), pot.energy(self.params, eps, area)
+                t = pot._frobenius(eps)
+                Vt, J = pot.v_tensor(self.params, eps, t), pot.energy(self.params, eps, area, t)
             else:
                 if dW is not None:
                     K_new = self.accumulate_K_sto(K_new, u_new, dW)
@@ -788,12 +848,12 @@ class Stepper:
                 u_new, rep = self.step(u_new, dW)
                 t0 = clock()
                 phases["step"] += t0 - t1
-                eps, Vt, J = rep.strain, rep.V, rep.J
+                eps, t, Vt, J = rep.strain, rep.strain_norm, rep.V, rep.J
                 newton_its[who, k] = rep.path_iterations
                 cg_its[who, k] = rep.cg_iterations
                 backtracks[who, k] = rep.backtracks
                 roundoff_steps[who, k] = rep.roundoff_steps
-            record(k, idx, u_new, eps, Vt, J, K_new)
+            record(k, idx, u_new, eps, t, Vt, J, K_new)
             u[:, who], K[who] = u_new, K_new
             phases["record"] += clock() - t0
 

@@ -655,10 +655,10 @@ def test_exception_while_recording_fails_that_path_only(tmp_path, monkeypatch):
             self.latest = served(owners, dW)
             return super().step(u_n, dW)
 
-        def _stress_terms(self, eps):
+        def _stress_terms(self, eps, t):
             if (1, 3) in self.latest:
                 raise FloatingPointError("overflow in the stress")
-            return super()._stress_terms(eps)
+            return super()._stress_terms(eps, t)
 
     monkeypatch.setattr(runner, "Stepper", RecordFailsOnPathOne)
     manifest = run_experiment(cfg)
@@ -684,10 +684,10 @@ def test_exception_while_recording_the_initial_state_fails_that_path_only(
             self.order = [None] + [rng.path_index for rng in rngs]
             return super().run_path(u0, rngs)
 
-        def _stress_terms(self, eps):
+        def _stress_terms(self, eps, t):
             if self.order and self.order.pop(0) in (None, 1):
                 raise FloatingPointError("overflow in the stress")
-            return super()._stress_terms(eps)
+            return super()._stress_terms(eps, t)
 
     monkeypatch.setattr(runner, "Stepper", InitialRecordFails)
     out = str(tmp_path / "initial_record_error")

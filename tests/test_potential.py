@@ -97,6 +97,24 @@ def test_phi_is_per_entry_and_a_batch_energy_calls_phi_once(monkeypatch):
         whole = potential._phi(p, 0.01, t)
         for i in range(t.size):
             assert np.float64(potential._phi(p, 0.01, t[i])).tobytes() == whole[i].tobytes()
+    # a call with at most SERIES_FLOATS_MAX series entries sums them on
+    # Python floats: the same bits as the array route and as one-entry
+    # calls, just below, at and just above the cut-over, with and without
+    # closed-form entries beside them
+    cut = potential.SERIES_FLOATS_MAX
+    for p in (1.5, 2.5, 3.0, 4.2):
+        for count in (cut - 1, cut, cut + 1):
+            for closed in (0, 5):
+                t = 0.01 * rng.permutation(np.concatenate(
+                    [rng.uniform(0.0, 0.45, count), rng.uniform(0.6, 2.0, closed)]))
+                assert np.count_nonzero(t / 0.01 < potential.SERIES_BELOW) == count
+                whole = potential._phi(p, 0.01, t)
+                with monkeypatch.context() as m:
+                    m.setattr(potential, "SERIES_FLOATS_MAX", -1)
+                    assert potential._phi(p, 0.01, t).tobytes() == whole.tobytes()
+                for i in range(t.size):
+                    one = np.float64(potential._phi(p, 0.01, t[i]))
+                    assert one.tobytes() == whole[i].tobytes()
     calls = []
 
     def counted_phi(params, t):

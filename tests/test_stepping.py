@@ -54,7 +54,7 @@ def residual_and_pressure(stepper, u):
     """P div S(eps u) and pi_det of u, as run_path records them: on a
     block of one."""
     eps = sym_grad_values(stepper.grid.diff_1d, u[:, None])
-    _, res, pi = stepper._stress_terms(eps)
+    _, res, pi = stepper._stress_terms(eps, potential._frobenius(eps))
     return res[:, 0], pi[0]
 
 
@@ -95,6 +95,16 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="cg_tol"):
             SolverConfig(dt=0.1, T=1.0, cg_tol=cg_tol)
     assert SolverConfig(dt=0.1, T=1.0, cg_tol=0.0).cg_tol == 0.0
+    # inf passed the positivity tests: T = inf raised OverflowError in
+    # round(), dt = inf gave 0 steps, newton_tol = inf stopped every step
+    # unconverged after one iteration; kappa_reg of NaN or <= 0 reached
+    # the Hessian at kappa = 0, p < 2
+    inf, nan = float("inf"), float("nan")
+    for key, value in (("dt", inf), ("T", inf), ("newton_tol", inf), ("kappa_reg", inf),
+                       ("kappa_reg", nan), ("kappa_reg", 0.0), ("kappa_reg", -1.0)):
+        settings = {"dt": 0.1, "T": 1.0, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be positive and finite"):
+            SolverConfig(**settings)
     assert SolverConfig(dt=0.125, T=1.0).n_steps == 8
 
 
@@ -438,29 +448,42 @@ def test_gradient_matches_finite_differences(grid16):
     (8, 2.5, 0.01, "one", "zero"),
 ])
 def test_step_evaluates_each_strain_and_V_once(monkeypatch, n, p, kappa, rho, u0_kind):
-    # every Newton iterate carries its strain, J and V, Newton starts at
-    # the predictor and record() takes the returned strain, J and V:
-    # across a whole noisy path no field reaches sym_grad_values,
-    # v_tensor or energy twice
+    # every Newton iterate carries its strain, its magnitude, J and V,
+    # Newton starts at the predictor and record() takes the returned
+    # strain, magnitude, J and V: across a whole noisy path no field
+    # reaches sym_grad_values, v_tensor or energy twice, and no strain
+    # has its magnitude taken twice.  _frobenius also takes record()'s
+    # |S|, which hashes like a strain where S = eps bit for bit: at
+    # p = 2, kappa = 0 (no case here) and on the zero strain of a path
+    # from rest, so all-zero arguments are left out.  A lone path runs
+    # the one-path loop, a block of three the batched one.
     grid = Grid(n)
     spec = NoiseSpec(grid, 8, rho=rho, flavor="mixed")
     stepper = make_stepper(grid, p=p, kappa=kappa, dt=2.0**-8, spec=spec)
-    seen = {"sym_grad_values": [], "v_tensor": [], "energy": []}
+    seen = {"sym_grad_values": [], "v_tensor": [], "energy": [], "_frobenius": []}
 
     def hashed(name, fn, arg):
         def wrapper(*args):
-            seen[name].append(hashlib.sha256(np.ascontiguousarray(args[arg]).tobytes()).digest())
+            if name != "_frobenius" or np.any(args[arg]):
+                digest = hashlib.sha256(np.ascontiguousarray(args[arg]).tobytes()).digest()
+                seen[name].append(digest)
             return fn(*args)
         return wrapper
 
     monkeypatch.setattr(stepping, "sym_grad_values", hashed("sym_grad_values", sym_grad_values, 1))
     monkeypatch.setattr(potential, "v_tensor", hashed("v_tensor", potential.v_tensor, 1))
     monkeypatch.setattr(potential, "energy", hashed("energy", potential.energy, 1))
-    traj = stepper.run_path(initial_velocity(grid, u0_kind, 1.0), PathRng(2, 0))
-    assert traj.completed
-    assert traj.newton_iterations.sum() > 0
-    for name, calls in seen.items():
-        assert len(set(calls)) == len(calls), name
+    monkeypatch.setattr(potential, "_frobenius", hashed("_frobenius", potential._frobenius, 0))
+    u0 = initial_velocity(grid, u0_kind, 1.0)
+    for rngs in ([PathRng(2, 0)], [PathRng(2, b) for b in range(3)]):
+        for calls in seen.values():
+            calls.clear()
+        trajs = stepper.run_path(u0, rngs)
+        assert all(traj.completed for traj in trajs)
+        assert all(traj.newton_iterations.sum() > 0 for traj in trajs)
+        assert seen["_frobenius"]
+        for name, calls in seen.items():
+            assert len(set(calls)) == len(calls), (len(rngs), name)
 
 
 def _noisy_path_digest(n, rho):
@@ -707,15 +730,32 @@ class FailsOnState(Stepper):
 def test_batched_run_path_is_bit_identical_to_single_paths(n, rho):
     # a block of B paths stepped in lockstep gives each path the bits of
     # its own run, also when path 1 fails at step 5 and leaves the batch
+    _check_batched_bits(n, rho, 2.5, 0.01)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("rho", ["one", "inv_one_plus_s2"])
+@pytest.mark.parametrize("p, kappa", [(1.5, 0.0), (3.0, 0.0)])
+def test_batched_run_path_bits_in_unshifted_hessian_branches(n, rho, p, kappa):
+    # the same at kappa = 0: for p = 1.5 the Hessian's shift is floored
+    # at kappa_reg, so its a2 is not S's factor, and for p = 3 phi'' is
+    # taken without a shift
+    _check_batched_bits(n, rho, p, kappa)
+
+
+def _check_batched_bits(n, rho, p, kappa):
+    """Blocks of 1, 2, 4 and 8 paths against single runs, with and
+    without path 1 failing at step 5."""
     grid = Grid(n)
     spec = NoiseSpec(grid, 8, rho=rho, flavor="mixed")
     cfg = SolverConfig(dt=2.0**-10, T=32 * 2.0**-10, cg_tol=1e-10, store_every=8)
-    stepper = FailsOnState(grid, PotentialParams(2.5, 0.01), cfg, spec=spec)
+    params = PotentialParams(p, kappa)
+    stepper = FailsOnState(grid, params, cfg, spec=spec)
     u0 = initial_velocity(grid, "curl", 1.0)
     rngs = lambda count: [PathRng(9, i) for i in range(count)]  # noqa: E731
     for bad in (None, 1):
         if bad is not None:
-            probe = FailsOnState(grid, PotentialParams(2.5, 0.01),
+            probe = FailsOnState(grid, params,
                                  SolverConfig(dt=cfg.dt, T=cfg.T, cg_tol=1e-10, store_every=1),
                                  spec=spec)
             stepper.bad = probe.run_path(u0, PathRng(9, bad)).snapshots[4][1]
