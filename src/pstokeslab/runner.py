@@ -19,6 +19,7 @@ state and atomically finalised with content digests.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -348,7 +349,9 @@ def wiener_dichotomy_study(
                 ((m, w[m:] - w[:-m]) for m in lags), T / 2**e, specs
             )
             sup = report_from_norms(h_values, phi2, 0.5).sup_approx
-            quantity = report_from_norms(h_values, l2, 0.5, fine_index=2.0).quantity_r
+            # the seminorm integral over h on the dyadic grid: each level
+            # adds (h^(-1/2) n(h))^2 ln 2
+            quantity = float(np.sum((h_values ** (-0.5) * l2) ** 2.0 * math.log(2.0)))
             rows.append((index, T / 2**e, sup, quantity))
         return rows
 

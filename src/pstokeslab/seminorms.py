@@ -14,9 +14,7 @@ applies this window, to the `dyadic_lags` at which runs store
 increments.  Every report is built in two steps: `lag_norms` takes the
 Luxemburg norm of each lag's increments, which does not depend on alpha,
 and `report_from_norms` weighs them with alpha; `seminorm_report` makes
-both for one Orlicz scale.  For finite fine
-index r the seminorm integral over h is approximated by the same dyadic
-grid, each level contributing (h^(-alpha) n(h))^r * ln 2.
+both for one Orlicz scale.
 
 Luxemburg norms inf{lambda : integral Phi(|x|/lambda) <= 1} are found
 by Newton's method in s = 1/lambda from a start right of the root, on
@@ -290,7 +288,6 @@ class SeminormReport:
     norms: np.ndarray
     sup_terms: np.ndarray            # h^-a n_h
     sup_approx: float
-    quantity_r: float                # r < inf: sum (h^-a n_h)^r ln 2; nan for r = inf
     degenerate: bool                 # every norm is zero
 
 
@@ -316,19 +313,15 @@ def lag_norms(increments, dt: float, specs):
     return np.array(lags, dtype=float) * dt, np.array(norms, dtype=float).reshape(-1, len(specs)).T
 
 
-def report_from_norms(h_values, norms, alpha: float, fine_index: float = np.inf) -> SeminormReport:
+def report_from_norms(h_values, norms, alpha: float) -> SeminormReport:
     """Report of the per-lag norms at smoothness alpha."""
     with np.errstate(divide="ignore"):
         sup_terms = h_values ** (-alpha) * norms
-    quantity_r = np.nan
-    if np.isfinite(fine_index):
-        quantity_r = float(np.sum(sup_terms**fine_index * math.log(2.0)))
     return SeminormReport(
         h_values=h_values,
         norms=norms,
         sup_terms=sup_terms,
         sup_approx=float(sup_terms.max(initial=0.0)),
-        quantity_r=quantity_r,
         degenerate=bool(np.all(norms == 0.0)),
     )
 

@@ -74,33 +74,36 @@ fields carry the component axes first and the batch axis next,
 (2, B, n, n) for velocities, (2, 2, B, n, n) for strains and (B, n, n)
 for scalars.  `step`, `accumulate_K_sto` and the record take such a
 block, a lone path as a block of one, with one increment per path, and
-`run_path` makes one of each call per time step.  Newton, CG and the
-line search keep a path in the lockstep until its own loop would stop
-it, and gather the others to go on, so every path takes its own
+`run_path` makes one of each call per time step.  There is one Newton
+loop, one CG and one inner product for every block size.  Newton, CG and
+the line search keep a path in the lockstep until its own loop would
+stop it, and gather the others to go on, so every path takes its own
 iterations and keeps the bits of its own run: the grid kernels, the
 projection and phi's closed form act on each member as on one path;
 inner products and norms sum each path over its own contiguous entries
 of a batch-first copy; the per-path scalars (inner products, step
 lengths, objective values, stop flags) are Python floats and bools in
-lists, as in the one-path loop, and become arrays only to scale the
-fields; phi's series is a Horner sum of one fixed degree per p, entry
-by entry, so one call serves the whole batch; and the noise products
-stay one dot per path, as a batched product would round differently.  A block takes every time
-step, the initial state's record included, as one batch, of one path
-too; `step` alone picks the loop and runs a batch of one in the one-path
-loop on the path's (2, n, n) velocity, which lacks the per-path
-bookkeeping and reports scalar counts.  A path fails in one way: a
-time step that raises, where the record raises on a non-finite velocity
-before it stores anything.  A time step of two or more paths that raises
-is redone for each path as a batch of one, from the saved state with the
-increments already drawn, so a path fails alone.  A block's paths share
-its time in proportion to the steps they completed.
+lists, and become arrays only to scale the fields; phi's series is a
+Horner sum of one fixed degree per p, entry by entry, so one call serves
+the whole batch; and the noise products stay one dot per path, as a
+batched product would round differently.  A path that leaves the
+lockstep early has its fields stored into the block's, which are the
+lockstep's own arrays until a first path leaves: a block whose paths
+stop together, a block of one always, stores nothing.  A block takes
+every time step, the initial state's record included, as one batch, of
+one path too.  A path fails in one way: a time step that raises, where
+the record raises on a non-finite velocity before it stores anything.
+A time step of two or more paths that raises is redone for each path as
+a batch of one, from the saved state with the increments already drawn,
+so a path fails alone.  A block's paths share its time in proportion to
+the steps they completed.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from operator import gt, neg, truediv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,28 +174,26 @@ class SolverConfig:
 
 @dataclass
 class StepReport:
-    """What run_path records of one step: the solver counts, and J, strain
-    and V of the returned velocity.
+    """What run_path records of one step of a block: the solver counts,
+    and J, strain and V of the returned velocity.
 
     A step returns its report only once it has converged; a step that
-    does not converge raises StepError instead.  For a batch of B >= 2
-    every field holds one entry per path, except `iterations`, which is
-    the batch's total Newton iterations, so that summed over calls it
-    counts Newton iterations per path-step as for one path;
-    `path_iterations` holds each path's own count.  For one path every
-    count is a scalar, and `path_iterations` equals `iterations`.  strain,
-    strain_norm and V always carry the batch axis.
+    does not converge raises StepError instead.  Every field holds one
+    entry per path, except `iterations`, which is the block's total
+    Newton iterations, so that summed over calls it counts Newton
+    iterations per path-step; `path_iterations` holds each path's own
+    count.
     """
 
     iterations: int
-    cg_iterations: int              # summed over the Newton iterations
-    backtracks: int                 # line-search halvings, summed likewise
-    roundoff_steps: int             # full steps taken by the round-off rule
-    J: float
+    cg_iterations: np.ndarray       # summed over the Newton iterations
+    backtracks: np.ndarray          # line-search halvings, summed likewise
+    roundoff_steps: np.ndarray      # full steps taken by the round-off rule
+    J: np.ndarray
     strain: np.ndarray = field(repr=False)
     strain_norm: np.ndarray = field(repr=False)  # nodewise |strain|
     V: np.ndarray = field(repr=False)
-    path_iterations: np.ndarray | int
+    path_iterations: np.ndarray
 
 
 @dataclass
@@ -237,14 +238,6 @@ def _take(x, idx):
     return x if idx is None else x[..., idx, :, :]
 
 
-def _put(x, idx, values):
-    """x with its members idx set to values; None replaces x outright."""
-    if idx is None:
-        return values
-    x[..., idx, :, :] = values
-    return x
-
-
 def _members(keep, *items):
     """The members where the bools keep hold, of per-path lists and
     batched fields."""
@@ -252,11 +245,29 @@ def _members(keep, *items):
     return [[x[j] for j in sel] if isinstance(x, list) else x[..., sel, :, :] for x in items]
 
 
+def _leave(out, act, keep, *fields):
+    """The block's fields out once the members of act where the bools keep
+    are False have left the lockstep with fields as their final values.
+
+    out is None until a first member leaves: the fields then still span
+    the block and are returned as they are, so a block whose paths all
+    leave at once copies nothing.  The members that stay go on in
+    gathered copies, so nothing writes to out through them.
+    """
+    if out is None:
+        return fields
+    sel = [j for j, k in enumerate(keep) if not k]
+    paths = [act[j] for j in sel]
+    for o, x in zip(out, fields):
+        o[..., paths, :, :] = x[..., sel, :, :]
+    return out
+
+
 class Stepper:
     """Owns the operators for one (grid, potential, noise) configuration.
 
-    Immutable after construction; one instance per worker is the
-    intended concurrency pattern (paths are embarrassingly parallel).
+    Immutable after construction; the runner builds one instance per
+    block of paths (paths are embarrassingly parallel).
     """
 
     def __init__(
@@ -303,16 +314,17 @@ class Stepper:
         return div_free, q - means[:, None, None]
 
     def _inner(self, a, b):
-        return self._area * float(np.add.reduce(a * b, axis=None))
-
-    def _inner_batch(self, a, b):
-        """_inner per path of two batched fields, a list with the bits of _inner.
+        """The weighted L^2 product of each path of two batched fields, a list.
 
         Each path's products are summed over its own contiguous entries of
-        a batch-first copy, as np.add.reduce(..., axis=None) sums them.
+        a batch-first copy, as np.add.reduce(..., axis=None) sums one path's
+        array, and each sum is weighted on a Python float.
         """
-        prod = _batch_first(a * b)
-        return (self._area * np.add.reduce(prod.reshape(len(prod), -1), axis=1)).tolist()
+        prod = a * b
+        sums = np.add.reduce(
+            prod.transpose(_BATCH_FIRST[prod.ndim]).reshape(prod.shape[-3], -1), axis=1)
+        area = self._area
+        return [area * s for s in sums.tolist()]
 
     def _lp_norms(self, mags, r):
         """lp_norm per path of nodewise magnitudes (B, n, n), bit for bit.
@@ -362,164 +374,14 @@ class Stepper:
         increments, each the (J,) array of one path's draws, or None;
         returns (u_next, StepReport), u_next shaped like u.
 
-        Only B >= 2 runs _step_batch.  A block of one runs the one-path
-        loop, as the batched loop took 21-37 % longer at B = 1, and gets
-        its report with the batch axis added to strain, strain_norm and V.
+        Damped Newton with projected CG and a line search, the B paths in
+        lockstep (module docstring): each path takes the iterations of its
+        own run and leaves where its own loop stops.  Raises StepError
+        when a path's line search stalls or its Newton loop runs out of
+        iterations.
         """
         if u.ndim != 4:
             raise ValueError(f"step takes a block (2, B, n, n), got shape {u.shape}")
-        if u.shape[1] > 1:
-            return self._step_batch(u, dW)
-        v, rep = self._step_one(u[:, 0], None if dW is None else dW[0])
-        rep.strain, rep.strain_norm, rep.V = (
-            rep.strain[:, :, None], rep.strain_norm[None], rep.V[:, :, None])
-        return v[:, None], rep
-
-    def _step_one(self, u, dW):
-        """step() on one path u (2, n, n): damped Newton with projected CG."""
-        cfg = self.config
-        dt = cfg.dt
-        if dW is not None and self.spec is not None and self.spec.mode_count > 0:
-            forcing = apply_G(self.spec, u, dW)
-            r = u + self._project(forcing)
-        else:
-            r = u
-
-        def objective(v):
-            """Objective value at v, the strain of v, its magnitude and J."""
-            diff = v - r
-            eps = sym_grad_values(self._D, v)
-            t = pot._frobenius(eps)
-            J = pot.energy(self.params, eps, self._area, t)
-            return dt * J + 0.5 * self._inner(diff, diff), eps, t, J
-
-        # start at the predictor; v carries phi_v, eps, t = |eps|, J_v and,
-        # once it has moved, V_v
-        v = r.copy()
-        phi0, eps, t, J_v = objective(v)
-        phi_v = phi0
-        V_v = None
-        vdist = np.inf
-        grad_norm = np.inf
-        converged = False
-        failure = f"Newton did not converge in {cfg.newton_max_iter} iterations"
-        iterations = cg_iterations = backtracks = roundoff_steps = 0
-        for it in range(cfg.newton_max_iter):
-            factor = pot.s_factor(self.params, t)
-            g = self._project(dt * self._grad_energy(eps, factor)) + (v - r)
-            grad_norm = np.sqrt(self._inner(g, g))
-            # rounding floor: below this scale no descent is representable
-            field_scale = 1.0 + np.sqrt(self._inner(v, v))
-            floor = 1e-14 * field_scale
-            if grad_norm <= max(floor, 1e-14 * (1.0 + abs(phi_v))):
-                converged = True
-                break
-            a1, a2, unit = pot.hessian_coeffs(
-                self._hess_params, eps, t, factor if self._hess_params is self.params else None)
-
-            forcing = max(FIRST_CG_TOL, cfg.cg_tol) if it == 0 else cfg.cg_tol
-            delta, cg_its = self._cg_solve(a1, a2, unit, g, dt, floor, forcing)
-            cg_iterations += cg_its
-            predicted = -self._inner(g, delta)
-            if predicted <= floor * grad_norm:
-                converged = True
-                break
-            alpha = 1.0
-            cand = v + delta
-            phi_c, eps_c, t_c, J_c = objective(cand)
-            if predicted <= ROUNDOFF_RTOL * abs(phi_v) and phi_c <= phi0:
-                # the Armijo test would compare rounding noise (module
-                # docstring): take the full step, never above phi0
-                roundoff_steps += 1
-            else:
-                while not phi_c <= phi_v - 1e-4 * alpha * predicted:
-                    alpha *= 0.5
-                    backtracks += 1
-                    if alpha <= 1e-14:
-                        break
-                    cand = v + alpha * delta
-                    phi_c, eps_c, t_c, J_c = objective(cand)
-                if alpha <= 1e-14:
-                    failure = f"line search stalled in Newton iteration {it + 1}"
-                    break
-            if V_v is None:
-                V_v = pot.v_tensor(self.params, eps, t)
-            V_c = pot.v_tensor(self.params, eps_c, t_c)
-            dv = V_c - V_v
-            v, phi_v, eps, t, V_v, J_v = cand, phi_c, eps_c, t_c, V_c, J_c
-            iterations = it + 1
-            vdist = self._inner(dv, dv)
-            if vdist <= cfg.newton_tol:
-                converged = True
-                break
-        if not converged:
-            raise StepError(
-                f"{failure}; "
-                f"last V-distance^2 = {vdist:.3e}, gradient norm = {grad_norm:.3e}"
-            )
-        if V_v is None:
-            V_v = pot.v_tensor(self.params, eps, t)
-        report = StepReport(
-            iterations=iterations,
-            cg_iterations=cg_iterations,
-            backtracks=backtracks,
-            roundoff_steps=roundoff_steps,
-            J=J_v,
-            strain=eps,
-            strain_norm=t,
-            V=V_v,
-            path_iterations=iterations,
-        )
-        return v, report
-
-    def _cg_solve(self, a1, a2, unit, g, dt, floor, tol):
-        """CG on  P(w + dt * Hess_J w) = -g  within the div-free subspace.
-
-        Stops at relative residual tol; returns the direction and the
-        number of CG iterations taken.
-
-        The target residual never goes below the rounding floor of the
-        operator application, directions whose curvature collapses
-        (subspace pollution by round-off) abort the iteration, and the
-        result is re-projected once.  The operator dominates the identity
-        on the subspace, so these guards cannot mask a genuine failure.
-        """
-        def apply_op(w):
-            hw = self._hessian_apply(a1, a2, unit, w)
-            hw *= dt
-            hw += w
-            return self._project(hw)
-
-        x = np.zeros_like(g)
-        res = -g
-        p_dir = res.copy()
-        rs = self._inner(res, res)
-        target = max(tol**2 * rs, floor**2)
-        iterations = 0
-        while iterations < CG_MAX_ITER and rs > target:
-            Ap = apply_op(p_dir)
-            denom = self._inner(p_dir, Ap)
-            if denom <= 1e-12 * self._inner(p_dir, p_dir):
-                break
-            iterations += 1
-            alpha = rs / denom
-            x += alpha * p_dir
-            res -= alpha * Ap
-            rs_new = self._inner(res, res)
-            p_dir *= rs_new / rs
-            p_dir += res
-            rs = rs_new
-        return self._project(x), iterations
-
-    def _step_batch(self, u, dW):
-        """step() on a batch of B >= 2: Newton, CG and line search in lockstep.
-
-        Every path takes the iterations of its own step() and gets its
-        bits: the kernels act on each member as on one path, per-path
-        scalars are Python floats as in the one-path loop, and a path
-        leaves the lockstep where its own loop stops, with the others
-        gathered to go on.  Raises StepError for the first path that fails.
-        """
         cfg = self.config
         dt = cfg.dt
         B = u.shape[1]
@@ -535,170 +397,169 @@ class Stepper:
             eps = sym_grad_values(self._D, v)
             t = pot._frobenius(eps)
             J = pot.energy(self.params, eps, self._area, t).tolist()
-            half = self._inner_batch(diff, diff)
-            return [dt * j + 0.5 * h for j, h in zip(J, half)], eps, t, J
+            return [dt * j + 0.5 * h for j, h in zip(J, self._inner(diff, diff))], eps, t, J
 
-        # per-path scalars are lists over all B paths, or over the members
-        # act of the lockstep (the _a and _c names)
+        # the iterates v of the paths act, with their strain, its magnitude
+        # and V, start at the predictor; lists over act are indexed by
+        # position, those over the block (phi, J, the counts, vdist and
+        # grad_norm) by path
         v = r.copy()
-        phi0, eps, t, J_v = objective(v, r)
-        phi_v = list(phi0)
-        V_v = np.empty_like(eps)  # filled as each path moves, else at the end
+        phi0, eps, t, J = objective(v, r)
+        V = pot.v_tensor(self.params, eps, t)
+        phi = list(phi0)
         vdist, grad_norm = [np.inf] * B, [np.inf] * B
-        converged = [False] * B
         iterations, cg_iterations, backtracks, roundoff_steps = ([0] * B for _ in range(4))
-        failures = [f"Newton did not converge in {cfg.newton_max_iter} iterations"] * B
-        act = list(range(B))  # paths still iterating
+        act = list(range(B))
+        out = None  # the block's (v, eps, t, V) once a path has left
         for it in range(cfg.newton_max_iter):
-            if not act:
-                break
-            idx = None if len(act) == B else act
-            v_a, r_a, eps_a, t_a = _take(v, idx), _take(r, idx), _take(eps, idx), _take(t, idx)
-            phi_a = [phi_v[b] for b in act]
-            factor = pot.s_factor(self.params, t_a)
-            g = self._project(dt * self._grad_energy(eps_a, factor)) + (v_a - r_a)
-            gn = [math.sqrt(x) for x in self._inner_batch(g, g)]
-            floor = [1e-14 * (1.0 + math.sqrt(x)) for x in self._inner_batch(v_a, v_a)]
-            go = [not x <= max(f, 1e-14 * (1.0 + abs(ph))) for x, f, ph in zip(gn, floor, phi_a)]
-            for b, x, on in zip(act, gn, go):
-                grad_norm[b], converged[b] = x, not on
+            factor = pot.s_factor(self.params, t)
+            g = self._project(dt * self._grad_energy(eps, factor)) + (v - r)
+            gg = self._inner(g, g)
+            # rounding floor: below this scale no descent is representable
+            floor = [1e-14 * (1.0 + math.sqrt(x)) for x in self._inner(v, v)]
+            go = []
+            for b, sq, f in zip(act, gg, floor):
+                grad_norm[b] = x = math.sqrt(sq)
+                go.append(not x <= max(f, 1e-14 * (1.0 + abs(phi[b]))))
             if not all(go):
-                act, g, gn, floor, v_a, r_a, eps_a, t_a, factor, phi_a = _members(
-                    go, act, g, gn, floor, v_a, r_a, eps_a, t_a, factor, phi_a)
-                if not act:
+                out = _leave(out, act, go, v, eps, t, V)
+                if not any(go):
                     break
+                act, v, r, eps, t, V, g, gg, factor, floor = _members(
+                    go, act, v, r, eps, t, V, g, gg, factor, floor)
             a1, a2, unit = pot.hessian_coeffs(
-                self._hess_params, eps_a, t_a, factor if shared_a2 else None)
+                self._hess_params, eps, t, factor if shared_a2 else None)
             forcing = max(FIRST_CG_TOL, cfg.cg_tol) if it == 0 else cfg.cg_tol
-            delta, cg_its = self._cg_solve_batch(a1, a2, unit, g, dt, floor, forcing)
-            predicted = [-x for x in self._inner_batch(g, delta)]
-            go = [not pr <= f * x for pr, f, x in zip(predicted, floor, gn)]
-            for b, c, on in zip(act, cg_its, go):
+            delta, cg_its = self._cg_solve(a1, a2, unit, g, gg, dt, floor, forcing)
+            predicted = list(map(neg, self._inner(g, delta)))
+            go = []
+            for b, c, pr, f in zip(act, cg_its, predicted, floor):
                 cg_iterations[b] += c
-                converged[b] = not on
+                go.append(not pr <= f * grad_norm[b])
             if not all(go):
-                act, delta, predicted, v_a, r_a, eps_a, t_a, phi_a = _members(
-                    go, act, delta, predicted, v_a, r_a, eps_a, t_a, phi_a)
-                if not act:
+                out = _leave(out, act, go, v, eps, t, V)
+                if not any(go):
                     break
-            cand = v_a + delta
-            phi_c, eps_c, t_c, J_c = objective(cand, r_a)
+                act, v, r, eps, t, V, delta, predicted = _members(
+                    go, act, v, r, eps, t, V, delta, predicted)
+            cand = v + delta
+            phi_c, eps_c, t_c, J_c = objective(cand, r)
             alpha = [1.0] * len(act)
             search = []
             for j, b in enumerate(act):
-                if predicted[j] <= ROUNDOFF_RTOL * abs(phi_a[j]) and phi_c[j] <= phi0[b]:
+                if predicted[j] <= ROUNDOFF_RTOL * abs(phi[b]) and phi_c[j] <= phi0[b]:
+                    # the Armijo test would compare rounding noise (module
+                    # docstring): take the full step, never above phi0
                     roundoff_steps[b] += 1
                     search.append(False)
                 else:
-                    search.append(not phi_c[j] <= phi_a[j] - 1e-4 * alpha[j] * predicted[j])
-            stalled = [False] * len(act)
+                    search.append(not phi_c[j] <= phi[b] - 1e-4 * alpha[j] * predicted[j])
             while any(search):
-                s = []
-                for j in range(len(act)):
-                    if search[j]:
-                        alpha[j] *= 0.5
-                        backtracks[act[j]] += 1
-                        if alpha[j] <= 1e-14:
-                            stalled[j], search[j] = True, False
-                        else:
-                            s.append(j)
-                if not s:
-                    break
+                s = [j for j, on in enumerate(search) if on]
+                for j in s:
+                    alpha[j] *= 0.5
+                    backtracks[act[j]] += 1
+                    if alpha[j] <= 1e-14:
+                        b = act[j]
+                        raise StepError(
+                            f"line search stalled in Newton iteration {it + 1}; last "
+                            f"V-distance^2 = {vdist[b]:.3e}, gradient norm = {grad_norm[b]:.3e}")
                 lengths = np.array([alpha[j] for j in s])[:, None, None]
-                cand_s = v_a[:, s] + lengths * delta[:, s]
-                phi_s, eps_s, t_s, J_s = objective(cand_s, r_a[:, s])
+                cand_s = v[:, s] + lengths * delta[:, s]
+                phi_s, eps_s, t_s, J_s = objective(cand_s, r[:, s])
                 cand[:, s], eps_c[:, :, s], t_c[s] = cand_s, eps_s, t_s
-                for j, ph, J in zip(s, phi_s, J_s):
-                    phi_c[j], J_c[j] = ph, J
-                    search[j] = not ph <= phi_a[j] - 1e-4 * alpha[j] * predicted[j]
-            if any(stalled):
-                for j, b in enumerate(act):
-                    if stalled[j]:
-                        failures[b] = f"line search stalled in Newton iteration {it + 1}"
-                act, cand, phi_c, eps_c, t_c, J_c, eps_a, t_a = _members(
-                    [not x for x in stalled], act, cand, phi_c, eps_c, t_c, J_c, eps_a, t_a)
-                if not act:
-                    break
-            idx = None if len(act) == B else act
-            V_a = pot.v_tensor(self.params, eps_a, t_a) if it == 0 else _take(V_v, idx)
+                for j, ph, Js in zip(s, phi_s, J_s):
+                    phi_c[j], J_c[j] = ph, Js
+                    search[j] = not ph <= phi[act[j]] - 1e-4 * alpha[j] * predicted[j]
             V_c = pot.v_tensor(self.params, eps_c, t_c)
-            dv = V_c - V_a
-            v, eps, t = _put(v, idx, cand), _put(eps, idx, eps_c), _put(t, idx, t_c)
-            V_v = _put(V_v, idx, V_c)
+            dv = V_c - V
+            v, eps, t, V = cand, eps_c, t_c, V_c
             go = []
-            for j, (b, d) in enumerate(zip(act, self._inner_batch(dv, dv))):
-                phi_v[b], J_v[b], iterations[b], vdist[b] = phi_c[j], J_c[j], it + 1, d
-                converged[b] = d <= cfg.newton_tol
-                go.append(not converged[b])
-            act = [b for b, on in zip(act, go) if on]
-        if not all(converged):
-            b = converged.index(False)
+            for j, (b, d) in enumerate(zip(act, self._inner(dv, dv))):
+                phi[b], J[b], iterations[b], vdist[b] = phi_c[j], J_c[j], it + 1, d
+                go.append(not d <= cfg.newton_tol)
+            if not all(go):
+                out = _leave(out, act, go, v, eps, t, V)
+                if not any(go):
+                    break
+                act, v, r, eps, t, V = _members(go, act, v, r, eps, t, V)
+        else:
+            b = act[0]
             raise StepError(
-                f"path {b} of the batch: {failures[b]}; last V-distance^2 = "
-                f"{vdist[b]:.3e}, gradient norm = {grad_norm[b]:.3e}"
-            )
-        still = [b for b in range(B) if iterations[b] == 0]
-        if still:
-            V_v[..., still, :, :] = pot.v_tensor(self.params, _take(eps, still), _take(t, still))
+                f"Newton did not converge in {cfg.newton_max_iter} iterations; last "
+                f"V-distance^2 = {vdist[b]:.3e}, gradient norm = {grad_norm[b]:.3e}")
+        v, eps, t, V = out
         report = StepReport(
             iterations=sum(iterations),
             cg_iterations=np.array(cg_iterations),
             backtracks=np.array(backtracks),
             roundoff_steps=np.array(roundoff_steps),
-            J=np.array(J_v),
+            J=np.array(J),
             strain=eps,
             strain_norm=t,
-            V=V_v,
+            V=V,
             path_iterations=np.array(iterations),
         )
         return v, report
 
-    def _cg_solve_batch(self, a1, a2, unit, g, dt, floor, tol):
-        """_cg_solve on a batch, floor a list per path: each path iterates
-        and stops as in its own solve; the others go on gathered."""
+    def _cg_solve(self, a1, a2, unit, g, gg, dt, floor, tol):
+        """CG on  P(w + dt * Hess_J w) = -g  within the div-free subspace,
+        for each path of a batch g (2, B, n, n) with <g, g> and its
+        rounding floor in the lists gg and floor.
+
+        Each path iterates as it would alone and stops at relative residual
+        tol; the paths that go on are gathered.  Returns the directions and
+        each path's number of CG iterations.
+
+        The target residual never goes below the rounding floor of the
+        operator application, directions whose curvature collapses
+        (subspace pollution by round-off) abort the iteration, and the
+        result is re-projected once.  The operator dominates the identity
+        on the subspace, so these guards cannot mask a genuine failure.
+        """
         B = g.shape[1]
-        x_out = np.zeros_like(g)
-        its = [0] * B
-        act = list(range(B))
         x = np.zeros_like(g)
         res = -g
         p_dir = res.copy()
-        rs = self._inner_batch(res, res)
+        rs = gg  # <-g, -g> is <g, g> bit for bit
         target = [max(tol**2 * s, f**2) for s, f in zip(rs, floor)]
-        go = [s > tg for s, tg in zip(rs, target)]
-        for _ in range(CG_MAX_ITER):
+        its = [0] * B
+        act = list(range(B))
+        out = None  # the block's (x,) once a path has left
+        k = 0  # CG iterations of the paths act
+        while True:
+            go = list(map(gt, rs, target)) if k < CG_MAX_ITER else [False] * len(act)
             if not all(go):
-                stop = [j for j, on in enumerate(go) if not on]
-                x_out[:, [act[j] for j in stop]] = x[:, stop]
+                for b in act:  # final for the paths that leave now
+                    its[b] = k
+                out = _leave(out, act, go, x)
+                if not any(go):
+                    break
                 act, a1, a2, unit, x, res, p_dir, rs, target = _members(
                     go, act, a1, a2, unit, x, res, p_dir, rs, target)
-            if not act:
-                break
             hw = self._hessian_apply(a1, a2, unit, p_dir)
             hw *= dt
             hw += p_dir
             Ap = self._project(hw)
-            denom = self._inner_batch(p_dir, Ap)
-            go = [not d <= 1e-12 * q for d, q in zip(denom, self._inner_batch(p_dir, p_dir))]
+            denom = self._inner(p_dir, Ap)
+            go = [not d <= 1e-12 * q for d, q in zip(denom, self._inner(p_dir, p_dir))]
             if not all(go):
-                stop = [j for j, on in enumerate(go) if not on]
-                x_out[:, [act[j] for j in stop]] = x[:, stop]
+                for b in act:
+                    its[b] = k
+                out = _leave(out, act, go, x)
+                if not any(go):
+                    break
                 act, a1, a2, unit, x, res, p_dir, rs, target, Ap, denom = _members(
                     go, act, a1, a2, unit, x, res, p_dir, rs, target, Ap, denom)
-                if not act:
-                    break
-            for b in act:
-                its[b] += 1
-            alpha = np.array([s / d for s, d in zip(rs, denom)])[:, None, None]
+            k += 1
+            alpha = np.array(list(map(truediv, rs, denom)))[:, None, None]
             x += alpha * p_dir
             res -= alpha * Ap
-            rs_new = self._inner_batch(res, res)
-            p_dir *= np.array([s1 / s0 for s1, s0 in zip(rs_new, rs)])[:, None, None]
+            rs_new = self._inner(res, res)
+            p_dir *= np.array(list(map(truediv, rs_new, rs)))[:, None, None]
             p_dir += res
             rs = rs_new
-            go = [s > tg for s, tg in zip(rs, target)]
-        x_out[:, act] = x
-        return self._project(x_out), its
+        return self._project(out[0]), its
 
     def _stress_terms(self, eps, t):
         """S(eps), the strong residual P div S and pi_det; t is |eps|.
@@ -759,9 +620,10 @@ class Stepper:
         B = len(rngs)
         D, area = self._D, self._area
 
-        div = div_vec_values(D, u0)
-        div_u0 = np.sqrt(self._inner(div, div))
-        if div_u0 > 1e-8 * (1.0 + np.sqrt(self._inner(u0, u0))):
+        w0 = u0[:, None]
+        div = div_vec_values(D, w0)
+        div_u0 = math.sqrt(self._inner(div, div)[0])
+        if div_u0 > 1e-8 * (1.0 + math.sqrt(self._inner(w0, w0)[0])):
             raise ValueError(f"initial velocity is not divergence-free: {div_u0:.3e}")
         if not np.all(np.isfinite(u0)):
             raise ValueError("initial velocity contains non-finite entries")
@@ -795,8 +657,8 @@ class Stepper:
             stress, res, pi = self._stress_terms(eps, t)
             who = slice(None) if idx is None else idx
             energy[who, k] = J
-            res_l2[who, k] = np.sqrt(self._inner_batch(res, res))
-            u_l2[who, k] = np.sqrt(self._inner_batch(u_vals, u_vals))
+            res_l2[who, k] = np.sqrt(self._inner(res, res))
+            u_l2[who, k] = np.sqrt(self._inner(u_vals, u_vals))
             pi_lp[who, k] = self._lp_norms(np.abs(pi), p_conj)
             k_w12[who, k] = w12_norm_values(D, area, K_vals)
             stress_lp[who, k] = self._lp_norms(pot._frobenius(stress), p_conj)
@@ -857,22 +719,16 @@ class Stepper:
             u[:, who], K[who] = u_new, K_new
             phases["record"] += clock() - t0
 
-        def attempt(k, paths, dW):
-            """batch_step(k, paths, dW); returns the failure message of each
-            path that failed.  This is the one place a path fails: a batch
-            that raises is redone path by path from the saved state, and a
-            lone path fails with the exception's text."""
+        def failure(k, paths, dW):
+            """batch_step(k, paths, dW); None, or the text of the exception it
+            raised.  This is the one place a path fails: any exception ends
+            these paths only."""
             try:
                 batch_step(k, paths, dW)
-            except Exception as exc:  # any failure ends these paths only
-                if len(paths) > 1:
-                    failed = {}
-                    for j, b in enumerate(paths):
-                        failed.update(attempt(k, [b], None if dW is None else dW[j:j + 1]))
-                    return failed
+            except Exception as exc:
                 kind = "" if isinstance(exc, StepError) else f"{type(exc).__name__}: "
-                return {paths[0]: f"{kind}{exc}"}
-            return {}
+                return f"step {k}: {kind}{exc}"
+            return None
 
         snapshots = [[] for _ in range(B)]
         errors = [None] * B
@@ -883,8 +739,14 @@ class Stepper:
             if not live:
                 break
             dW = [sample_increment(rngs[b], cfg.dt, modes) for b in live] if k and modes else None
-            for b, reason in attempt(k, live, dW).items():
-                errors[b] = f"step {k}: {reason}"
+            reason = failure(k, live, dW)
+            if reason is not None and len(live) == 1:
+                errors[live[0]] = reason
+            elif reason is not None:
+                # redo the step path by path from the saved state, so that
+                # a path fails alone
+                for j, b in enumerate(live):
+                    errors[b] = failure(k, [b], None if dW is None else dW[j:j + 1])
             live = [b for b in live if errors[b] is None]
             recorded[live] = k + 1
             if cfg.store_every > 0 and k % cfg.store_every == 0:
