@@ -74,36 +74,36 @@ fields carry the component axes first and the batch axis next,
 (2, B, n, n) for velocities, (2, 2, B, n, n) for strains and (B, n, n)
 for scalars.  `step`, `accumulate_K_sto` and the record take such a
 block, a lone path as a block of one, with one increment per path, and
-`run_path` makes one of each call per time step.  There is one Newton
-loop, one CG and one inner product for every block size.  Newton, CG and
-the line search keep a path in the lockstep until its own loop would
-stop it, and gather the others to go on, so every path takes its own
+`run_path` makes one of each call per time step.  Newton, CG and the
+line search keep a path in the lockstep until its own loop would stop
+it, and gather the others to go on, so every path takes its own
 iterations and keeps the bits of its own run: the grid kernels, the
 projection and phi's closed form act on each member as on one path;
 inner products and norms sum each path over its own contiguous entries
 of a batch-first copy; the per-path scalars (inner products, step
 lengths, objective values, stop flags) are Python floats and bools in
-lists, and become arrays only to scale the fields; phi's series is a
-Horner sum of one fixed degree per p, entry by entry, so one call serves
-the whole batch; and the noise products stay one dot per path, as a
-batched product would round differently.  A path that leaves the
-lockstep early has its fields stored into the block's, which are the
-lockstep's own arrays until a first path leaves: a block whose paths
-stop together, a block of one always, stores nothing.  A block takes
+lists, as in the one-path loop, and become arrays only to scale the
+fields; phi's series is a Horner sum of one fixed degree per p, entry
+by entry, so one call serves the whole batch; and the noise products
+stay one dot per path, as a batched product would round differently.
+A path that leaves the lockstep early has its fields stored into the
+block's, which are the lockstep's own arrays until a first path leaves,
+so a block whose paths stop together stores nothing.  A block takes
 every time step, the initial state's record included, as one batch, of
-one path too.  A path fails in one way: a time step that raises, where
-the record raises on a non-finite velocity before it stores anything.
-A time step of two or more paths that raises is redone for each path as
-a batch of one, from the saved state with the increments already drawn,
-so a path fails alone.  A block's paths share its time in proportion to
-the steps they completed.
+one path too; `step` alone picks the loop and runs a batch of one in the
+one-path loop on the path's (2, n, n) velocity, which lacks the per-path
+bookkeeping and reports scalar counts.  A path fails in one way: a time
+step that raises, where the record raises on a non-finite velocity
+before it stores anything.  A time step of two or more paths that raises
+is redone for each path as a batch of one, from the saved state with the
+increments already drawn, so a path fails alone.  A block's paths share
+its time in proportion to the steps they completed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from operator import gt, neg, truediv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,26 +174,28 @@ class SolverConfig:
 
 @dataclass
 class StepReport:
-    """What run_path records of one step of a block: the solver counts,
-    and J, strain and V of the returned velocity.
+    """What run_path records of one step: the solver counts, and J, strain
+    and V of the returned velocity.
 
     A step returns its report only once it has converged; a step that
-    does not converge raises StepError instead.  Every field holds one
-    entry per path, except `iterations`, which is the block's total
-    Newton iterations, so that summed over calls it counts Newton
-    iterations per path-step; `path_iterations` holds each path's own
-    count.
+    does not converge raises StepError instead.  For a batch of B >= 2
+    every field holds one entry per path, except `iterations`, which is
+    the batch's total Newton iterations, so that summed over calls it
+    counts Newton iterations per path-step as for one path;
+    `path_iterations` holds each path's own count.  For one path every
+    count is a scalar, and `path_iterations` equals `iterations`.  strain,
+    strain_norm and V always carry the batch axis.
     """
 
     iterations: int
-    cg_iterations: np.ndarray       # summed over the Newton iterations
-    backtracks: np.ndarray          # line-search halvings, summed likewise
-    roundoff_steps: np.ndarray      # full steps taken by the round-off rule
-    J: np.ndarray
+    cg_iterations: int              # summed over the Newton iterations
+    backtracks: int                 # line-search halvings, summed likewise
+    roundoff_steps: int             # full steps taken by the round-off rule
+    J: float
     strain: np.ndarray = field(repr=False)
     strain_norm: np.ndarray = field(repr=False)  # nodewise |strain|
     V: np.ndarray = field(repr=False)
-    path_iterations: np.ndarray
+    path_iterations: np.ndarray | int
 
 
 @dataclass
@@ -314,17 +316,16 @@ class Stepper:
         return div_free, q - means[:, None, None]
 
     def _inner(self, a, b):
-        """The weighted L^2 product of each path of two batched fields, a list.
+        return self._area * float(np.add.reduce(a * b, axis=None))
+
+    def _inner_batch(self, a, b):
+        """_inner per path of two batched fields, a list with the bits of _inner.
 
         Each path's products are summed over its own contiguous entries of
-        a batch-first copy, as np.add.reduce(..., axis=None) sums one path's
-        array, and each sum is weighted on a Python float.
+        a batch-first copy, as np.add.reduce(..., axis=None) sums them.
         """
-        prod = a * b
-        sums = np.add.reduce(
-            prod.transpose(_BATCH_FIRST[prod.ndim]).reshape(prod.shape[-3], -1), axis=1)
-        area = self._area
-        return [area * s for s in sums.tolist()]
+        prod = _batch_first(a * b)
+        return (self._area * np.add.reduce(prod.reshape(len(prod), -1), axis=1)).tolist()
 
     def _lp_norms(self, mags, r):
         """lp_norm per path of nodewise magnitudes (B, n, n), bit for bit.
@@ -374,14 +375,165 @@ class Stepper:
         increments, each the (J,) array of one path's draws, or None;
         returns (u_next, StepReport), u_next shaped like u.
 
-        Damped Newton with projected CG and a line search, the B paths in
-        lockstep (module docstring): each path takes the iterations of its
-        own run and leaves where its own loop stops.  Raises StepError
-        when a path's line search stalls or its Newton loop runs out of
-        iterations.
+        Only B >= 2 runs _step_batch.  A block of one runs the one-path
+        loop, as the batched loop's step phase took 17-18 % longer at
+        B = 1 for n = 16 and 32, and gets its report with the batch axis
+        added to strain, strain_norm and V.
         """
         if u.ndim != 4:
             raise ValueError(f"step takes a block (2, B, n, n), got shape {u.shape}")
+        if u.shape[1] > 1:
+            return self._step_batch(u, dW)
+        v, rep = self._step_one(u[:, 0], None if dW is None else dW[0])
+        rep.strain, rep.strain_norm, rep.V = (
+            rep.strain[:, :, None], rep.strain_norm[None], rep.V[:, :, None])
+        return v[:, None], rep
+
+    def _step_one(self, u, dW):
+        """step() on one path u (2, n, n): damped Newton with projected CG."""
+        cfg = self.config
+        dt = cfg.dt
+        if dW is not None and self.spec is not None and self.spec.mode_count > 0:
+            forcing = apply_G(self.spec, u, dW)
+            r = u + self._project(forcing)
+        else:
+            r = u
+
+        def objective(v):
+            """Objective value at v, the strain of v, its magnitude and J."""
+            diff = v - r
+            eps = sym_grad_values(self._D, v)
+            t = pot._frobenius(eps)
+            J = pot.energy(self.params, eps, self._area, t)
+            return dt * J + 0.5 * self._inner(diff, diff), eps, t, J
+
+        # start at the predictor; v carries phi_v, eps, t = |eps|, J_v and,
+        # once it has moved, V_v
+        v = r.copy()
+        phi0, eps, t, J_v = objective(v)
+        phi_v = phi0
+        V_v = None
+        vdist = np.inf
+        grad_norm = np.inf
+        converged = False
+        failure = f"Newton did not converge in {cfg.newton_max_iter} iterations"
+        iterations = cg_iterations = backtracks = roundoff_steps = 0
+        for it in range(cfg.newton_max_iter):
+            factor = pot.s_factor(self.params, t)
+            g = self._project(dt * self._grad_energy(eps, factor)) + (v - r)
+            grad_norm = np.sqrt(self._inner(g, g))
+            # rounding floor: below this scale no descent is representable
+            field_scale = 1.0 + np.sqrt(self._inner(v, v))
+            floor = 1e-14 * field_scale
+            if grad_norm <= max(floor, 1e-14 * (1.0 + abs(phi_v))):
+                converged = True
+                break
+            a1, a2, unit = pot.hessian_coeffs(
+                self._hess_params, eps, t, factor if self._hess_params is self.params else None)
+
+            forcing = max(FIRST_CG_TOL, cfg.cg_tol) if it == 0 else cfg.cg_tol
+            delta, cg_its = self._cg_solve(a1, a2, unit, g, dt, floor, forcing)
+            cg_iterations += cg_its
+            predicted = -self._inner(g, delta)
+            if predicted <= floor * grad_norm:
+                converged = True
+                break
+            alpha = 1.0
+            cand = v + delta
+            phi_c, eps_c, t_c, J_c = objective(cand)
+            if predicted <= ROUNDOFF_RTOL * abs(phi_v) and phi_c <= phi0:
+                # the Armijo test would compare rounding noise (module
+                # docstring): take the full step, never above phi0
+                roundoff_steps += 1
+            else:
+                while not phi_c <= phi_v - 1e-4 * alpha * predicted:
+                    alpha *= 0.5
+                    backtracks += 1
+                    if alpha <= 1e-14:
+                        break
+                    cand = v + alpha * delta
+                    phi_c, eps_c, t_c, J_c = objective(cand)
+                if alpha <= 1e-14:
+                    failure = f"line search stalled in Newton iteration {it + 1}"
+                    break
+            if V_v is None:
+                V_v = pot.v_tensor(self.params, eps, t)
+            V_c = pot.v_tensor(self.params, eps_c, t_c)
+            dv = V_c - V_v
+            v, phi_v, eps, t, V_v, J_v = cand, phi_c, eps_c, t_c, V_c, J_c
+            iterations = it + 1
+            vdist = self._inner(dv, dv)
+            if vdist <= cfg.newton_tol:
+                converged = True
+                break
+        if not converged:
+            raise StepError(
+                f"{failure}; "
+                f"last V-distance^2 = {vdist:.3e}, gradient norm = {grad_norm:.3e}"
+            )
+        if V_v is None:
+            V_v = pot.v_tensor(self.params, eps, t)
+        report = StepReport(
+            iterations=iterations,
+            cg_iterations=cg_iterations,
+            backtracks=backtracks,
+            roundoff_steps=roundoff_steps,
+            J=J_v,
+            strain=eps,
+            strain_norm=t,
+            V=V_v,
+            path_iterations=iterations,
+        )
+        return v, report
+
+    def _cg_solve(self, a1, a2, unit, g, dt, floor, tol):
+        """CG on  P(w + dt * Hess_J w) = -g  within the div-free subspace.
+
+        Stops at relative residual tol; returns the direction and the
+        number of CG iterations taken.
+
+        The target residual never goes below the rounding floor of the
+        operator application, directions whose curvature collapses
+        (subspace pollution by round-off) abort the iteration, and the
+        result is re-projected once.  The operator dominates the identity
+        on the subspace, so these guards cannot mask a genuine failure.
+        """
+        def apply_op(w):
+            hw = self._hessian_apply(a1, a2, unit, w)
+            hw *= dt
+            hw += w
+            return self._project(hw)
+
+        x = np.zeros_like(g)
+        res = -g
+        p_dir = res.copy()
+        rs = self._inner(res, res)
+        target = max(tol**2 * rs, floor**2)
+        iterations = 0
+        while iterations < CG_MAX_ITER and rs > target:
+            Ap = apply_op(p_dir)
+            denom = self._inner(p_dir, Ap)
+            if denom <= 1e-12 * self._inner(p_dir, p_dir):
+                break
+            iterations += 1
+            alpha = rs / denom
+            x += alpha * p_dir
+            res -= alpha * Ap
+            rs_new = self._inner(res, res)
+            p_dir *= rs_new / rs
+            p_dir += res
+            rs = rs_new
+        return self._project(x), iterations
+
+    def _step_batch(self, u, dW):
+        """step() on a batch of B >= 2: Newton, CG and line search in lockstep.
+
+        Every path takes the iterations of its own step() and gets its
+        bits: the kernels act on each member as on one path, per-path
+        scalars are Python floats as in the one-path loop, and a path
+        leaves the lockstep where its own loop stops, with the others
+        gathered to go on.  Raises StepError for the first path that fails.
+        """
         cfg = self.config
         dt = cfg.dt
         B = u.shape[1]
@@ -397,7 +549,8 @@ class Stepper:
             eps = sym_grad_values(self._D, v)
             t = pot._frobenius(eps)
             J = pot.energy(self.params, eps, self._area, t).tolist()
-            return [dt * j + 0.5 * h for j, h in zip(J, self._inner(diff, diff))], eps, t, J
+            half = self._inner_batch(diff, diff)
+            return [dt * j + 0.5 * h for j, h in zip(J, half)], eps, t, J
 
         # the iterates v of the paths act, with their strain, its magnitude
         # and V, start at the predictor; lists over act are indexed by
@@ -414,9 +567,9 @@ class Stepper:
         for it in range(cfg.newton_max_iter):
             factor = pot.s_factor(self.params, t)
             g = self._project(dt * self._grad_energy(eps, factor)) + (v - r)
-            gg = self._inner(g, g)
+            gg = self._inner_batch(g, g)
             # rounding floor: below this scale no descent is representable
-            floor = [1e-14 * (1.0 + math.sqrt(x)) for x in self._inner(v, v)]
+            floor = [1e-14 * (1.0 + math.sqrt(x)) for x in self._inner_batch(v, v)]
             go = []
             for b, sq, f in zip(act, gg, floor):
                 grad_norm[b] = x = math.sqrt(sq)
@@ -430,8 +583,8 @@ class Stepper:
             a1, a2, unit = pot.hessian_coeffs(
                 self._hess_params, eps, t, factor if shared_a2 else None)
             forcing = max(FIRST_CG_TOL, cfg.cg_tol) if it == 0 else cfg.cg_tol
-            delta, cg_its = self._cg_solve(a1, a2, unit, g, gg, dt, floor, forcing)
-            predicted = list(map(neg, self._inner(g, delta)))
+            delta, cg_its = self._cg_solve_batch(a1, a2, unit, g, gg, dt, floor, forcing)
+            predicted = [-x for x in self._inner_batch(g, delta)]
             go = []
             for b, c, pr, f in zip(act, cg_its, predicted, floor):
                 cg_iterations[b] += c
@@ -475,7 +628,7 @@ class Stepper:
             dv = V_c - V
             v, eps, t, V = cand, eps_c, t_c, V_c
             go = []
-            for j, (b, d) in enumerate(zip(act, self._inner(dv, dv))):
+            for j, (b, d) in enumerate(zip(act, self._inner_batch(dv, dv))):
                 phi[b], J[b], iterations[b], vdist[b] = phi_c[j], J_c[j], it + 1, d
                 go.append(not d <= cfg.newton_tol)
             if not all(go):
@@ -502,21 +655,10 @@ class Stepper:
         )
         return v, report
 
-    def _cg_solve(self, a1, a2, unit, g, gg, dt, floor, tol):
-        """CG on  P(w + dt * Hess_J w) = -g  within the div-free subspace,
-        for each path of a batch g (2, B, n, n) with <g, g> and its
-        rounding floor in the lists gg and floor.
-
-        Each path iterates as it would alone and stops at relative residual
-        tol; the paths that go on are gathered.  Returns the directions and
-        each path's number of CG iterations.
-
-        The target residual never goes below the rounding floor of the
-        operator application, directions whose curvature collapses
-        (subspace pollution by round-off) abort the iteration, and the
-        result is re-projected once.  The operator dominates the identity
-        on the subspace, so these guards cannot mask a genuine failure.
-        """
+    def _cg_solve_batch(self, a1, a2, unit, g, gg, dt, floor, tol):
+        """_cg_solve on a batch, with <g, g> and floor lists per path: each
+        path iterates and stops as in its own solve; the others go on
+        gathered."""
         B = g.shape[1]
         x = np.zeros_like(g)
         res = -g
@@ -528,7 +670,7 @@ class Stepper:
         out = None  # the block's (x,) once a path has left
         k = 0  # CG iterations of the paths act
         while True:
-            go = list(map(gt, rs, target)) if k < CG_MAX_ITER else [False] * len(act)
+            go = [s > tg for s, tg in zip(rs, target)] if k < CG_MAX_ITER else [False] * len(act)
             if not all(go):
                 for b in act:  # final for the paths that leave now
                     its[b] = k
@@ -541,8 +683,8 @@ class Stepper:
             hw *= dt
             hw += p_dir
             Ap = self._project(hw)
-            denom = self._inner(p_dir, Ap)
-            go = [not d <= 1e-12 * q for d, q in zip(denom, self._inner(p_dir, p_dir))]
+            denom = self._inner_batch(p_dir, Ap)
+            go = [not d <= 1e-12 * q for d, q in zip(denom, self._inner_batch(p_dir, p_dir))]
             if not all(go):
                 for b in act:
                     its[b] = k
@@ -552,11 +694,11 @@ class Stepper:
                 act, a1, a2, unit, x, res, p_dir, rs, target, Ap, denom = _members(
                     go, act, a1, a2, unit, x, res, p_dir, rs, target, Ap, denom)
             k += 1
-            alpha = np.array(list(map(truediv, rs, denom)))[:, None, None]
+            alpha = np.array([s / d for s, d in zip(rs, denom)])[:, None, None]
             x += alpha * p_dir
             res -= alpha * Ap
-            rs_new = self._inner(res, res)
-            p_dir *= np.array(list(map(truediv, rs_new, rs)))[:, None, None]
+            rs_new = self._inner_batch(res, res)
+            p_dir *= np.array([s1 / s0 for s1, s0 in zip(rs_new, rs)])[:, None, None]
             p_dir += res
             rs = rs_new
         return self._project(out[0]), its
@@ -620,10 +762,9 @@ class Stepper:
         B = len(rngs)
         D, area = self._D, self._area
 
-        w0 = u0[:, None]
-        div = div_vec_values(D, w0)
-        div_u0 = math.sqrt(self._inner(div, div)[0])
-        if div_u0 > 1e-8 * (1.0 + math.sqrt(self._inner(w0, w0)[0])):
+        div = div_vec_values(D, u0)
+        div_u0 = np.sqrt(self._inner(div, div))
+        if div_u0 > 1e-8 * (1.0 + np.sqrt(self._inner(u0, u0))):
             raise ValueError(f"initial velocity is not divergence-free: {div_u0:.3e}")
         if not np.all(np.isfinite(u0)):
             raise ValueError("initial velocity contains non-finite entries")
@@ -657,8 +798,8 @@ class Stepper:
             stress, res, pi = self._stress_terms(eps, t)
             who = slice(None) if idx is None else idx
             energy[who, k] = J
-            res_l2[who, k] = np.sqrt(self._inner(res, res))
-            u_l2[who, k] = np.sqrt(self._inner(u_vals, u_vals))
+            res_l2[who, k] = np.sqrt(self._inner_batch(res, res))
+            u_l2[who, k] = np.sqrt(self._inner_batch(u_vals, u_vals))
             pi_lp[who, k] = self._lp_norms(np.abs(pi), p_conj)
             k_w12[who, k] = w12_norm_values(D, area, K_vals)
             stress_lp[who, k] = self._lp_norms(pot._frobenius(stress), p_conj)

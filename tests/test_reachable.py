@@ -7,9 +7,7 @@ snapshots, a run whose directory comes from PSTOKESLAB_OUT, and a Wiener
 study.  Each def and lambda of src/pstokeslab that the session never
 enters fails the test, apart from ALLOWED: code that no product path
 calls is wired in or deleted.  A second test applies the same rule to
-dataclass fields: each one is read somewhere in src/ or bench/.  A third
-keeps one solver for every block size: a lone path enters no src/
-function that a block of three does not.
+dataclass fields: each one is read somewhere in src/ or bench/.
 """
 
 import ast
@@ -22,11 +20,6 @@ import pytest
 
 import pstokeslab
 from pstokeslab import cli, potential
-from pstokeslab.grid import Grid
-from pstokeslab.noise import NoiseSpec, PathRng
-from pstokeslab.potential import PotentialParams
-from pstokeslab.runner import initial_velocity
-from pstokeslab.stepping import SolverConfig, Stepper
 
 SRC = pathlib.Path(pstokeslab.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -189,40 +182,3 @@ def test_every_dataclass_field_is_read():
 @pytest.mark.parametrize("qualname", ["Stepper._run_block.record", "<lambda>"])
 def test_src_functions_sees_nested_defs_and_lambdas(qualname):
     assert any(q.endswith(qualname) for _, q, _, _ in src_functions())
-
-
-def _src_entered(fn):
-    """file:qualified name of each src/ function entered while fn() runs."""
-    potential._series_coeffs.cache_clear()  # a filled cache is not entered
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    saved = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(saved)
-    src = os.path.realpath(SRC)
-    return {
-        f"{os.path.basename(c.co_filename)}:{c.co_qualname}"
-        for c in entered
-        if os.path.dirname(os.path.realpath(c.co_filename)) == src
-    }
-
-
-def test_a_lone_path_takes_no_route_of_its_own():
-    # one Newton-CG serves every block size: each src/ function a lone
-    # noisy path enters is entered by a block of three as well
-    grid = Grid(8)
-    spec = NoiseSpec(grid, 4, flavor="mixed")
-    stepper = Stepper(grid, PotentialParams(2.5, 0.01),
-                      SolverConfig(dt=2.0**-8, T=16 * 2.0**-8), spec=spec)
-    u0 = initial_velocity(grid, "curl", 1.0)
-    lone = _src_entered(lambda: stepper.run_path(u0, PathRng(1, 0)))
-    block = _src_entered(lambda: stepper.run_path(u0, [PathRng(1, b) for b in range(3)]))
-    assert "stepping.py:Stepper.step" in lone
-    assert lone <= block, "entered by a lone path only: " + ", ".join(sorted(lone - block))

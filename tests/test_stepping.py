@@ -142,8 +142,8 @@ def test_line_search_stall_raises(grid8):
     # a CG direction that no step length along it can descend: the
     # stalled line search must fail the step, not report convergence
     class UphillStepper(Stepper):
-        def _cg_solve(self, a1, a2, unit, g, gg, dt, floor, tol):
-            return -1e20 * g, [0] * g.shape[1]
+        def _cg_solve(self, a1, a2, unit, g, dt, floor, tol):
+            return -1e20 * g, 0
 
     cfg = SolverConfig(dt=1e-2, T=8e-2)
     stepper = UphillStepper(grid8, PotentialParams(3.0, 0.0), cfg)
@@ -430,18 +430,17 @@ def test_gradient_matches_finite_differences(grid16):
     def objective(v):
         diff = v - r
         eps = sym_grad_values(grid16.diff_1d, v)
-        J = energy(stepper.params, eps, grid16.cell_area)
-        return dt * J + 0.5 * l2_inner(grid16, diff, diff)
+        return dt * energy(stepper.params, eps, grid16.cell_area) + 0.5 * stepper._inner(diff, diff)
 
     v = u + 0.1 * stepper._project(rng.standard_normal((2, 16, 16)))
     grad_j = stepper._grad_energy(sym_grad_values(grid16.diff_1d, v))
     grad_full = dt * grad_j + (v - r)
     for _ in range(10):
         d = stepper._project(rng.standard_normal((2, 16, 16)))
-        d /= np.sqrt(l2_inner(grid16, d, d))
+        d /= np.sqrt(stepper._inner(d, d))
         eps_fd = 1e-6
         fd = (objective(v + eps_fd * d) - objective(v - eps_fd * d)) / (2 * eps_fd)
-        exact = l2_inner(grid16, grad_full, d)
+        exact = stepper._inner(grad_full, d)
         assert abs(fd - exact) <= 1e-5 * max(abs(exact), 1e-8)
 
 
@@ -459,8 +458,8 @@ def test_step_evaluates_each_strain_and_V_once(monkeypatch, n, p, kappa, rho, u0
     # has its magnitude taken twice.  _frobenius also takes record()'s
     # |S|, which hashes like a strain where S = eps bit for bit: at
     # p = 2, kappa = 0 (no case here) and on the zero strain of a path
-    # from rest, so all-zero arguments are left out.  A lone path and a
-    # block of three run the same loop, each member on its own.
+    # from rest, so all-zero arguments are left out.  A lone path runs
+    # the one-path loop, a block of three the batched one.
     grid = Grid(n)
     spec = NoiseSpec(grid, 8, rho=rho, flavor="mixed")
     stepper = make_stepper(grid, p=p, kappa=kappa, dt=2.0**-8, spec=spec)
@@ -782,7 +781,7 @@ def _check_batched_bits(n, rho, p, kappa):
 
 def test_batched_step_report_totals_and_per_path_counts(grid8):
     # on a batch, iterations is the total Newton count and each path's
-    # counts equal those of its own step, a block of one included
+    # counts equal those of its own step
     spec = NoiseSpec(grid8, 4, flavor="mixed")
     stepper = make_stepper(grid8, p=2.5, kappa=0.01, dt=2.0**-8, spec=spec, cg_tol=1e-10)
     u0 = initial_velocity(grid8, "curl", 1.0)
@@ -791,17 +790,26 @@ def test_batched_step_report_totals_and_per_path_counts(grid8):
     assert isinstance(rep.iterations, int)
     assert rep.iterations == rep.path_iterations.sum()
     for b, dW in enumerate(dWs):
-        # a block of one reports arrays of length 1, as any block does
         u_b, rep_b = step_one(stepper, u0, dW)
         assert np.array_equal(u[:, b], u_b)
-        assert isinstance(rep_b.iterations, int)
-        assert rep_b.iterations == rep.path_iterations[b]
-        for name in ("path_iterations", "cg_iterations", "backtracks", "roundoff_steps", "J"):
-            assert getattr(rep_b, name).shape == (1,), name
-            assert getattr(rep_b, name)[0] == getattr(rep, name)[b], name
-        assert rep_b.strain.shape == rep_b.V.shape == (2, 2, 1, 8, 8)
-        assert np.array_equal(rep_b.strain[:, :, 0], rep.strain[:, :, b])
-        assert np.array_equal(rep_b.V[:, :, 0], rep.V[:, :, b])
+        assert rep_b.path_iterations == rep_b.iterations
+        assert rep.path_iterations[b] == rep_b.iterations
+        assert rep.cg_iterations[b] == rep_b.cg_iterations
+        assert rep.J[b] == rep_b.J
+        assert np.array_equal(rep.V[:, :, b], rep_b.V[:, :, 0])
+    # a batch of one gets the bits and the scalar report of the one-path
+    # loop, with the batch axis added to strain and V
+    u_0, rep_0 = stepper._step_one(u0, dWs[0])
+    u, rep = stepper.step(u0[:, None], dWs[:1])
+    assert np.array_equal(u[:, 0], u_0)
+    assert isinstance(rep.iterations, int) and rep.iterations == rep_0.iterations
+    assert rep.path_iterations == rep_0.iterations
+    for name in ("cg_iterations", "backtracks", "roundoff_steps", "J"):
+        assert np.ndim(getattr(rep, name)) == 0, name
+        assert getattr(rep, name) == getattr(rep_0, name), name
+    assert rep.strain.shape == rep.V.shape == (2, 2, 1, 8, 8)
+    assert np.array_equal(rep.strain[:, :, 0], rep_0.strain)
+    assert np.array_equal(rep.V[:, :, 0], rep_0.V)
 
 
 def test_block_buffers_die_when_run_path_returns(grid8):
